@@ -9,7 +9,7 @@ one measures the reproduction *machinery*:
   fast path) vs the differential oracle loop (``use_fast_path=False``);
 * the *tapped hot loop* in steady state — resident pages whose HPD
   entries already carry the sent bit, swept page-sequentially — the
-  regime the batch kernel vectorizes (and the ≥2x CI gate's metric);
+  regime the batch kernel vectorizes;
 * chunk-size sensitivity of the batch kernel on that hot loop;
 * a 16-point sweep grid executed serially vs ``--jobs N`` — the
   process-pool speedup (skipped on 1-core boxes, where it would only
@@ -20,9 +20,9 @@ one measures the reproduction *machinery*:
 Emits ``BENCH_harness.json`` next to the repo root (or ``--out``) so CI
 can archive throughput over time.  ``--quick`` shrinks the workloads
 for smoke use; published numbers should come from a default run.  Exit
-status is non-zero when any equivalence check fails or the batched
-tapped hot loop runs below 2x the oracle loop (a loose floor that holds
-even on 1-core CI).
+status is non-zero when any equivalence check fails.  Throughput is
+reported, not gated: whole-run ``acc_per_s`` from ``benchmarks/perf``
+is the regression metric.
 
 Usage::
 
@@ -174,8 +174,7 @@ def bench_hot_loop(repeats=3, sweeps=8):
 
     Runs at fraction 4.0 (fully resident — no fault-path noise) on a
     hopp machine pre-warmed with one full replay, so the measured run
-    exercises exactly the MC-tap + HPD sampling path.  The batched
-    kernel's speedup here is the CI throughput gate's metric."""
+    exercises exactly the MC-tap + HPD sampling path."""
     workload = build("stream-simple", seed=SEED)
     trace = hot_loop_trace(workload, sweeps=sweeps)
 
@@ -394,13 +393,6 @@ def main(argv=None):
         f"vs-legacy {hot_loop['speedup_vs_legacy']:.2f}x, "
         f"identical={hot_loop['modes_identical']}"
     )
-    # The CI regression gate: the batched tapped path must clear 2x the
-    # oracle loop even on a busy 1-core runner (it runs ~8x on an idle
-    # box, so 2x is a loose floor, not a target).
-    throughput_gate_ok = (
-        hot_loop["speedup"] >= 2.0 and hot_loop["modes_identical"]
-    )
-    print(f"  throughput gate (>=2x oracle): ok={throughput_gate_ok}")
 
     print("chunk-size sensitivity (batched kernel, hot loop) ...", flush=True)
     chunk_sensitivity = bench_chunk_sensitivity(
@@ -480,12 +472,6 @@ def main(argv=None):
         "single_run": singles,
         "tapped_hot_loop": hot_loop,
         "chunk_sensitivity": chunk_sensitivity,
-        "throughput_gate": {
-            "metric": "tapped_hot_loop.speedup (batched vs oracle)",
-            "floor": 2.0,
-            "measured": hot_loop["speedup"],
-            "ok": throughput_gate_ok,
-        },
         "telemetry": telemetry,
         "sweep": grid,
         "cache": cache,
@@ -498,7 +484,7 @@ def main(argv=None):
         grid.get("parallel_equals_serial", True)
         and cache["warm_equals_cold"]
         and telemetry_ok
-        and throughput_gate_ok
+        and hot_loop["modes_identical"]
         and all(s["modes_identical"] for s in singles.values())
     )
     return 0 if ok else 1

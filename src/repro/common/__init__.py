@@ -9,7 +9,6 @@ from repro.common.types import (
     MemoryAccess,
     PageKind,
     PrefetchDecision,
-    PrefetchRequest,
     RptEntry,
     StreamObservation,
     TraceRecord,
@@ -29,7 +28,6 @@ __all__ = [
     "MemoryAccess",
     "PageKind",
     "PrefetchDecision",
-    "PrefetchRequest",
     "RptEntry",
     "StreamObservation",
     "TraceRecord",

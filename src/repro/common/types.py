@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.common.compat import slotted_dataclass
 from repro.common.constants import BLOCK_SHIFT, PAGE_SHIFT
@@ -60,23 +60,6 @@ class HotPage:
     kind: PageKind = PageKind.BASE_4K
 
 
-@slotted_dataclass(frozen=True)
-class PrefetchRequest:
-    """A finalized prefetch decision sent to the execution engine.
-
-    ``tier`` records which algorithm produced the request ("ssp", "lsp",
-    "rsp", or a baseline name) so benches can attribute coverage per tier
-    (Figures 19-20).
-    """
-
-    pid: int
-    vpn: int
-    tier: str
-    issued_at_us: float
-    stream_id: int = -1
-
-
-@slotted_dataclass()
 class StreamObservation:
     """What the Stream Training Table hands to the tier algorithms.
 
@@ -84,21 +67,82 @@ class StreamObservation:
     ``stride_history`` the corresponding L-1 strides, exactly the inputs of
     Algorithms 1 and 2 in the paper.
 
-    ``stride_counts`` is an optional precomputed non-zero-stride
-    histogram of ``stride_history`` (the STT maintains one incrementally
-    per stream).  It is a live view, valid until the stream's next hot
-    page; SSP consumes it synchronously.  None means "not provided" —
-    consumers recount from ``stride_history``.
+    An observation from :meth:`StreamTrainingTable.feed` is a *live
+    view*: ``vpns`` and ``strides`` are the stream's own history windows
+    and ``stride_counts`` its incrementally maintained non-zero-stride
+    histogram, all valid until that stream's next hot page.  The tuple
+    histories are copied out of the windows on first access only, so the
+    SSP path, which needs just the histogram and the newest VPN, copies
+    nothing.  Call :meth:`detach` to keep an observation past the
+    stream's next hot page.  ``stride_counts`` None means "not provided":
+    consumers recount from the strides.
     """
 
-    pid: int
-    vpn: int
-    stride: int
-    vpn_history: Tuple[int, ...]
-    stride_history: Tuple[int, ...]
-    stream_id: int
-    timestamp_us: float = 0.0
-    stride_counts: Optional[dict] = None
+    __slots__ = (
+        "pid",
+        "vpn",
+        "stride",
+        "vpns",
+        "strides",
+        "stream_id",
+        "timestamp_us",
+        "stride_counts",
+        "_vpn_history",
+        "_stride_history",
+    )
+
+    def __init__(
+        self,
+        pid: int,
+        vpn: int,
+        stride: int,
+        vpn_history: Sequence[int],
+        stride_history: Sequence[int],
+        stream_id: int,
+        timestamp_us: float = 0.0,
+        stride_counts: Optional[dict] = None,
+    ) -> None:
+        self.pid = pid
+        self.vpn = vpn
+        self.stride = stride
+        self.vpns = vpn_history
+        self.strides = stride_history
+        self.stream_id = stream_id
+        self.timestamp_us = timestamp_us
+        self.stride_counts = stride_counts
+        self._vpn_history: Optional[Tuple[int, ...]] = None
+        self._stride_history: Optional[Tuple[int, ...]] = None
+
+    @property
+    def vpn_history(self) -> Tuple[int, ...]:
+        history = self._vpn_history
+        if history is None:
+            history = self._vpn_history = tuple(self.vpns)
+        return history
+
+    @property
+    def stride_history(self) -> Tuple[int, ...]:
+        history = self._stride_history
+        if history is None:
+            history = self._stride_history = tuple(self.strides)
+        return history
+
+    def detach(self) -> "StreamObservation":
+        """Copy the live windows so the observation outlives the stream's
+        next hot page; returns self."""
+        self.vpns = self.vpn_history
+        self.strides = self.stride_history
+        if self.stride_counts is not None:
+            self.stride_counts = dict(self.stride_counts)
+        return self
+
+    def __repr__(self) -> str:
+        return (
+            f"StreamObservation(pid={self.pid}, vpn={self.vpn}, "
+            f"stride={self.stride}, vpn_history={tuple(self.vpns)}, "
+            f"stride_history={tuple(self.strides)}, "
+            f"stream_id={self.stream_id}, timestamp_us={self.timestamp_us})"
+        )
 
 
 @slotted_dataclass()

@@ -2,7 +2,7 @@
 (training framework, policy engine, execution engine)."""
 
 from repro.hopp.eviction import StreamAwareEvictionAdvisor
-from repro.hopp.executor import ExecutionEngine, PrefetchRecord
+from repro.hopp.executor import ExecutionEngine
 from repro.hopp.hugepage import HugePageBatcher
 from repro.hopp.learned import LearnedStridePredictor, LearnedTrainer
 from repro.hopp.prototype import PrototypeDataPlane
@@ -26,7 +26,6 @@ __all__ = [
     "LearnedStridePredictor",
     "LearnedTrainer",
     "PrototypeDataPlane",
-    "PrefetchRecord",
     "SramEstimate",
     "SramModel",
     "HotPageDetector",

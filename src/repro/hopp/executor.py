@@ -1,6 +1,6 @@
 """Prefetch Execution Engine — Section III-F.
 
-Accepts finalized requests from the policy engine, de-duplicates them,
+Accepts the policy engine's finalized target VPNs, de-duplicates them,
 reads the pages from remote memory over RDMA, and *injects* the PTE the
 moment a page arrives (early PTE injection) so the future access is a
 plain DRAM hit instead of a 2.3 us prefetch-hit fault.
@@ -13,11 +13,9 @@ flexibility Depth-N lacks (Section II-C).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Tuple
+from typing import Dict, Iterable, Optional, Protocol, Tuple
 
 from repro.common.stats import Histogram
-from repro.common.types import PrefetchRequest
 from repro.hopp.policy import CircuitBreaker, PolicyEngine
 from repro.telemetry.events import EV_PREFETCH_GATE, EV_TIMELINESS
 
@@ -31,17 +29,6 @@ class PrefetchBackend(Protocol):
         self, pid: int, vpn: int, now_us: float, inject_pte: bool, tier: str
     ) -> Optional[float]:
         ...
-
-
-@dataclass
-class PrefetchRecord:
-    """Lifecycle of one prefetched page, keyed by (pid, vpn)."""
-
-    tier: str
-    stream_id: int
-    issued_us: float
-    arrival_us: float = -1.0
-    hit: bool = False
 
 
 class ExecutionEngine:
@@ -59,8 +46,9 @@ class ExecutionEngine:
         #: injection); outcomes are fed by the machine's drop/timeout
         #: callbacks through :meth:`on_fabric_drop`.
         self.breaker = breaker
-        #: Outstanding + resident prefetched pages awaiting first hit.
-        self._records: Dict[Tuple[int, int], PrefetchRecord] = {}
+        #: Outstanding + resident prefetched pages awaiting first hit:
+        #: (pid, vpn) -> (tier, stream_id, issued_us, arrival_us).
+        self._records: Dict[Tuple[int, int], Tuple[str, int, float, float]] = {}
         self.issued = 0
         self.duplicates = 0
         self.rejected = 0
@@ -80,22 +68,32 @@ class ExecutionEngine:
 
     # -- issue path ------------------------------------------------------------------
 
-    def submit(self, requests: List[PrefetchRequest], now_us: float) -> int:
-        """Issue de-duplicated requests; returns how many went out."""
+    def submit(
+        self,
+        pid: int,
+        vpns: Iterable[int],
+        tier: str,
+        stream_id: int,
+        now_us: float,
+    ) -> int:
+        """Issue one stream step's target VPNs, de-duplicated against
+        outstanding records; returns how many went out."""
+        records = self._records
+        breaker = self.breaker
         sent = 0
-        for request in requests:
-            key = (request.pid, request.vpn)
-            if key in self._records:
+        for vpn in vpns:
+            key = (pid, vpn)
+            if key in records:
                 self.duplicates += 1
                 continue
-            if self.breaker is not None and not self.breaker.allow(now_us):
+            if breaker is not None and not breaker.allow(now_us):
                 self.suppressed += 1
                 if self.bus is not None:
                     self.bus.emit(EV_PREFETCH_GATE, now_us)
                 continue
             self._drop_signal = False
             arrival = self.backend.prefetch_page(
-                request.pid, request.vpn, now_us, self.inject_pte, request.tier
+                pid, vpn, now_us, self.inject_pte, tier
             )
             if arrival is None:
                 # Either nothing to fetch (already local / in flight) or
@@ -103,50 +101,36 @@ class ExecutionEngine:
                 # through on_fabric_drop, which sets the signal flag.
                 if not self._drop_signal:
                     self.rejected += 1
-                    if self.breaker is not None:
+                    if breaker is not None:
                         # No transfer happened, so the probe (if any)
                         # observed nothing — give it back.
-                        self.breaker.refund_probe()
+                        breaker.refund_probe()
                 continue
-            if self.breaker is not None:
-                self.breaker.record_success(now_us, arrival - now_us)
-            self._records[key] = PrefetchRecord(
-                tier=request.tier,
-                stream_id=request.stream_id,
-                issued_us=now_us,
-                arrival_us=arrival,
-            )
+            if breaker is not None:
+                breaker.record_success(now_us, arrival - now_us)
+            records[key] = (tier, stream_id, now_us, arrival)
             self.issued += 1
-            self.issued_by_tier[request.tier] = (
-                self.issued_by_tier.get(request.tier, 0) + 1
-            )
+            self.issued_by_tier[tier] = self.issued_by_tier.get(tier, 0) + 1
             sent += 1
         return sent
 
     # -- machine callbacks ----------------------------------------------------------------
 
-    def on_arrival(self, pid: int, vpn: int, now_us: float) -> None:
-        record = self._records.get((pid, vpn))
-        if record is not None:
-            record.arrival_us = now_us
-
     def on_first_hit(self, pid: int, vpn: int, now_us: float) -> None:
-        """The application touched a prefetched page for the first time."""
+        """The application touched a prefetched page for the first time.
+        Its record closes here, so a page counts at most one hit."""
         record = self._records.pop((pid, vpn), None)
-        if record is None or record.hit:
+        if record is None:
             return
-        record.hit = True
+        tier, stream_id, issued_us, arrival_us = record
         self.hits += 1
-        self.hits_by_tier[record.tier] = self.hits_by_tier.get(record.tier, 0) + 1
-        if record.arrival_us >= 0:
-            t_us = max(now_us - record.arrival_us, 0.0)
-            self.timeliness.add(t_us)
-            if self.bus is not None:
-                self.bus.emit(EV_TIMELINESS, now_us, t_us=t_us, tier=record.tier)
-            if self.policy is not None:
-                self.policy.report_timeliness(
-                    record.stream_id, t_us, record.issued_us, now_us
-                )
+        self.hits_by_tier[tier] = self.hits_by_tier.get(tier, 0) + 1
+        t_us = max(now_us - arrival_us, 0.0)
+        self.timeliness.add(t_us)
+        if self.bus is not None:
+            self.bus.emit(EV_TIMELINESS, now_us, t_us=t_us, tier=tier)
+        if self.policy is not None:
+            self.policy.report_timeliness(stream_id, t_us, issued_us, now_us)
 
     def on_evicted_unused(self, pid: int, vpn: int) -> None:
         """A prefetched page left local memory without ever being hit —

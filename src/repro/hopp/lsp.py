@@ -49,6 +49,7 @@ def train(
 
     # Target pattern: the newest M consecutive strides, ending in stride_A.
     target = tuple(strides[n - 1 - pattern_len : n - 1])
+    stride_a = target[-1]
 
     next_strides: List[int] = []
     stride_sums: List[int] = []
@@ -61,8 +62,8 @@ def train(
     # target occurrence and requiring a following stride to exist
     # (e <= n - 2 so strides[e] is valid).
     for end in range(n - 2, pattern_len - 1, -1):
-        candidate = tuple(strides[end - pattern_len : end])
-        if candidate != target:
+        # Compare the candidate's newest stride before slicing it out.
+        if strides[end - 1] != stride_a or strides[end - pattern_len : end] != target:
             continue
         next_strides.append(strides[end])
         stride_sums.append(vpns[last_end] - vpns[end])

@@ -40,42 +40,44 @@ def dominant_stride_from_counts(counts, strides, min_count: int) -> Optional[int
     """``dominant_stride`` on a precomputed non-zero-stride histogram.
 
     Picks the same winner: the stride with the highest count, ties going
-    to the one seen first in ``strides`` (the histogram's insertion
-    order is re-insertion order, not first-occurrence order, so ties
-    re-scan the window — the rare path).
+    to the one seen first in ``strides``.  One pass over the histogram
+    finds the top count and whether it is tied; only a tie re-scans the
+    window, because the histogram's insertion order is re-insertion
+    order, not first-occurrence order.  (With the paper's L = 16 a tie
+    never clears ``min_count``: two strides of 8 need 16 of 15 slots.)
     """
+    best = None
     best_count = 0
-    for c in counts.values():
+    tied = False
+    for s, c in counts.items():
         if c > best_count:
+            best = s
             best_count = c
+            tied = False
+        elif c == best_count:
+            tied = True
     if best_count < min_count:
         return None
-    tied = [s for s, c in counts.items() if c == best_count]
-    if len(tied) == 1:
-        return tied[0]
-    tied_set = set(tied)
-    for s in strides:
-        if s in tied_set:
-            return s
-    return None  # pragma: no cover - tied strides always appear in strides
+    if tied:
+        for s in strides:
+            if counts.get(s) == best_count:
+                return s
+    return best
 
 
 def train(observation: StreamObservation) -> Optional[PrefetchDecision]:
-    """Identify a simple stream; None hands over to LSP."""
-    history_len = len(observation.vpn_history)
+    """Identify a simple stream; None hands over to LSP.
+
+    Reads the observation's live windows, never its tuple histories, so
+    an SSP decision copies no history.
+    """
+    vpns = observation.vpns
+    min_count = len(vpns) // 2
     counts = observation.stride_counts
     if counts is None:
-        stride = dominant_stride(
-            observation.stride_history, min_count=history_len // 2
-        )
+        stride = dominant_stride(observation.strides, min_count)
     else:
-        stride = dominant_stride_from_counts(
-            counts, observation.stride_history, min_count=history_len // 2
-        )
+        stride = dominant_stride_from_counts(counts, observation.strides, min_count)
     if stride is None:
         return None
-    return PrefetchDecision(
-        tier=TIER_NAME,
-        base_vpn=observation.vpn_history[-1],
-        per_offset_stride=stride,
-    )
+    return PrefetchDecision(TIER_NAME, vpns[-1], stride)

@@ -13,6 +13,7 @@ yields a :class:`StreamObservation` for the tier algorithms.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import OrderedDict, deque
 from dataclasses import field
 from typing import Deque, Dict, List, Optional, Tuple
@@ -34,13 +35,21 @@ class SttEntry:
     #: dominant-stride scan is O(distinct strides) per observation
     #: instead of O(history).
     stride_counts: Dict[int, int] = field(default_factory=dict)
-    #: Mirror of ``vpns[-1]`` kept as a plain slot: ``_match`` reads it
-    #: once per scanned peer, and the deque indexing adds up.
+    #: Mirror of ``vpns[-1]`` kept as a plain slot: it is the entry's
+    #: key in the table's per-pid index.
     last: int = 0
+    #: Recency stamp from the table's clock (larger = more recently
+    #: used); breaks equal-distance ties in the stream match.
+    stamp: int = 0
 
     @property
     def last_vpn(self) -> int:
         return self.vpns[-1]
+
+
+#: Per-pid match index: the pid's streams sorted by last VPN, as two
+#: parallel lists (the keys, and the entries in the same order).
+_Index = Tuple[List[int], List[SttEntry]]
 
 
 class StreamTrainingTable:
@@ -57,12 +66,12 @@ class StreamTrainingTable:
         self.capacity = entries
         self.history_len = history_len
         self.stream_delta = stream_delta
-        #: stream_id -> entry; ordering encodes recency (last = MRU).
+        #: stream_id -> entry; ordering encodes recency (last = MRU) and
+        #: picks the capacity victim.
         self._entries: "OrderedDict[int, SttEntry]" = OrderedDict()
-        #: pid -> (stream_id -> entry), mirroring ``_entries``'s recency
-        #: order among that pid's streams; lets ``_match`` scan only the
-        #: pid's own streams with an identical tie-break order.
-        self._by_pid: Dict[int, "OrderedDict[int, SttEntry]"] = {}
+        #: pid -> that pid's streams sorted by last VPN (see ``_match``).
+        self._index: Dict[int, _Index] = {}
+        self._clock = 0
         self._next_stream_id = 0
         self.hot_pages_in = 0
         self.duplicates_dropped = 0
@@ -74,18 +83,26 @@ class StreamTrainingTable:
 
     def feed(self, pid: int, vpn: int, now_us: float = 0.0) -> Optional[StreamObservation]:
         """Insert one hot page; returns an observation when the matched
-        stream's history is full (training can run), else None."""
+        stream's history is full (training can run), else None.
+
+        The observation is a live view of the stream (see
+        :class:`StreamObservation`), valid until its next hot page.
+        """
         self.hot_pages_in += 1
-        entry = self._match(pid, vpn)
-        if entry is None:
+        index = self._index.get(pid)
+        pos = -1 if index is None else self._match(index, vpn)
+        if pos < 0:
             self._allocate(pid, vpn)
             return None
+        keys, streams = index
+        entry = streams[pos]
+        self._clock += 1
+        entry.stamp = self._clock
+        self._entries.move_to_end(entry.stream_id)
         if vpn == entry.last:
             # Repeated extraction of the same page (multi-channel dedup,
             # Section III-B) — no new information.
             self.duplicates_dropped += 1
-            self._entries.move_to_end(entry.stream_id)
-            self._by_pid[pid].move_to_end(entry.stream_id)
             return None
         stride = vpn - entry.last
         strides = entry.strides
@@ -100,24 +117,19 @@ class StreamTrainingTable:
                 else:
                     del counts[old]
         entry.vpns.append(vpn)
-        entry.last = vpn
         strides.append(stride)
         if stride:
             counts[stride] = counts.get(stride, 0) + 1
-        self._entries.move_to_end(entry.stream_id)
-        self._by_pid[pid].move_to_end(entry.stream_id)
+        # The matched stream is vpn's nearest neighbour on its side of
+        # vpn, so moving its key to vpn passes no other key: the index
+        # stays sorted with an in-place update.
+        keys[pos] = vpn
+        entry.last = vpn
         if len(entry.vpns) < self.history_len:
             return None
         self.observations_out += 1
         return StreamObservation(
-            pid=pid,
-            vpn=vpn,
-            stride=stride,
-            vpn_history=tuple(entry.vpns),
-            stride_history=tuple(strides),
-            stream_id=entry.stream_id,
-            timestamp_us=now_us,
-            stride_counts=counts,
+            pid, vpn, stride, entry.vpns, strides, entry.stream_id, now_us, counts
         )
 
     def feed_batch(self, hot_pages, now_us: float = 0.0) -> List[StreamObservation]:
@@ -125,10 +137,11 @@ class StreamTrainingTable:
 
         Returns the observations the batch produced, in feed order —
         exactly ``[feed(pid, vpn, now_us) for ...]`` with the Nones
-        dropped.  The batch kernel enters the pipeline one extraction at
-        a time (an extraction can issue prefetches that change what the
-        next one sees), so this is for offline consumers: trace-driven
-        training, multi-channel drain sweeps, and tests.
+        dropped, each detached from its stream.  The batch kernel enters
+        the pipeline one extraction at a time (an extraction can issue
+        prefetches that change what the next one sees), so this is for
+        offline consumers: trace-driven training, multi-channel drain
+        sweeps, and tests.
         """
         feed = self.feed
         out: List[StreamObservation] = []
@@ -136,37 +149,51 @@ class StreamTrainingTable:
         for pid, vpn in hot_pages:
             observation = feed(pid, vpn, now_us)
             if observation is not None:
-                append(observation)
+                append(observation.detach())
         return out
 
     # -- internals -------------------------------------------------------------------
 
-    def _match(self, pid: int, vpn: int) -> Optional[SttEntry]:
-        """Closest stream with the same PID within Delta_stream pages.
+    def _match(self, index: _Index, vpn: int) -> int:
+        """Position in ``index`` of the closest stream within
+        Delta_stream pages of ``vpn``, or -1.
 
-        Scans only the pid's own streams via ``_by_pid``; their relative
-        recency order matches ``_entries``, so the strict ``<`` tie-break
-        (first-scanned wins among equal distances) picks the same entry
-        the full-table scan would.
+        Within one pid no two streams share a last VPN while
+        Delta_stream >= 0 (a page at distance 0 always joins that
+        stream), so the closest stream is one of the two keys around
+        ``vpn``'s bisection point.  Equal distances on both sides go to
+        the least recently used stream, the stream a linear scan in
+        recency order (LRU first, strict ``<``) would pick.
         """
-        peers = self._by_pid.get(pid)
-        if not peers:
-            return None
-        best: Optional[SttEntry] = None
-        best_distance = self.stream_delta + 1
-        _abs = abs
-        for entry in peers.values():
-            distance = _abs(vpn - entry.last)
-            if distance < best_distance:
-                best = entry
-                best_distance = distance
-        return best if best_distance <= self.stream_delta else None
+        keys, streams = index
+        delta = self.stream_delta
+        i = bisect_left(keys, vpn)
+        if i < len(keys) and keys[i] - vpn <= delta:
+            if i:
+                below = vpn - keys[i - 1]
+                above = keys[i] - vpn
+                if below < above or (
+                    below == above and streams[i - 1].stamp < streams[i].stamp
+                ):
+                    return i - 1
+            return i
+        if i and vpn - keys[i - 1] <= delta:
+            return i - 1
+        return -1
 
     def _allocate(self, pid: int, vpn: int) -> SttEntry:
         if len(self._entries) >= self.capacity:
             _, victim = self._entries.popitem(last=False)
-            del self._by_pid[victim.pid][victim.stream_id]
+            keys, streams = self._index[victim.pid]
+            i = bisect_left(keys, victim.last)
+            while streams[i] is not victim:
+                # Only a negative Delta_stream lets two streams share a
+                # last VPN.
+                i += 1
+            del keys[i]
+            del streams[i]
             self.streams_evicted += 1
+        self._clock += 1
         entry = SttEntry(
             stream_id=self._next_stream_id,
             pid=pid,
@@ -174,14 +201,18 @@ class StreamTrainingTable:
             strides=deque(maxlen=self.history_len - 1),
             stride_counts={},
             last=vpn,
+            stamp=self._clock,
         )
         self._next_stream_id += 1
         self.streams_created += 1
         self._entries[entry.stream_id] = entry
-        peers = self._by_pid.get(pid)
-        if peers is None:
-            peers = self._by_pid[pid] = OrderedDict()
-        peers[entry.stream_id] = entry
+        index = self._index.get(pid)
+        if index is None:
+            index = self._index[pid] = ([], [])
+        keys, streams = index
+        i = bisect_left(keys, vpn)
+        keys.insert(i, vpn)
+        streams.insert(i, entry)
         return entry
 
     # -- introspection ------------------------------------------------------------------

@@ -190,9 +190,15 @@ class HoppDataPlane:
                 # The stream rides 2 MB batches now; skip the
                 # single-page request for this step.
                 return
-        requests = self.policy.finalize(decision, observation, timestamp_us)
-        if requests:
-            self.executor.submit(requests, timestamp_us)
+        targets = self.policy.finalize(decision, observation)
+        if targets:
+            self.executor.submit(
+                observation.pid,
+                targets,
+                decision.tier,
+                observation.stream_id,
+                timestamp_us,
+            )
 
     # -- fault-path visibility ----------------------------------------------------------
 

@@ -922,8 +922,10 @@ class Machine:
         table = self._page_tables.get(pid)
         if table is None or vpn < 0:
             return None
-        pte = table.entry(vpn)
-        if pte.state != PteState.REMOTE:
+        # peek, not entry: a rejected speculative target must not leave
+        # an UNTOUCHED PTE behind in the page table.
+        pte = table.peek(vpn)
+        if pte is None or pte.state != PteState.REMOTE:
             return None
         if self._slot_is_lost(pte.swap_slot) or self._slot_is_poisoned(
             pte.swap_slot
@@ -1017,13 +1019,16 @@ class Machine:
         table = self._page_tables.get(pid)
         if table is None or npages < 1:
             return None
-        fetchable = [
-            vpn
-            for vpn in range(max(start_vpn, 0), start_vpn + npages)
-            if table.entry(vpn).state == PteState.REMOTE
-            and not self._slot_is_lost(table.entry(vpn).swap_slot)
-            and not self._slot_is_poisoned(table.entry(vpn).swap_slot)
-        ]
+        fetchable = []
+        for vpn in range(max(start_vpn, 0), start_vpn + npages):
+            pte = table.peek(vpn)
+            if (
+                pte is not None
+                and pte.state == PteState.REMOTE
+                and not self._slot_is_lost(pte.swap_slot)
+                and not self._slot_is_poisoned(pte.swap_slot)
+            ):
+                fetchable.append(vpn)
         if not fetchable:
             return None
         if self.prefetch_admission is not None and not self.prefetch_admission(

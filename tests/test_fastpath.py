@@ -276,8 +276,10 @@ class TestBatchPrimitives:
             (rng.randrange(3), rng.randrange(200))
             for _ in range(600)
         ]
+        # feed returns live views; keeping them past the stream's next
+        # hot page needs detach, which feed_batch does itself.
         want = [
-            obs for obs in (a.feed(pid, vpn, 5.0) for pid, vpn in pages)
+            obs.detach() for obs in (a.feed(pid, vpn, 5.0) for pid, vpn in pages)
             if obs is not None
         ]
         got = b.feed_batch(pages, 5.0)

@@ -4,7 +4,6 @@ from typing import Dict, Optional, Tuple
 
 import pytest
 
-from repro.common.types import PrefetchRequest
 from repro.hopp.executor import ExecutionEngine
 from repro.hopp.policy import PolicyConfig, PolicyEngine
 
@@ -24,15 +23,15 @@ class FakeBackend:
         return now_us + self.latency_us
 
 
-def request(vpn, tier="ssp", stream_id=0, at=0.0):
-    return PrefetchRequest(pid=1, vpn=vpn, tier=tier, issued_at_us=at, stream_id=stream_id)
+def submit(engine, vpns, now_us=0.0, tier="ssp", stream_id=0):
+    return engine.submit(1, vpns, tier, stream_id, now_us)
 
 
 class TestSubmit:
     def test_issues_and_records(self):
         backend = FakeBackend()
         engine = ExecutionEngine(backend)
-        sent = engine.submit([request(10), request(11)], now_us=0.0)
+        sent = submit(engine, [10, 11], now_us=0.0)
         assert sent == 2
         assert engine.issued == 2
         assert engine.outstanding == 2
@@ -40,14 +39,14 @@ class TestSubmit:
 
     def test_duplicates_suppressed(self):
         engine = ExecutionEngine(FakeBackend())
-        engine.submit([request(10)], 0.0)
-        engine.submit([request(10)], 1.0)
+        submit(engine, [10], 0.0)
+        submit(engine, [10], 1.0)
         assert engine.duplicates == 1
         assert engine.issued == 1
 
     def test_rejected_pages_not_recorded(self):
         engine = ExecutionEngine(FakeBackend(reject={(1, 10)}))
-        sent = engine.submit([request(10)], 0.0)
+        sent = submit(engine, [10], 0.0)
         assert sent == 0
         assert engine.rejected == 1
         assert engine.outstanding == 0
@@ -55,19 +54,20 @@ class TestSubmit:
     def test_inject_flag_forwarded(self):
         backend = FakeBackend()
         engine = ExecutionEngine(backend, inject_pte=False)
-        engine.submit([request(10)], 0.0)
+        submit(engine, [10], 0.0)
         assert backend.issued[0][2] is False
 
     def test_issued_by_tier(self):
         engine = ExecutionEngine(FakeBackend())
-        engine.submit([request(10, "ssp"), request(11, "lsp")], 0.0)
+        submit(engine, [10], 0.0, tier="ssp")
+        submit(engine, [11], 0.0, tier="lsp")
         assert engine.issued_by_tier == {"ssp": 1, "lsp": 1}
 
 
 class TestHitsAndWaste:
     def test_first_hit_accounts_accuracy(self):
         engine = ExecutionEngine(FakeBackend(latency_us=4.0))
-        engine.submit([request(10)], 0.0)
+        submit(engine, [10], 0.0)
         engine.on_first_hit(1, 10, now_us=50.0)
         assert engine.hits == 1
         assert engine.accuracy == 1.0
@@ -76,14 +76,14 @@ class TestHitsAndWaste:
 
     def test_timeliness_measured_from_arrival(self):
         engine = ExecutionEngine(FakeBackend(latency_us=4.0))
-        engine.submit([request(10)], 0.0)
+        submit(engine, [10], 0.0)
         engine.on_first_hit(1, 10, now_us=50.0)
         # T = 50 - (0 + 4) = 46.
         assert engine.timeliness.stat.mean == pytest.approx(46.0)
 
     def test_hit_before_arrival_clamps_to_zero(self):
         engine = ExecutionEngine(FakeBackend(latency_us=100.0))
-        engine.submit([request(10)], 0.0)
+        submit(engine, [10], 0.0)
         engine.on_first_hit(1, 10, now_us=5.0)
         assert engine.timeliness.stat.mean == 0.0
 
@@ -94,7 +94,7 @@ class TestHitsAndWaste:
 
     def test_eviction_counts_waste(self):
         engine = ExecutionEngine(FakeBackend())
-        engine.submit([request(10), request(11)], 0.0)
+        submit(engine, [10, 11], 0.0)
         engine.on_evicted_unused(1, 10)
         assert engine.wasted == 1
         assert engine.outstanding == 1
@@ -104,13 +104,13 @@ class TestHitsAndWaste:
     def test_policy_gets_timeliness_reports(self):
         policy = PolicyEngine(PolicyConfig(alpha=0.2, t_min_us=100.0))
         engine = ExecutionEngine(FakeBackend(latency_us=4.0), policy=policy)
-        engine.submit([request(10, stream_id=7)], 0.0)
+        submit(engine, [10], 0.0, stream_id=7)
         engine.on_first_hit(1, 10, now_us=10.0)  # T=6 < 100 -> increase
         assert policy.offset_of(7) > 1.0
 
     def test_is_prefetched_unhit(self):
         engine = ExecutionEngine(FakeBackend())
-        engine.submit([request(10)], 0.0)
+        submit(engine, [10], 0.0)
         assert engine.is_prefetched_unhit(1, 10)
         engine.on_first_hit(1, 10, 1.0)
         assert not engine.is_prefetched_unhit(1, 10)

@@ -20,32 +20,31 @@ def obs(stream_id=0):
 class TestFinalize:
     def test_default_offset_and_intensity(self):
         engine = PolicyEngine()
-        requests = engine.finalize(decision(), obs(), now_us=0.0)
-        assert len(requests) == 1
-        assert requests[0].vpn == 101  # base + 1*stride
-        assert requests[0].tier == "ssp"
+        targets = engine.finalize(decision(), obs())
+        assert targets == (101,)  # base + 1*stride
+        assert engine.requests_out == 1
 
     def test_intensity_emits_consecutive_offsets(self):
         engine = PolicyEngine(PolicyConfig(intensity=3))
-        requests = engine.finalize(decision(stride=2), obs(), 0.0)
-        assert [r.vpn for r in requests] == [102, 104, 106]
+        targets = engine.finalize(decision(stride=2), obs())
+        assert targets == (102, 104, 106)
+        assert engine.requests_out == 3
 
     def test_negative_targets_dropped(self):
         engine = PolicyEngine(PolicyConfig(intensity=2))
-        requests = engine.finalize(decision(stride=-60, base=50), obs(), 0.0)
-        assert all(r.vpn >= 0 for r in requests)
-        assert len(requests) == 0
+        assert engine.finalize(decision(stride=-60, base=50), obs()) == ()
+        assert engine.requests_out == 0
 
     def test_ladder_fixed_delta_applied_once(self):
         engine = PolicyEngine()
-        requests = engine.finalize(decision(stride=4, delta=1, tier="lsp"), obs(), 0.0)
-        assert requests[0].vpn == 100 + 1 + 4
+        targets = engine.finalize(decision(stride=4, delta=1, tier="lsp"), obs())
+        assert targets == (100 + 1 + 4,)
 
     def test_offset_rounding(self):
         engine = PolicyEngine()
         engine._offsets[0] = 2.6
-        requests = engine.finalize(decision(), obs(stream_id=0), 0.0)
-        assert requests[0].vpn == 103  # round(2.6) = 3
+        targets = engine.finalize(decision(), obs(stream_id=0))
+        assert targets == (103,)  # round(2.6) = 3
 
     def test_invalid_intensity(self):
         with pytest.raises(ValueError):

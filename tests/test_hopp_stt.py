@@ -1,10 +1,15 @@
 """Tests for the Stream Training Table (Section III-D, Figure 7)."""
 
+import random
+from collections import OrderedDict, deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.hopp import ssp
 from repro.hopp.stt import StreamTrainingTable
+from repro.hopp.three_tier import ThreeTierTrainer
 
 
 class TestStreamMatching:
@@ -169,3 +174,203 @@ class TestInvariants:
         for vpn in vpns:
             stt.feed(1, vpn)
             assert len(stt) <= 8
+
+
+class _LinearScanStt:
+    """Brute-force reference STT: the stream match scans every entry in
+    recency order (LRU first) and keeps the first strictly closer one,
+    so equal distances go to the least recently used stream."""
+
+    def __init__(self, entries, history_len, stream_delta):
+        self.capacity = entries
+        self.history_len = history_len
+        self.stream_delta = stream_delta
+        self.entries = OrderedDict()  # stream_id -> [pid, vpns, strides]
+        self.next_id = 0
+        self.duplicates_dropped = 0
+        self.streams_evicted = 0
+
+    def feed(self, pid, vpn):
+        best, best_distance = None, None
+        for stream_id, (owner, vpns, _strides) in self.entries.items():
+            distance = abs(vpn - vpns[-1])
+            if owner == pid and distance <= self.stream_delta and (
+                best is None or distance < best_distance
+            ):
+                best, best_distance = stream_id, distance
+        if best is None:
+            if len(self.entries) >= self.capacity:
+                self.entries.popitem(last=False)
+                self.streams_evicted += 1
+            self.entries[self.next_id] = [
+                pid,
+                deque([vpn], maxlen=self.history_len),
+                deque(maxlen=self.history_len - 1),
+            ]
+            self.next_id += 1
+            return None
+        self.entries.move_to_end(best)
+        _owner, vpns, strides = self.entries[best]
+        if vpn == vpns[-1]:
+            self.duplicates_dropped += 1
+            return None
+        strides.append(vpn - vpns[-1])
+        vpns.append(vpn)
+        if len(vpns) < self.history_len:
+            return None
+        counts = {}
+        for stride in strides:
+            if stride:
+                counts[stride] = counts.get(stride, 0) + 1
+        return (pid, vpn, strides[-1], tuple(vpns), tuple(strides), best, counts)
+
+    def state(self):
+        return [
+            (stream_id, pid, tuple(vpns))
+            for stream_id, (pid, vpns, _strides) in self.entries.items()
+        ]
+
+
+def _observed(obs):
+    if obs is None:
+        return None
+    return (
+        obs.pid,
+        obs.vpn,
+        obs.stride,
+        obs.vpn_history,
+        obs.stride_history,
+        obs.stream_id,
+        dict(obs.stride_counts),
+    )
+
+
+def _run_differential(pages, entries, history_len, stream_delta):
+    stt = StreamTrainingTable(entries, history_len, stream_delta)
+    ref = _LinearScanStt(entries, history_len, stream_delta)
+    for step, (pid, vpn) in enumerate(pages):
+        got = _observed(stt.feed(pid, vpn))
+        assert got == ref.feed(pid, vpn), (step, pid, vpn)
+        assert [(e.stream_id, e.pid, tuple(e.vpns)) for e in stt.streams()] == \
+            ref.state(), step
+    assert stt.duplicates_dropped == ref.duplicates_dropped
+    assert stt.streams_evicted == ref.streams_evicted
+    assert stt.streams_created == ref.next_id
+
+
+class TestIndexedMatchDifferential:
+    """The sorted per-pid index against the linear-scan reference."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_feeds(self, seed):
+        rng = random.Random(seed)
+        entries = rng.choice([1, 2, 3, 8, 64])
+        history_len = rng.choice([4, 5, 16])
+        stream_delta = rng.choice([0, 1, 2, 3, 8, 64])
+        span = rng.choice([12, 40, 400])
+        pages = []
+        for _ in range(1500):
+            pid = rng.randrange(1, 4)
+            if pages and rng.random() < 0.15:
+                pages.append(pages[-1])  # duplicate extraction
+            elif pages and rng.random() < 0.4:
+                # Walk near a recent page so streams grow and collide.
+                _pid, base = pages[-rng.randrange(1, min(len(pages), 6) + 1)]
+                pages.append((pid, max(0, base + rng.randint(-stream_delta - 1,
+                                                              stream_delta + 1))))
+            else:
+                pages.append((pid, rng.randrange(span)))
+        _run_differential(pages, entries, history_len, stream_delta)
+
+    @pytest.mark.parametrize("lru_side", ["below", "above"])
+    def test_equal_distance_tie_goes_to_lru(self, lru_side):
+        stt = StreamTrainingTable(entries=8, history_len=4, stream_delta=8)
+        first, second = (100, 110) if lru_side == "below" else (110, 100)
+        stt.feed(1, first)
+        stt.feed(1, second)
+        stt.feed(1, 105)  # 5 from each
+        lru = [e for e in stt.streams() if e.vpns[0] == first][0]
+        assert list(lru.vpns) == [first, 105]
+        _run_differential(
+            [(1, first), (1, second), (1, 105)], 8, 4, 8
+        )
+
+    def test_stream_delta_edges(self):
+        pages = [(1, 100), (1, 108), (1, 117), (1, 125), (1, 125), (1, 116),
+                 (1, 134), (2, 108), (2, 100), (1, 0), (1, 8), (1, 17)]
+        for delta in (0, 1, 8, 9):
+            _run_differential(pages, 64, 4, delta)
+
+    def test_negative_delta_never_joins(self):
+        # Every feed allocates, so streams may share a last VPN; eviction
+        # must still remove the exact victim from the index.
+        pages = [(1, 5), (1, 5), (1, 6), (1, 5), (2, 5), (1, 5), (1, 6)]
+        _run_differential(pages, 3, 4, -1)
+
+    def test_capacity_eviction_across_pids(self):
+        rng = random.Random(3)
+        pages = [(rng.randrange(1, 6), rng.randrange(0, 2000, 100))
+                 for _ in range(400)]
+        _run_differential(pages, 4, 4, 64)
+
+
+class TestLiveObservation:
+    def _stream(self, stt, n, start=100):
+        obs = None
+        for vpn in range(start, start + n):
+            obs = stt.feed(1, vpn)
+        return obs
+
+    def test_ssp_decision_copies_no_history(self):
+        stt = StreamTrainingTable(history_len=8)
+        obs = self._stream(stt, 8)
+        decision = ThreeTierTrainer().train(obs)
+        assert decision.tier == "ssp"
+        assert obs._vpn_history is None and obs._stride_history is None
+
+    def test_view_tracks_stream_until_detached(self):
+        stt = StreamTrainingTable(history_len=4)
+        live = self._stream(stt, 4)
+        kept = self._stream(StreamTrainingTable(history_len=4), 4).detach()
+        assert kept.vpn_history == (100, 101, 102, 103)
+        stt.feed(1, 104)
+        # The live windows moved on; a detached copy did not.
+        assert tuple(live.vpns) == (101, 102, 103, 104)
+        assert kept.vpn_history == (100, 101, 102, 103)
+        assert kept.stride_counts == {1: 3}
+
+
+def _sliding_counts(strides, window):
+    """The STT's incremental histogram after sliding ``strides`` through
+    a ``window``-stride window: a stride that leaves and comes back is
+    re-inserted at the end, so insertion order is not first occurrence."""
+    live = deque(maxlen=window)
+    counts = {}
+    for stride in strides:
+        if len(live) == window and live[0]:
+            left = counts[live[0]] - 1
+            if left:
+                counts[live[0]] = left
+            else:
+                del counts[live[0]]
+        live.append(stride)
+        if stride:
+            counts[stride] = counts.get(stride, 0) + 1
+    return list(live), counts
+
+
+class TestDominantStrideFromCounts:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_recount_with_ties(self, seed):
+        rng = random.Random(seed)
+        for _ in range(2000):
+            window = rng.randrange(1, 16)
+            alphabet = rng.choice([[1, -1], [0, 1, 2], [-3, 0, 1, 2, 64]])
+            strides, counts = _sliding_counts(
+                [rng.choice(alphabet) for _ in range(rng.randrange(1, 40))],
+                window,
+            )
+            for min_count in (0, 1, 2, len(strides) // 2):
+                assert ssp.dominant_stride_from_counts(
+                    counts, strides, min_count
+                ) == ssp.dominant_stride(strides, min_count), (strides, counts)

@@ -138,6 +138,22 @@ class TestPrefetchPaths:
         machine = make_machine()
         assert machine.prefetch_page(1, 12345, 0.0, True, "t") is None
 
+    def test_rejected_untouched_targets_leave_page_table_alone(self):
+        # A speculative target the prefetcher rejects must not create a
+        # PTE: the page table holds only pages the application touched.
+        machine = make_machine(limit=8)
+        touch_pages(machine, 1, range(16))
+        table = machine.page_table(1)
+        before = len(table)
+        assert machine.prefetch_page(1, 12345, machine.now_us, True, "t") is None
+        assert machine.prefetch_batch(1, 500, 64, machine.now_us, True, "t") is None
+        # Pages 4..7 are remote, 8..15 resident, 16..19 never touched.
+        assert machine.prefetch_batch(1, 4, 16, machine.now_us, True, "t") is not None
+        assert 12345 not in table
+        assert not any(vpn in table for vpn in range(16, 20))
+        assert not any(vpn in table for vpn in range(500, 564))
+        assert len(table) == before
+
     def test_prefetch_rejected_for_unknown_pid(self):
         machine = make_machine()
         assert machine.prefetch_page(99, 0, 0.0, True, "t") is None
