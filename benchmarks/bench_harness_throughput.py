@@ -4,13 +4,11 @@
 Unlike the figure benches (which reproduce the paper's *results*), this
 one measures the reproduction *machinery*:
 
-* single-run throughput in accesses/sec: the batched kernel (default)
-  vs the legacy per-access fast loops (``kernel="legacy"``, the pre-PR
-  fast path) vs the differential oracle loop (``use_fast_path=False``);
+* single-run throughput in accesses/sec: the batch kernel (default)
+  vs the differential oracle loop (``use_fast_path=False``);
 * the *tapped hot loop* in steady state — resident pages whose HPD
   entries already carry the sent bit, swept page-sequentially — the
-  regime the batch kernel vectorizes;
-* chunk-size sensitivity of the batch kernel on that hot loop;
+  regime the batch kernel collapses to O(runs);
 * a 16-point sweep grid executed serially vs ``--jobs N`` — the
   process-pool speedup (skipped on 1-core boxes, where it would only
   measure pool overhead);
@@ -79,13 +77,11 @@ def grid_specs(workloads, workload_kwargs):
     ]
 
 
-#: (label, machine.run kwargs) for the three replay engines compared by
-#: the single-run and hot-loop benches.  ``fast_path`` is the batched
-#: kernel (the default dispatch), ``legacy_fast_path`` the PR-4
-#: per-access loops, ``oracle_loop`` the differential slow path.
+#: (label, machine.run kwargs) for the two replay loops compared by the
+#: single-run and hot-loop benches.  ``fast_path`` is the batch kernel
+#: (the default dispatch), ``oracle_loop`` the differential slow path.
 MODES = (
     ("fast_path", {"use_fast_path": True}),
-    ("legacy_fast_path", {"use_fast_path": True, "kernel": "legacy"}),
     ("oracle_loop", {"use_fast_path": False}),
 )
 
@@ -128,16 +124,12 @@ def _bench_modes(make, trace, repeats):
     timings["speedup"] = (
         timings["oracle_loop"]["seconds"] / timings["fast_path"]["seconds"]
     )
-    timings["speedup_vs_legacy"] = (
-        timings["legacy_fast_path"]["seconds"]
-        / timings["fast_path"]["seconds"]
-    )
     timings["modes_identical"] = identical
     return timings
 
 
 def bench_single_run(workload_name, system, workload_kwargs, repeats=3):
-    """Accesses/sec of one simulation: batched vs legacy vs oracle."""
+    """Accesses/sec of one simulation: batch kernel vs oracle."""
     workload = build(workload_name, seed=SEED, **workload_kwargs)
     trace = list(workload.trace())
 
@@ -180,34 +172,10 @@ def bench_hot_loop(repeats=3, sweeps=8):
 
     def make():
         machine = make_machine(workload, "hopp", 4.0, FabricConfig(seed=SEED))
-        machine.run(trace, kernel="legacy")  # map pages, set sent bits
+        machine.run(trace)  # map pages, set sent bits
         return machine
 
     return _bench_modes(make, trace, repeats)
-
-
-def bench_chunk_sensitivity(repeats=3, sweeps=8, chunks=(64, 512, 4096)):
-    """Batched-kernel throughput on the hot loop per chunk size."""
-    workload = build("stream-simple", seed=SEED)
-    trace = hot_loop_trace(workload, sweeps=sweeps)
-    out = {}
-    for chunk in chunks:
-        times = []
-        for _ in range(repeats + 1):
-            machine = make_machine(
-                workload, "hopp", 4.0, FabricConfig(seed=SEED)
-            )
-            machine.run(trace, kernel="legacy")
-            gc.collect()
-            start = time.perf_counter()
-            machine.run(trace, chunk_size=chunk)
-            times.append(time.perf_counter() - start)
-        best = min(times[1:])  # round 0 warms code paths
-        out[str(chunk)] = {
-            "seconds": best,
-            "accesses_per_sec": len(trace) / best if best > 0 else 0.0,
-        }
-    return out
 
 
 def bench_telemetry_overhead(workload_name, system, workload_kwargs, repeats=3):
@@ -373,10 +341,8 @@ def main(argv=None):
         singles[system] = single
         print(
             f"  batched {single['fast_path']['accesses_per_sec']:,.0f} acc/s, "
-            f"legacy {single['legacy_fast_path']['accesses_per_sec']:,.0f}, "
             f"oracle {single['oracle_loop']['accesses_per_sec']:,.0f}, "
             f"vs-oracle {single['speedup']:.2f}x, "
-            f"vs-legacy {single['speedup_vs_legacy']:.2f}x, "
             f"identical={single['modes_identical']}"
         )
 
@@ -387,19 +353,10 @@ def main(argv=None):
     )
     print(
         f"  batched {hot_loop['fast_path']['accesses_per_sec']:,.0f} acc/s, "
-        f"legacy {hot_loop['legacy_fast_path']['accesses_per_sec']:,.0f}, "
         f"oracle {hot_loop['oracle_loop']['accesses_per_sec']:,.0f}, "
         f"vs-oracle {hot_loop['speedup']:.2f}x, "
-        f"vs-legacy {hot_loop['speedup_vs_legacy']:.2f}x, "
         f"identical={hot_loop['modes_identical']}"
     )
-
-    print("chunk-size sensitivity (batched kernel, hot loop) ...", flush=True)
-    chunk_sensitivity = bench_chunk_sensitivity(
-        repeats=1 if args.quick else 3, sweeps=4 if args.quick else 8
-    )
-    for chunk, row in chunk_sensitivity.items():
-        print(f"  chunk {chunk:>5}: {row['accesses_per_sec']:,.0f} acc/s")
 
     print(f"telemetry overhead ({single_workload}/hopp@0.5) ...", flush=True)
     telemetry = bench_telemetry_overhead(
@@ -471,7 +428,6 @@ def main(argv=None):
         },
         "single_run": singles,
         "tapped_hot_loop": hot_loop,
-        "chunk_sensitivity": chunk_sensitivity,
         "telemetry": telemetry,
         "sweep": grid,
         "cache": cache,

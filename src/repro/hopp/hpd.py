@@ -151,29 +151,6 @@ class HotPageDetector:
         self._extract(ppn, entry)
         return used + need, True
 
-    def process_batch(self, paddrs, writes=None) -> tuple:
-        """Feed a batch of MC accesses; stop at the first extraction.
-
-        ``writes`` is a parallel is-write sequence (None means all
-        reads).  Returns ``(consumed, hot_ppn)`` where ``consumed``
-        counts the accesses processed — all of them when no page went
-        hot (``hot_ppn`` None), else up to and including the firing
-        access.  Equivalent to calling :meth:`process` per access and
-        stopping at the first non-None result.
-        """
-        process = self.process
-        if writes is None:
-            for idx, paddr in enumerate(paddrs):
-                hot = process(paddr, False)
-                if hot is not None:
-                    return idx + 1, hot
-        else:
-            for idx, paddr in enumerate(paddrs):
-                hot = process(paddr, writes[idx])
-                if hot is not None:
-                    return idx + 1, hot
-        return len(paddrs), None
-
     def _extract(self, ppn: int, entry: Optional[HpdEntry]) -> int:
         if entry is not None:
             entry.sent = True
@@ -257,27 +234,6 @@ class MultiChannelHpd:
 
     def process(self, paddr: int, is_write: bool = False) -> Optional[int]:
         return self._detectors[self.channel_of(paddr)].process(paddr, is_write)
-
-    def process_batch(self, paddrs, writes=None) -> tuple:
-        """Batch interface for the chunked kernel (HMTT drains bursts,
-        not single events).  Routes each access to its channel's
-        detector and stops at the first extraction; returns
-        ``(consumed, hot_ppn)`` with the same contract as
-        :meth:`HotPageDetector.process_batch`.
-        """
-        detectors = self._detectors
-        channel_of = self.channel_of
-        if writes is None:
-            for idx, paddr in enumerate(paddrs):
-                hot = detectors[channel_of(paddr)].process(paddr, False)
-                if hot is not None:
-                    return idx + 1, hot
-        else:
-            for idx, paddr in enumerate(paddrs):
-                hot = detectors[channel_of(paddr)].process(paddr, writes[idx])
-                if hot is not None:
-                    return idx + 1, hot
-        return len(paddrs), None
 
     # -- aggregated statistics --------------------------------------------------
 

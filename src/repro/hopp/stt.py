@@ -132,26 +132,6 @@ class StreamTrainingTable:
             pid, vpn, stride, entry.vpns, strides, entry.stream_id, now_us, counts
         )
 
-    def feed_batch(self, hot_pages, now_us: float = 0.0) -> List[StreamObservation]:
-        """Feed a batch of ``(pid, vpn)`` hot pages at one timestamp.
-
-        Returns the observations the batch produced, in feed order —
-        exactly ``[feed(pid, vpn, now_us) for ...]`` with the Nones
-        dropped, each detached from its stream.  The batch kernel enters
-        the pipeline one extraction at a time (an extraction can issue
-        prefetches that change what the next one sees), so this is for
-        offline consumers: trace-driven training, multi-channel drain
-        sweeps, and tests.
-        """
-        feed = self.feed
-        out: List[StreamObservation] = []
-        append = out.append
-        for pid, vpn in hot_pages:
-            observation = feed(pid, vpn, now_us)
-            if observation is not None:
-                append(observation.detach())
-        return out
-
     # -- internals -------------------------------------------------------------------
 
     def _match(self, index: _Index, vpn: int) -> int:

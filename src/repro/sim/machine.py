@@ -30,8 +30,6 @@ from repro.cluster.health import (
 )
 from repro.cluster.repair import RepairConfig, RepairEngine
 from repro.common.constants import (
-    BLOCK_SHIFT,
-    BLOCK_SIZE,
     PAGE_SHIFT,
     T_CONTEXT_SWITCH_US,
     T_DRAM_HIT_US,
@@ -43,6 +41,7 @@ from repro.common.constants import (
     T_SWAPCACHE_OP_US,
 )
 from repro.common.types import FaultBreakdown
+from repro.hopp.hpd import HotPageDetector
 from repro.hopp.system import HoppDataPlane
 from repro.integrity import (
     IntegrityController,
@@ -442,186 +441,46 @@ class Machine:
         self.controller.access(self.now_us, paddr, is_write)
         return cost
 
-    def run(
-        self,
-        trace,
-        progress_every: int = 0,
-        use_fast_path: bool = True,
-        kernel: Optional[str] = None,
-        chunk_size: Optional[int] = None,
-    ) -> None:
+    def run(self, trace, use_fast_path: bool = True) -> None:
         """Drive a whole (pid, vaddr) or (pid, vaddr, is_write) trace.
 
-        Resident hits bypass the full fault machinery of :meth:`access`:
-        by default through the chunked batch kernel
-        (:mod:`repro.sim.batchkernel`), which scans ahead to the next
-        barrier (due arrival, residency miss, HPD extraction, chunk
-        edge) and retires whole same-page runs with O(1) bookkeeping;
-        ``kernel="legacy"`` selects the PR-4 per-access loops instead
-        (kept as the bench's pre-batching comparator and as the
-        fallback for tap wirings the batch kernel does not understand).
-        Every fast path repeats :meth:`access`'s arithmetic
-        operation-for-operation (same values, same order of float
-        additions), so every counter and timestamp stays byte-identical
-        to the slow path — pinned by tests/test_fastpath.py.
-        ``use_fast_path=False`` forces every reference through
-        :meth:`access` (the differential oracle).  ``chunk_size``
-        overrides the batch kernel's scan-ahead window (testing knob).
+        By default the batch kernel (:mod:`repro.sim.batchkernel`)
+        retires runs of resident hits without the fault machinery and
+        sends every other access through :meth:`access`.  It repeats
+        :meth:`access`'s arithmetic operation-for-operation, so every
+        counter and timestamp stays byte-identical to
+        ``use_fast_path=False``, which sends every reference through
+        :meth:`access` (the differential oracle) — pinned by
+        tests/test_fastpath.py.  The kernel batches a tap-free machine,
+        or one whose only MC tap is the HoPP data plane's with a stock
+        :class:`HotPageDetector`.  Other taps (HMTT tracers, extra
+        planes, a multi-channel detector) and an armed health monitor or
+        sanitizer, which need per-access epoch work, take the oracle
+        loop.
         """
+        taps = self.controller._taps
+        plane = self.hopp
         if (
-            not use_fast_path
-            or self.health is not None
-            or self.sanitizer is not None
+            use_fast_path
+            and self.health is None
+            and self.sanitizer is None
+            and (
+                not taps
+                or (
+                    plane is not None
+                    and taps == [plane.on_mc_access]
+                    and type(plane.hpd) is HotPageDetector
+                )
+            )
         ):
-            # Armed recovery or an armed sanitizer needs the per-access
-            # epoch work in access(); no shortcut is sound.
-            access = self.access
-            for item in trace:
-                if len(item) == 3:
-                    access(item[0], item[1], item[2])
-                else:
-                    access(item[0], item[1])
+            batchkernel.run(self, trace, plane if taps else None)
             return
-        # Taps register at machine assembly (HoPP data plane, tracers),
-        # never mid-run; pick the loop specialized for the wiring.
-        batch = kernel != "legacy"
-        if self.controller._taps:
-            if batch and batchkernel.supports_batch_taps(self):
-                batchkernel.BatchKernel(self, self.hopp, chunk_size).run(trace)
-            else:
-                self._run_fast_tapped(trace, self.controller._taps)
-        else:
-            if batch:
-                batchkernel.BatchKernel(self, None, chunk_size).run(trace)
-            else:
-                self._run_fast_untapped(trace)
-
-    def _fast_bindings(self):
-        """Loop-stable locals shared by both fast-path loops."""
-        #: pid -> (page-table entry dict, cgroup LRU); cgroup membership
-        #: is fixed after register_process, so the binding is loop-stable.
-        hot: Dict[int, tuple] = {}
-        return (
-            self.access,
-            self.config.compute_us_per_access,
-            self._arrivals,
-            self._page_tables,
-            PteState.PRESENT,
-            hot,
-        )
-
-    def _run_fast_tapped(self, trace, taps) -> None:
-        """Fast-path loop for machines with MC taps (HoPP, tracers).
-
-        Machine state (``now_us``, ``accesses``) is written back before
-        every tap call: taps re-enter the machine (the HoPP executor
-        issues prefetches from inside the tap), so it must always be
-        current.  Only the MC's own counters are batched — no tap reads
-        them mid-run.
-        """
-        access, compute, arrivals, tables, present, hot = self._fast_bindings()
-        breakdown = self.breakdown
-        controller = self.controller
-        mc_reads = 0
-        mc_writes = 0
+        access = self.access
         for item in trace:
             if len(item) == 3:
-                pid, vaddr, is_write = item
+                access(item[0], item[1], item[2])
             else:
-                pid, vaddr = item
-                is_write = False
-            if not arrivals or arrivals[0][0] > self.now_us:
-                cached = hot.get(pid)
-                if cached is None:
-                    cached = hot[pid] = (
-                        tables[pid]._entries,
-                        self._lru_of_pid(pid),
-                    )
-                vpn = vaddr >> PAGE_SHIFT
-                pte = cached[0].get(vpn)
-                if pte is not None and pte.state is present and not pte.prefetched:
-                    self.accesses += 1
-                    cost = T_DRAM_HIT_US
-                    breakdown.dram_hit_us += cost
-                    cached[1].touch(pid, vpn)
-                    cost += compute
-                    self.compute_us += compute
-                    now = self.now_us + cost
-                    self.now_us = now
-                    if is_write:
-                        mc_writes += 1
-                    else:
-                        mc_reads += 1
-                    paddr = (pte.ppn << PAGE_SHIFT) | (vaddr & PAGE_OFFSET_MASK)
-                    for tap in taps:
-                        tap(now, paddr, is_write)
-                    continue
-            access(pid, vaddr, is_write)
-        controller.reads += mc_reads
-        controller.writes += mc_writes
-        controller.bytes_transferred += (mc_reads + mc_writes) * BLOCK_SIZE
-
-    def _run_fast_untapped(self, trace) -> None:
-        """Fast-path loop for tap-free machines (the baselines).
-
-        With no tap there is no re-entry, so the hot counters live in
-        locals for the whole run and are flushed around every slow-path
-        excursion.  Each flush/reload preserves the exact sequence of
-        float additions — only where the intermediate sums are stored
-        changes, never their values.
-        """
-        access, compute, arrivals, tables, present, hot = self._fast_bindings()
-        breakdown = self.breakdown
-        controller = self.controller
-        now = self.now_us
-        accesses = self.accesses
-        compute_us = self.compute_us
-        dram_us = breakdown.dram_hit_us
-        mc_reads = 0
-        mc_writes = 0
-        for item in trace:
-            if len(item) == 3:
-                pid, vaddr, is_write = item
-            else:
-                pid, vaddr = item
-                is_write = False
-            if not arrivals or arrivals[0][0] > now:
-                cached = hot.get(pid)
-                if cached is None:
-                    cached = hot[pid] = (
-                        tables[pid]._entries,
-                        self._lru_of_pid(pid),
-                    )
-                pte = cached[0].get(vaddr >> PAGE_SHIFT)
-                if pte is not None and pte.state is present and not pte.prefetched:
-                    accesses += 1
-                    cost = T_DRAM_HIT_US
-                    dram_us += cost
-                    cached[1].touch(pid, vaddr >> PAGE_SHIFT)
-                    cost += compute
-                    compute_us += compute
-                    now += cost
-                    if is_write:
-                        mc_writes += 1
-                    else:
-                        mc_reads += 1
-                    continue
-            self.now_us = now
-            self.accesses = accesses
-            self.compute_us = compute_us
-            breakdown.dram_hit_us = dram_us
-            access(pid, vaddr, is_write)
-            now = self.now_us
-            accesses = self.accesses
-            compute_us = self.compute_us
-            dram_us = breakdown.dram_hit_us
-        self.now_us = now
-        self.accesses = accesses
-        self.compute_us = compute_us
-        breakdown.dram_hit_us = dram_us
-        controller.reads += mc_reads
-        controller.writes += mc_writes
-        controller.bytes_transferred += (mc_reads + mc_writes) * BLOCK_SIZE
+                access(item[0], item[1])
 
     # -- fault paths -----------------------------------------------------------------
 

@@ -24,18 +24,23 @@ SYSTEMS = ["noprefetch", "fastswap", "leap", "hopp", "hopp-evict"]
 
 
 def run_both(workload_name, system, fraction, seed=3, trace=None,
-             **workload_kwargs):
+             attach=None, **workload_kwargs):
     """One run through the fast dispatcher, one through the oracle loop,
-    on the same materialized trace."""
+    on the same materialized trace.  ``attach(machine)`` runs on each
+    machine before its replay."""
     results = []
     workload = build(workload_name, seed=seed, **workload_kwargs)
     if trace is None:
         trace = list(workload.trace())
     for fast in (True, False):
         machine = make_machine(workload, system, fraction, quiet_fabric(seed))
+        if attach is not None:
+            attach(machine)
         machine.run(trace, use_fast_path=fast)
         machine.flush_recovery()
-        results.append(collect(machine, system, workload_name))
+        results.append(
+            collect(machine, getattr(system, "name", system), workload_name)
+        )
     return results
 
 
@@ -109,8 +114,8 @@ class TestBatchKernelAdversarial:
     The kernel's barriers are chunk edges, due prefetch arrivals, and
     HPD extractions; these tests pin traces and chunk sizes chosen so
     those barriers collide (arrival due exactly at a chunk edge,
-    extraction at the last access of a chunk, chunk_size=1 degenerating
-    every run to a single access)."""
+    extraction at the last access of a chunk, a one-access chunk
+    degenerating every run to a single access)."""
 
     def _oracle(self, workload, trace, **machine_kwargs):
         machine = make_machine(workload, "hopp", 0.5, quiet_fabric(3),
@@ -120,7 +125,8 @@ class TestBatchKernelAdversarial:
         return collect(machine, "hopp", "adv").to_dict(full=True)
 
     @pytest.mark.parametrize("chunk", [1, 2, 7, 63, 64, 65, 4096])
-    def test_chunk_edges_on_run_and_extraction_boundaries(self, chunk):
+    def test_chunk_edges_on_run_and_extraction_boundaries(self, chunk,
+                                                          monkeypatch):
         # Runs of exactly 64 accesses: chunk 64 puts every chunk edge on
         # a run boundary (and the HPD extraction for a fresh page fires
         # threshold accesses in — mid-chunk, last-access, first-access
@@ -132,17 +138,19 @@ class TestBatchKernelAdversarial:
         trace = page_sweep_trace(workload)
         want = self._oracle(workload, trace)
         machine = make_machine(workload, "hopp", 0.5, quiet_fabric(3))
-        machine.run(trace, chunk_size=chunk)
+        monkeypatch.setattr(batchkernel, "CHUNK", chunk)
+        machine.run(trace)
         machine.flush_recovery()
         got = collect(machine, "hopp", "adv").to_dict(full=True)
         assert got == want
 
-    def test_chunk_size_one_with_writes(self):
+    def test_chunk_size_one_with_writes(self, monkeypatch):
         workload = build("stream-simple", seed=3)
         trace = with_writes(page_sweep_trace(workload, npages=24, sweeps=2))
         want = self._oracle(workload, trace)
         machine = make_machine(workload, "hopp", 0.5, quiet_fabric(3))
-        machine.run(trace, chunk_size=1)
+        monkeypatch.setattr(batchkernel, "CHUNK", 1)
+        machine.run(trace)
         machine.flush_recovery()
         assert collect(machine, "hopp", "adv").to_dict(full=True) == want
 
@@ -182,48 +190,9 @@ class TestBatchKernelAdversarial:
         machine.flush_recovery()
         assert collect(machine, "hopp", "adv").to_dict(full=True) == want
 
-    def test_legacy_kernel_matches_batched(self):
-        workload = build("stream-simple", seed=3)
-        trace = page_sweep_trace(workload)
-        a = make_machine(workload, "hopp", 0.5, quiet_fabric(3))
-        a.run(trace)
-        b = make_machine(workload, "hopp", 0.5, quiet_fabric(3))
-        b.run(trace, kernel="legacy")
-        assert collect(a, "hopp", "adv").to_dict(full=True) == \
-            collect(b, "hopp", "adv").to_dict(full=True)
-
 
 class TestBatchPrimitives:
     """The kernel's building blocks against their per-access originals."""
-
-    def test_seq_add_chains_bit_identical(self):
-        # The deferred-retirement replay must perform the same float
-        # additions as the oracle's per-access loop, through both the
-        # Python fold and the cumsum branches.
-        import numpy as np
-
-        rng = random.Random(7)
-        seq_buf = np.empty(5001)
-        buf3 = np.empty((3, 5001))
-        for _ in range(200):
-            k = rng.choice([0, 1, 31, 32, 33, 64, 1000, 4096])
-            consts = [rng.uniform(0.001, 3.0) for _ in range(3)]
-            starts = [rng.uniform(0.0, 1e7) for _ in range(3)]
-            want = []
-            for x, c in zip(starts, consts):
-                for _ in range(k):
-                    x += c
-                want.append(x)
-            got1 = [
-                batchkernel._seq_add(x, c, k, seq_buf, np.cumsum)
-                for x, c in zip(starts, consts)
-            ]
-            got3 = list(batchkernel._seq_add3(
-                starts[0], starts[1], starts[2],
-                consts[0], consts[1], consts[2], k, buf3,
-            ))
-            assert got1 == want
-            assert got3 == want
 
     def test_hpd_process_run_equivalence(self):
         from repro.hopp.hpd import HotPageDetector
@@ -248,46 +217,6 @@ class TestBatchPrimitives:
         assert a.hot_pages == b.hot_pages
         assert a._table.hits == b._table.hits
         assert a._table.misses == b._table.misses
-
-    def test_multichannel_process_batch_equivalence(self):
-        from repro.hopp.hpd import MultiChannelHpd
-
-        rng = random.Random(13)
-        a = MultiChannelHpd(channels=2)
-        b = MultiChannelHpd(channels=2)
-        for _ in range(200):
-            paddrs = [rng.randrange(30) << PAGE_SHIFT for _ in range(rng.randrange(1, 12))]
-            writes = [rng.random() < 0.2 for _ in paddrs]
-            want_used, want_hot = len(paddrs), None
-            for idx, (paddr, w) in enumerate(zip(paddrs, writes)):
-                hot = a.process(paddr, w)
-                if hot is not None:
-                    want_used, want_hot = idx + 1, hot
-                    break
-            assert b.process_batch(paddrs, writes) == (want_used, want_hot)
-
-    def test_stt_feed_batch_equivalence(self):
-        from repro.hopp.stt import StreamTrainingTable
-
-        rng = random.Random(17)
-        a = StreamTrainingTable()
-        b = StreamTrainingTable()
-        pages = [
-            (rng.randrange(3), rng.randrange(200))
-            for _ in range(600)
-        ]
-        # feed returns live views; keeping them past the stream's next
-        # hot page needs detach, which feed_batch does itself.
-        want = [
-            obs.detach() for obs in (a.feed(pid, vpn, 5.0) for pid, vpn in pages)
-            if obs is not None
-        ]
-        got = b.feed_batch(pages, 5.0)
-        assert [(o.pid, o.vpn, o.stride, o.vpn_history, o.stride_history)
-                for o in got] == \
-            [(o.pid, o.vpn, o.stride, o.vpn_history, o.stride_history)
-             for o in want]
-        assert len(a) == len(b)
 
     def test_ssp_counts_equivalence(self):
         from repro.hopp import ssp
@@ -323,3 +252,53 @@ class TestFastPathGating:
         assert collect(a, "hopp", "s").to_dict(full=True) == \
             collect(b, "hopp", "s").to_dict(full=True)
         assert a.sanitizer.checks_run > 0
+
+    def test_stock_hopp_machine_takes_the_kernel(self):
+        # process_run has no caller but the kernel: a dispatch slip to
+        # the oracle loop leaves it uncalled.
+        workload = build("stream-simple", seed=3, npages=128, passes=2)
+        machine = make_machine(workload, "hopp", 0.5, quiet_fabric(3))
+        hpd = machine.hopp.hpd
+        process_run = hpd.process_run
+        calls = []
+
+        def counting(ppn, reads):
+            calls.append(reads)
+            return process_run(ppn, reads)
+
+        hpd.process_run = counting
+        machine.run(list(workload.trace()))
+        assert calls
+
+    def test_tracer_machine_matches_oracle(self):
+        # An HMTT tracer is a second tap the kernel cannot stand in for,
+        # so the machine takes the oracle loop and the tracer sees every
+        # MC access.
+        from repro.trace.hmtt import HmttTracer
+
+        tapped = []
+
+        def attach(machine):
+            tracer = HmttTracer()
+            tracer.attach(machine.controller)
+            tapped.append((tracer, machine.controller))
+
+        fast, slow = run_both("stream-simple", "hopp", 0.5, attach=attach,
+                              npages=128, passes=2)
+        assert fast.to_dict(full=True) == slow.to_dict(full=True)
+        tracer, controller = tapped[0]
+        assert tracer.ring.produced == controller.accesses > 0
+
+    def test_multichannel_hpd_machine_matches_oracle(self):
+        from repro.hopp.hpd import MultiChannelHpd
+        from repro.sim.systems import variant
+
+        detectors = []
+        fast, slow = run_both(
+            "stream-simple", variant("hopp", {"mc_channels": 2}), 0.5,
+            attach=lambda machine: detectors.append(machine.hopp.hpd),
+            npages=128, passes=2,
+        )
+        assert isinstance(detectors[0], MultiChannelHpd)
+        assert fast.extra["hpd_hot_page_ratio"] > 0
+        assert fast.to_dict(full=True) == slow.to_dict(full=True)
