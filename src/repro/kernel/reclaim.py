@@ -10,9 +10,10 @@ useful pages.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from itertools import repeat
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.common.constants import T_RECLAIM_PER_PAGE_US
 
@@ -43,6 +44,12 @@ class LruPageList:
             self._pages.move_to_end(key)
             return True
         return False
+
+    def touch_each(self, pid: int, vpns: Iterable[int]) -> None:
+        """``touch(pid, vpn)`` for every vpn in order, as one C-level pass."""
+        pages = self._pages
+        keys = filter(pages.__contains__, zip(repeat(pid), vpns))
+        deque(map(pages.move_to_end, keys), maxlen=0)
 
     def remove(self, pid: int, vpn: int) -> bool:
         key = (pid, vpn)

@@ -19,12 +19,26 @@ bookkeeping instead of O(run):
 * ``now_us``, ``compute_us`` and ``dram_hit_us`` advance by *the same
   sequence of float additions* as the oracle: per access the oracle
   computes ``cost = T_DRAM_HIT_US`` then ``cost += compute``, so its
-  ``now_us`` increment is ``T_DRAM_HIT_US + compute`` rounded once.
+  ``now_us`` increment is ``T_DRAM_HIT_US + compute`` rounded once;
+  :func:`_add_n` gives a long chain's result without the loop.
 
 Every other access — a missing, non-PRESENT or prefetched PTE, or one
 past the arrival budget — goes through :meth:`Machine.access` itself,
 with the kernel's locals flushed before and reloaded after; its MC tap
 then feeds HPD exactly as in the oracle loop.
+
+On a tap-free machine with no arrival pending, a chunk of reads by one
+pid has no barrier but residency misses.  The kernel then finds the
+chunk's runs once, with C-level passes over the whole chunk, and
+retires windows of resident runs at a time: one ``dict.get`` and one
+LRU touch per run, each a C-level pass, and one :func:`_add_n` per
+float chain.  A window stops at the first run that is not
+resident; that access and the next ``MISS_SPAN`` take the per-run path
+above, and the next window re-reads residency, because the slow path
+may have moved any PTE.  This keeps most of a tap-free replay's host
+time in builtins rather than in per-access bytecode, which also keeps
+its speed steady when a shared host slows bytecode dispatch more than
+it slows memory-bound work.
 
 Exactness of the arrival barrier: the oracle takes the resident path
 while ``arrivals[0][0] > now``.  Within a run ``now`` advances by the
@@ -40,14 +54,33 @@ tests/test_fastpath.py and tests/data/goldens_v1.json).
 
 from __future__ import annotations
 
-from itertools import islice
+from bisect import bisect_right
+from itertools import compress, count, islice, repeat
+from math import frexp, ldexp
+from operator import attrgetter, itemgetter, ne, rshift
 
 from repro.common.constants import BLOCK_SIZE, PAGE_SHIFT, T_DRAM_HIT_US
-from repro.kernel.page_table import PteState
+from repro.kernel.page_table import Pte, PteState
 
 #: Trace accesses buffered per chunk.  Also caps a run's float-addition
 #: chain, which keeps the arrival-budget rounding analysis valid.
 CHUNK = 4096
+
+#: Runs in the first resident window of a chunk, and after a miss; a
+#: window that retires all its runs doubles the next.
+FIRST_WINDOW = 64
+#: Accesses that take the per-run path after a window stops at a miss.
+#: Misses cluster (a first-touch sweep faults once per page), and
+#: windows among them would stop after a run or two.
+MISS_SPAN = 256
+
+_pid_of = itemgetter(0)
+_vaddr_of = itemgetter(1)
+_state_and_prefetched = attrgetter("state", "prefetched")
+#: What a resident, not-prefetched PTE reads as.
+_RESIDENT = (PteState.PRESENT, False)
+#: Stands in for a missing PTE, which is never resident.
+_NO_PTE = Pte()
 
 
 def run(machine, trace, plane=None) -> None:
@@ -60,6 +93,55 @@ def run(machine, trace, plane=None) -> None:
         if not buf:
             return
         _replay_chunk(machine, plane, buf)
+
+
+def _add_n(x: float, c: float, k: int) -> float:
+    """``x`` after ``k`` additions of ``c``, rounded after each one,
+    exactly as ``for _ in range(k): x += c``.
+
+    While the running sum stays in the binade ``[2**(e-1), 2**e)`` of
+    ``x >= 1``, every double in it is a multiple of ``u = 2**(e-53)``
+    and ``x + c`` rounds to ``x + round(c / u) * u`` whatever ``x`` is,
+    unless ``c / u`` sits exactly halfway between two integers (then
+    ties-to-even depends on ``x``).  So ``k`` additions that end below
+    ``2**e`` are ``x + k * round(c / u) * u``, which is exact.  Otherwise,
+    and for chains too short to be worth the check, the additions are
+    made one by one.
+    """
+    if k > 8 and 1.0 <= x and 0.0 < c < x:
+        e = frexp(x)[1]
+        q = ldexp(c, 53 - e)
+        if q % 1.0 != 0.5:
+            end = x + k * ldexp(round(q), e - 53)
+            if end < ldexp(1.0, e):
+                return end
+    for _ in range(k):
+        x += c
+    return x
+
+
+def _read_runs(buf):
+    """``(pid, starts, vpns)`` when every access in ``buf`` is a
+    ``(pid, vaddr)`` read by one pid: ``starts`` are the indices where
+    same-page runs begin, closed by ``len(buf)``, and ``vpns[r]`` is
+    run ``r``'s page.  None for any other chunk."""
+    n = len(buf)
+    pid = buf[0][0]
+    if list(map(len, buf)).count(2) != n or list(map(_pid_of, buf)).count(pid) != n:
+        return None
+    vpns = list(map(rshift, map(_vaddr_of, buf), repeat(PAGE_SHIFT)))
+    starts = [0]
+    starts += compress(count(1), map(ne, vpns, islice(vpns, 1, None)))
+    run_vpns = list(map(vpns.__getitem__, starts))
+    starts.append(n)
+    return pid, starts, run_vpns
+
+
+def _resident_prefix(entries, vpns) -> int:
+    """How many leading ``vpns`` map to PRESENT, not-prefetched PTEs."""
+    ptes = map(entries.get, vpns, repeat(_NO_PTE))
+    misses = map(ne, map(_state_and_prefetched, ptes), repeat(_RESIDENT))
+    return next(compress(count(), misses), len(vpns))
 
 
 def _reads_end(buf, start: int, reads: int) -> int:
@@ -88,6 +170,16 @@ def _replay_chunk(m, plane, buf) -> None:
         hpd = plane.hpd
         process_run = hpd.process_run
         on_hot_page = plane.on_hot_page
+        runs = None
+    else:
+        runs = _read_runs(buf)
+    if runs is not None:
+        run_pid, starts, run_vpns = runs
+        nruns = len(run_vpns)
+        run_entries = tables[run_pid]._entries
+        run_lru = lru_of_pid(run_pid)
+        window = FIRST_WINDOW
+        bulk_from = 0
 
     # pid -> (page-table entry dict, cgroup LRU); both are fixed once
     # the process is registered.
@@ -101,6 +193,28 @@ def _replay_chunk(m, plane, buf) -> None:
     mc_reads = 0
     mc_writes = 0
     while i < n:
+        if runs is not None and i >= bulk_from and not arrivals:
+            # -- resident window: runs r .. r + good - 1 in C-level passes --
+            r = bisect_right(starts, i) - 1
+            hi = r + window
+            if hi > nruns:
+                hi = nruns
+            good = _resident_prefix(run_entries, run_vpns[r:hi])
+            end = starts[r + good]
+            k = end - i
+            if k:
+                run_lru.touch_each(run_pid, run_vpns[r:r + good])
+                now = _add_n(now, cost0, k)
+                dram = _add_n(dram, t_dram, k)
+                compute_us = _add_n(compute_us, compute, k)
+                accesses += k
+                mc_reads += k
+                i = end
+            if r + good == hi:
+                window += window
+                continue
+            window = FIRST_WINDOW
+            bulk_from = i + MISS_SPAN
         item = buf[i]
         if len(item) == 3:
             pid, vaddr, is_write = item
@@ -139,15 +253,21 @@ def _replay_chunk(m, plane, buf) -> None:
         limit = i + budget
         if limit > n:
             limit = n
-        j = i + 1
         writes = 1 if is_write else 0
-        while j < limit:
-            nxt = buf[j]
-            if nxt[0] != pid or nxt[1] >> page_shift != vpn:
-                break
-            if len(nxt) == 3 and nxt[2]:
-                writes += 1
-            j += 1
+        if runs is not None:
+            # The chunk's runs are known; every access is a read.
+            j = starts[bisect_right(starts, i)]
+            if j > limit:
+                j = limit
+        else:
+            j = i + 1
+            while j < limit:
+                nxt = buf[j]
+                if nxt[0] != pid or nxt[1] >> page_shift != vpn:
+                    break
+                if len(nxt) == 3 and nxt[2]:
+                    writes += 1
+                j += 1
         consumed = j - i
         fired = False
         if plane is not None:
@@ -165,10 +285,15 @@ def _replay_chunk(m, plane, buf) -> None:
         mc_reads += consumed - writes
         accesses += consumed
         i += consumed
-        for _ in range(consumed):
-            now += cost0
-            dram += t_dram
-            compute_us += compute
+        if consumed > 8:
+            now = _add_n(now, cost0, consumed)
+            dram = _add_n(dram, t_dram, consumed)
+            compute_us = _add_n(compute_us, compute, consumed)
+        else:
+            for _ in range(consumed):
+                now += cost0
+                dram += t_dram
+                compute_us += compute
         cached[1].touch(pid, vpn)
         if fired:
             # -- barrier: the extraction pipeline re-enters the machine --

@@ -191,6 +191,128 @@ class TestBatchKernelAdversarial:
         assert collect(machine, "hopp", "adv").to_dict(full=True) == want
 
 
+def random_run_trace(workload, npages=40, runs=3000, seed=5):
+    """Runs of 1-12 accesses to random pages of the first VMA: residency
+    misses and, under memory pressure, evictions land between and
+    inside the kernel's resident windows."""
+    rng = random.Random(seed)
+    proc = workload.processes[0]
+    start_vpn, vma_pages, _ = proc.vmas[0]
+    npages = min(npages, vma_pages)
+    trace = []
+    for _ in range(runs):
+        base = (start_vpn + rng.randrange(npages)) << PAGE_SHIFT
+        for _ in range(rng.randrange(1, 13)):
+            trace.append((proc.pid, base | (rng.randrange(64) << BLOCK_SHIFT)))
+    return trace
+
+
+class TestResidentWindows:
+    """Tap-free machines retire resident runs in windows of C-level
+    passes; a window ends at a residency miss, and the slow path that
+    follows may evict pages or queue prefetch arrivals."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 65, 4096])
+    @pytest.mark.parametrize("fraction", [0.5, 4.0])
+    @pytest.mark.parametrize("system", ["noprefetch", "fastswap", "depth-16"])
+    def test_random_runs_match_oracle(self, system, fraction, chunk,
+                                      monkeypatch):
+        # depth-16 injects the PTEs of its prefetches, so windows meet
+        # PRESENT pages that still carry prefetch bookkeeping.
+        workload = build("stream-simple", seed=3)
+        trace = random_run_trace(workload)
+        machines = []
+        for fast in (True, False):
+            machine = make_machine(workload, system, fraction, quiet_fabric(3))
+            monkeypatch.setattr(batchkernel, "CHUNK", chunk)
+            machine.run(trace, use_fast_path=fast)
+            machine.flush_recovery()
+            machines.append(collect(machine, system, "adv").to_dict(full=True))
+        assert machines[0] == machines[1]
+
+    @pytest.mark.parametrize("workload_name,system", [
+        ("omp-kmeans", "noprefetch"),
+        ("stream-simple", "noprefetch"),
+        ("stream-simple", "depth-16"),
+    ])
+    def test_workloads_match_oracle(self, workload_name, system):
+        # Later stream passes major-fault; depth-16's injected
+        # prefetches arrive between faults, so windows with no arrival
+        # pending meet pages that carry prefetch bookkeeping.
+        fast, slow = run_both(workload_name, system, 0.5,
+                              **({"npages": 128, "passes": 3}
+                                 if workload_name == "stream-simple" else {}))
+        assert fast.to_dict(full=True) == slow.to_dict(full=True)
+        assert fast.prefetch_hits > 0 or system == "noprefetch"
+
+    @pytest.mark.parametrize("fraction", [0.5, 4.0])
+    def test_two_processes_on_the_same_pages(self, fraction):
+        # A chunk with two pids takes the per-run path; their pages
+        # share vpns, so a window that ignored the pid would retire
+        # the second process's accesses against the first's table.
+        workload = build("stream-simple", seed=3)
+        one = random_run_trace(workload, seed=7)
+        two = [(2, vaddr) for _, vaddr in random_run_trace(workload, seed=8)]
+        trace = []
+        for start in range(0, len(one), 500):
+            trace += one[start:start + 500] + two[start:start + 500]
+        start_vpn, vma_pages, _ = workload.processes[0].vmas[0]
+        results = []
+        for fast in (True, False):
+            machine = make_machine(workload, "noprefetch", fraction,
+                                   quiet_fabric(3))
+            machine.register_process(2)
+            machine.add_vma(2, start_vpn, vma_pages)
+            machine.run(trace, use_fast_path=fast)
+            results.append(collect(machine, "noprefetch", "adv").to_dict(full=True))
+        assert results[0] == results[1]
+
+    def test_tap_free_machine_takes_the_windows(self):
+        # touch_each has no caller but the windows: a slip to the
+        # per-run path everywhere leaves it uncalled.
+        workload = build("stream-simple", seed=3, npages=128, passes=2)
+        calls = []
+
+        def attach(machine):
+            lru = machine._lru_of_pid(workload.processes[0].pid)
+            touch_each = lru.touch_each
+
+            def counting(pid, vpns):
+                calls.append(len(vpns))
+                touch_each(pid, vpns)
+
+            lru.touch_each = counting
+
+        fast, slow = run_both("stream-simple", "noprefetch", 4.0,
+                              attach=attach, npages=128, passes=2)
+        assert fast.to_dict(full=True) == slow.to_dict(full=True)
+        assert sum(calls) > 0
+
+    def test_add_n_matches_sequential_additions(self):
+        rng = random.Random(23)
+        cases = [
+            (0.0, 0.45, 40),
+            (0.75, 0.45, 40),      # x below 1: one by one
+            (1023.5, 0.6, 4000),   # crosses 1024
+            (1024.0, 3 * 2.0 ** -43, 50),  # c / ulp ends in .5: a tie
+            (1024.0, 2.0 ** -43, 50),      # half an ulp: a tie at zero
+            (1.0, 1.5, 20),        # c above x
+            (5e5, 0.1 + 0.35, 4096),
+        ]
+        for _ in range(3000):
+            x = rng.choice([rng.uniform(1.0, 2.0), rng.uniform(1.0, 1e6),
+                            float(rng.randrange(1, 1 << 30))])
+            c = rng.choice([0.1, 0.25, 0.3 + 0.1, rng.random(),
+                            2.0 ** rng.randrange(-50, 2),
+                            (2 * rng.randrange(1, 9) + 1) * 2.0 ** rng.randrange(-60, -30)])
+            cases.append((x, c, rng.randrange(0, 5000)))
+        for x, c, k in cases:
+            want = x
+            for _ in range(k):
+                want += c
+            assert batchkernel._add_n(x, c, k) == want, (x, c, k)
+
+
 class TestBatchPrimitives:
     """The kernel's building blocks against their per-access originals."""
 
