@@ -20,6 +20,7 @@ import pytest
 from repro.analysis.report import print_artifact, render_table
 from repro.net.faults import FaultPlan
 from repro.sim import runner
+from repro.sim.machine import RunEnv
 from repro.workloads import build
 
 from common import SEED, _FABRIC, time_one
@@ -29,7 +30,7 @@ SYSTEMS = ("fastswap", "depth-16", "hopp")
 
 def _run(system, plan):
     workload = build("stream-simple", seed=SEED)
-    return runner.run(workload, system, 0.5, _FABRIC, fault_plan=plan)
+    return runner.run(workload, system, 0.5, _FABRIC, env=RunEnv(fault_plan=plan))
 
 
 @pytest.mark.benchmark(group="chaos")

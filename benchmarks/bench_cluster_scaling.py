@@ -29,6 +29,7 @@ from repro.analysis.report import print_artifact, render_table
 from repro.cluster import ClusterConfig
 from repro.net.faults import FaultPlan
 from repro.sim import runner
+from repro.sim.machine import RunEnv
 from repro.workloads import build
 
 from common import SEED, _FABRIC, time_one
@@ -40,10 +41,13 @@ PLACEMENTS = ("interleave", "hash", "affinity")
 def _run(nodes=1, placement="interleave", replication=1, plan=None,
          system="hopp"):
     workload = build("stream-simple", seed=SEED)
-    cluster = ClusterConfig(
-        nodes=nodes, placement=placement, replication=replication
+    env = RunEnv(
+        fault_plan=plan,
+        cluster=ClusterConfig(
+            nodes=nodes, placement=placement, replication=replication
+        ),
     )
-    return runner.run(workload, system, 0.5, _FABRIC, plan, cluster)
+    return runner.run(workload, system, 0.5, _FABRIC, env=env)
 
 
 def _imbalance(result):

@@ -45,6 +45,7 @@ from repro.exec.cache import ResultCache, TraceCache
 from repro.exec.pool import execute
 from repro.exec.spec import RunSpec
 from repro.net.rdma import FabricConfig
+from repro.sim.machine import RunEnv
 from repro.sim.runner import make_machine
 from repro.telemetry import TelemetryConfig
 from repro.workloads import build
@@ -218,7 +219,8 @@ def bench_telemetry_overhead(workload_name, system, workload_kwargs, repeats=3):
 
     def one(telemetry):
         machine = make_machine(
-            workload, system, 0.5, FabricConfig(seed=SEED), telemetry=telemetry
+            workload, system, 0.5, FabricConfig(seed=SEED),
+            env=RunEnv(telemetry=telemetry),
         )
         gc.collect()
         gc.disable()

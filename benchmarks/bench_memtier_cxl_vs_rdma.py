@@ -38,6 +38,7 @@ from repro.exec.pool import execute, local_ct_spec
 from repro.exec.spec import RunSpec
 from repro.memtier import MemtierConfig
 from repro.net.rdma import FabricConfig
+from repro.sim.machine import RunEnv
 from repro.telemetry import TelemetryConfig
 
 SEED = 7
@@ -62,8 +63,7 @@ def _spec(workload, system, kwargs, memtier=None, telemetry=None,
         seed=SEED,
         workload_kwargs=dict(kwargs.get(workload, {})),
         fabric=FabricConfig(seed=SEED),
-        memtier=memtier,
-        telemetry=telemetry,
+        env=RunEnv(memtier=memtier, telemetry=telemetry),
     )
 
 

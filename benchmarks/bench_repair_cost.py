@@ -26,6 +26,7 @@ from repro.analysis.report import print_artifact, render_table
 from repro.cluster import ClusterConfig, RepairConfig
 from repro.net.faults import FaultPlan
 from repro.sim import runner
+from repro.sim.machine import RunEnv
 from repro.workloads import build
 
 from common import SEED, _FABRIC, time_one
@@ -42,8 +43,10 @@ def _run(replication, plan, repair_interval_us=None):
         "hopp",
         FRACTION,
         _FABRIC,
-        fault_plan=plan,
-        cluster=ClusterConfig(nodes=NODES, replication=replication),
+        env=RunEnv(
+            fault_plan=plan,
+            cluster=ClusterConfig(nodes=NODES, replication=replication),
+        ),
     )
     if repair_interval_us is not None:
         machine.repair.config = RepairConfig(

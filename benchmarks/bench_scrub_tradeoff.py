@@ -30,6 +30,7 @@ from repro.integrity import ScrubConfig
 from repro.net.faults import FaultPlan
 from repro.cluster import ClusterConfig
 from repro.sim import runner
+from repro.sim.machine import RunEnv
 from repro.workloads import build
 
 from common import SEED, _FABRIC, time_one
@@ -48,9 +49,11 @@ def _run(rate):
         "hopp",
         FRACTION,
         _FABRIC,
-        fault_plan=FaultPlan.corruption(SEED),
-        cluster=ClusterConfig(nodes=NODES, replication=2),
-        scrub=scrub,
+        env=RunEnv(
+            fault_plan=FaultPlan.corruption(SEED),
+            cluster=ClusterConfig(nodes=NODES, replication=2),
+            scrub=scrub,
+        ),
     )
 
 

@@ -25,6 +25,7 @@ from repro.exec.cache import ResultCache, TraceCache
 from repro.exec.pool import execute, local_ct_spec
 from repro.exec.spec import RunSpec
 from repro.net.rdma import FabricConfig
+from repro.sim.machine import RunEnv
 from repro.sim.metrics import RunResult
 from repro.sim.multiprogram import run_corun
 from repro.telemetry import TelemetryConfig
@@ -86,7 +87,7 @@ def get_telemetry_result(
                 fraction=fraction,
                 seed=SEED,
                 fabric=_FABRIC,
-                telemetry=TelemetryConfig(epoch_us=epoch_us),
+                env=RunEnv(telemetry=TelemetryConfig(epoch_us=epoch_us)),
             )
         )
     return _MEMO[key]

@@ -30,6 +30,7 @@ from repro.sim import (
     Comparison,
     Machine,
     MachineConfig,
+    RunEnv,
     RunResult,
     SystemSpec,
     compare,
@@ -55,6 +56,7 @@ __all__ = [
     "Comparison",
     "Machine",
     "MachineConfig",
+    "RunEnv",
     "RunResult",
     "SystemSpec",
     "compare",

@@ -35,6 +35,7 @@ from repro.exec.spec import RunSpec
 from repro.net.faults import FaultPlan
 from repro.net.rdma import FabricConfig
 from repro.sim import runner, systems
+from repro.sim.machine import RunEnv
 from repro.telemetry import TelemetryConfig, chrome_trace, prometheus_snapshot
 from repro.trace.hmtt import HmttTracer
 from repro.trace.persist import load_trace, write_trace
@@ -344,37 +345,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: --fault-plan presets; each also takes a ``:<seed>`` suffix.
+_FAULT_PLAN_PRESETS = {
+    "chaos": FaultPlan.chaos,
+    "crash": FaultPlan.crash,
+    "crash-rejoin": FaultPlan.crash_rejoin,
+    "corruption": FaultPlan.corruption,
+    "corruption-chaos": FaultPlan.corruption_chaos,
+}
+
+
 def _load_fault_plan(value: Optional[str], seed: int) -> Optional[FaultPlan]:
-    """Resolve a --fault-plan argument: a preset name or a JSON file."""
+    """Resolve a --fault-plan argument: a preset name (optionally
+    ``name:<seed>``) or a JSON file."""
     if value is None or value in ("", "none"):
         return None
-    if value == "chaos":
-        return FaultPlan.chaos(seed)
-    if value == "crash":
-        return FaultPlan.crash(seed)
-    if value == "crash-rejoin":
-        return FaultPlan.crash_rejoin(seed)
-    if value == "corruption":
-        return FaultPlan.corruption(seed)
-    if value == "corruption-chaos":
-        return FaultPlan.corruption_chaos(seed)
-    for preset, builder in (
-        ("chaos:", FaultPlan.chaos),
-        ("crash:", FaultPlan.crash),
-        ("crash-rejoin:", FaultPlan.crash_rejoin),
-        ("corruption:", FaultPlan.corruption),
-        ("corruption-chaos:", FaultPlan.corruption_chaos),
-    ):
-        if value.startswith(preset):
-            raw_seed = value.split(":", 1)[1]
-            try:
-                return builder(int(raw_seed))
-            except ValueError:
-                raise ValueError(
-                    f"bad --fault-plan seed {raw_seed!r}; expected "
-                    f"{preset}<int>"
-                ) from None
-    return FaultPlan.from_json_file(value)
+    name, has_seed, raw_seed = value.partition(":")
+    builder = _FAULT_PLAN_PRESETS.get(name)
+    if builder is None:
+        return FaultPlan.from_json_file(value)
+    if has_seed:
+        try:
+            seed = int(raw_seed)
+        except ValueError:
+            raise ValueError(
+                f"bad --fault-plan seed {raw_seed!r}; expected {name}:<int>"
+            ) from None
+    return builder(seed)
 
 
 def _cluster_config(args) -> ClusterConfig:
@@ -527,6 +524,20 @@ def _write_telemetry_artifacts(args, result) -> List[List[object]]:
     return rows
 
 
+def _env(args) -> RunEnv:
+    """The run conditions selected by the fault, cluster, memtier and
+    telemetry flags; they apply to the systems under test, never to the
+    CT_local reference."""
+    return RunEnv(
+        fault_plan=_load_fault_plan(args.fault_plan, args.seed),
+        cluster=_cluster_config(args),
+        check_invariants=args.check_invariants,
+        telemetry=_telemetry_config(args),
+        memtier=_memtier_config(args),
+        scrub=_scrub_config(args),
+    )
+
+
 def _make_cache(args) -> Optional[ResultCache]:
     """The result cache selected by --cache-dir/--no-cache."""
     if getattr(args, "no_cache", False):
@@ -573,9 +584,9 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_run(args) -> int:
+    _require_positive(args.fraction, "--fraction", kind="float")
     fabric = FabricConfig(seed=args.seed)
-    fault_plan = _load_fault_plan(args.fault_plan, args.seed)
-    cluster = _cluster_config(args)
+    env = _env(args)
     cache = _make_cache(args)
     spec = RunSpec(
         workload=args.workload,
@@ -583,12 +594,7 @@ def _cmd_run(args) -> int:
         fraction=args.fraction,
         seed=args.seed,
         fabric=fabric,
-        fault_plan=fault_plan,
-        cluster=cluster,
-        check_invariants=args.check_invariants,
-        telemetry=_telemetry_config(args),
-        memtier=_memtier_config(args),
-        scrub=_scrub_config(args),
+        env=env,
     )
     ct_local = execute(
         [local_ct_spec(args.workload, args.seed, fabric)], cache=cache
@@ -631,7 +637,7 @@ def _cmd_run(args) -> int:
          f"{result.reclaim_batches}/{result.reclaim_writebacks}/"
          f"{result.reclaim_clean_drops}"],
     ]
-    if fault_plan is not None:
+    if env.fault_plan is not None:
         rows += [
             ["injected timeouts", result.timeouts],
             ["demand/write retries", result.retries],
@@ -694,10 +700,7 @@ def _cmd_compare(args) -> int:
     _require_positive(args.jobs, "--jobs")
     _require_positive(args.fraction, "--fraction", kind="float")
     fabric = FabricConfig(seed=args.seed)
-    fault_plan = _load_fault_plan(args.fault_plan, args.seed)
-    cluster = _cluster_config(args)
-    memtier = _memtier_config(args)
-    scrub = _scrub_config(args)
+    env = _env(args)
     cache = _make_cache(args)
     names = [name.strip() for name in args.systems.split(",") if name.strip()]
     # CT_local first (always fault-free, single-node: it is the
@@ -710,11 +713,7 @@ def _cmd_compare(args) -> int:
             fraction=args.fraction,
             seed=args.seed,
             fabric=fabric,
-            fault_plan=fault_plan,
-            cluster=cluster,
-            check_invariants=args.check_invariants,
-            memtier=memtier,
-            scrub=scrub,
+            env=env,
         )
         for name in names
     ]

@@ -70,6 +70,9 @@ T_REMOTE_FAULT_US = (
 #: An LLC miss served by local DRAM (Section II-C's "DRAM-hit").
 T_DRAM_HIT_US = 0.1
 
+#: First touch of a page: allocate and zero a local frame (minor fault).
+T_MINOR_FAULT_US = 1.9
+
 #: CPU cost of posting one prefetch READ from *inside the fault handler*
 #: (swapcache entry allocation + RDMA verb post).  Fault-time
 #: prefetchers (Fastswap, Leap, Depth-N) pay this on the critical path

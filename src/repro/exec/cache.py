@@ -17,9 +17,10 @@ Two refusal rules protect correctness (the PR-4 audit):
   requesting spec's key dict — a hash collision or a hand-edited file
   yields a miss, never a wrong result.
 
-``check_invariants`` and the fault plan (armed or not, including the
-*empty-but-armed* ``FaultPlan()``) are part of the key by construction:
-``RunSpec.key_dict`` projects them explicitly.
+Every ``RunEnv`` field, including ``check_invariants`` and the fault
+plan (armed or not, including the *empty-but-armed* ``FaultPlan()``),
+is part of the key by construction: ``RunSpec.key_dict`` projects each
+one explicitly.
 """
 
 from __future__ import annotations

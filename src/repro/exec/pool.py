@@ -47,17 +47,7 @@ def run_spec(spec: RunSpec, trace_cache: Optional[TraceCache] = None) -> RunResu
         else spec.system
     )
     return runner.run(
-        workload,
-        system,
-        spec.fraction,
-        spec.fabric,
-        spec.fault_plan,
-        spec.cluster,
-        check_invariants=spec.check_invariants,
-        trace=trace,
-        telemetry=spec.telemetry,
-        memtier=spec.memtier,
-        scrub=spec.scrub,
+        workload, system, spec.fraction, spec.fabric, env=spec.env, trace=trace
     )
 
 
@@ -112,8 +102,8 @@ def execute(
             tracing = [
                 specs[index].label()
                 for index in pending
-                if specs[index].telemetry is not None
-                and specs[index].telemetry.trace
+                if specs[index].env.telemetry is not None
+                and specs[index].env.telemetry.trace
             ]
             if tracing:
                 raise ValueError(

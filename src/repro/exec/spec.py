@@ -1,15 +1,14 @@
 """The unit of sweep execution: one fully-specified simulation point.
 
-A :class:`RunSpec` captures *every* input that can change a RunResult —
-it is the complete argument audit of :func:`repro.sim.runner.run`.  The
-cache key is derived from :meth:`RunSpec.key_dict`, so any kwarg added
-to ``runner.run`` must be added here too or cached results would
-silently ignore it; ``tests/test_exec_cache.py`` cross-checks the two
-signatures to keep that contract honest.
+A :class:`RunSpec` captures every input that can change a RunResult:
+the workload and system (by registry name), the local-memory fraction,
+the fabric, and the run's :class:`~repro.sim.machine.RunEnv`, which
+:func:`repro.exec.pool.run_spec` hands to :func:`repro.sim.runner.run`
+unchanged.  The cache key is derived from :meth:`RunSpec.key_dict`.
 
-The one deliberate exception is ``runner.run``'s ``trace`` kwarg: the
-engine only ever passes a materialized copy of the trace the workload
-would generate itself (same name, same seed, same kwargs), so it cannot
+``runner.run``'s ``trace`` kwarg is not part of the spec: the engine
+only ever passes a materialized copy of the trace the workload would
+generate itself (same name, same seed, same kwargs), so it cannot
 change the result and must not change the key.
 """
 
@@ -18,29 +17,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Optional
 
-from repro.cluster.cluster import ClusterConfig
-from repro.integrity import ScrubConfig
-from repro.memtier import MemtierConfig
-from repro.net.faults import FaultPlan
 from repro.net.rdma import FabricConfig
-from repro.telemetry import TelemetryConfig
-
-#: ``runner.run`` parameters covered by RunSpec (signature-audit anchor).
-RUNNER_KWARGS_COVERED = frozenset(
-    {
-        "workload",
-        "system",
-        "local_memory_fraction",
-        "fabric",
-        "fault_plan",
-        "cluster",
-        "check_invariants",
-        "trace",  # engine-internal; see module docstring
-        "telemetry",
-        "memtier",
-        "scrub",
-    }
-)
+from repro.sim.machine import RunEnv
 
 
 @dataclass
@@ -63,25 +41,21 @@ class RunSpec:
     #: the registered system verbatim.
     system_kwargs: Dict[str, object] = field(default_factory=dict)
     fabric: Optional[FabricConfig] = None
-    fault_plan: Optional[FaultPlan] = None
-    cluster: Optional[ClusterConfig] = None
-    check_invariants: bool = False
-    telemetry: Optional[TelemetryConfig] = None
-    memtier: Optional[MemtierConfig] = None
-    scrub: Optional[ScrubConfig] = None
+    env: RunEnv = field(default_factory=RunEnv)
 
     def key_dict(self) -> Dict[str, object]:
         """Canonical, JSON-stable projection of every result-affecting
-        input.  ``None`` collapses to the runner's construction-time
-        default so ``fabric=None`` and ``fabric=FabricConfig()`` hash
-        identically (they run identically).  A ``fault_plan`` of
-        ``FaultPlan()`` is *not* the same as ``None`` — an empty plan
-        arms the recovery machinery — and the projection keeps them
-        distinct.  So is ``telemetry``: probes never change simulator
-        counters, but an instrumented RunResult *carries* its telemetry
-        blob, so the cached artifact differs and must key separately."""
+        input, with the env's fields flattened beside the others.
+        ``fabric=None`` collapses to the runner's construction-time
+        default so it hashes like ``FabricConfig()`` (they run
+        identically).  A ``fault_plan`` of ``FaultPlan()`` is *not* the
+        same as ``None`` — an empty plan arms the recovery machinery —
+        and the projection keeps them distinct.  So is ``telemetry``:
+        probes never change simulator counters, but an instrumented
+        RunResult *carries* its telemetry blob, so the cached artifact
+        differs and must key separately."""
         fabric = self.fabric if self.fabric is not None else FabricConfig()
-        cluster = self.cluster if self.cluster is not None else ClusterConfig()
+        env = self.env
         return {
             "workload": self.workload,
             "workload_kwargs": {
@@ -96,21 +70,17 @@ class RunSpec:
             },
             "fraction": self.fraction,
             "fabric": asdict(fabric),
-            "fault_plan": None if self.fault_plan is None else self.fault_plan.to_dict(),
-            "cluster": asdict(cluster),
-            "check_invariants": self.check_invariants,
-            "telemetry": (
-                None if self.telemetry is None else asdict(self.telemetry)
-            ),
+            "fault_plan": None if env.fault_plan is None else env.fault_plan.to_dict(),
+            "cluster": asdict(env.cluster),
+            "check_invariants": env.check_invariants,
+            "telemetry": None if env.telemetry is None else asdict(env.telemetry),
             # memtier=None means tiering off, which is NOT the same run
             # as any armed MemtierConfig (extra pool nodes, CXL link).
-            "memtier": (
-                None if self.memtier is None else asdict(self.memtier)
-            ),
+            "memtier": None if env.memtier is None else asdict(env.memtier),
             # scrub=None means no patrol scrubber, which is NOT the same
             # run as any armed ScrubConfig (audit reads contend for
             # bandwidth, and scrub-only arms the recovery machinery).
-            "scrub": None if self.scrub is None else asdict(self.scrub),
+            "scrub": None if env.scrub is None else asdict(env.scrub),
         }
 
     def label(self) -> str:

@@ -27,7 +27,7 @@ migration is one more modeled bulk transfer
 gains a fifth term: ``written == stored + overwritten + released +
 lost + migrated_out`` per node.
 
-With ``MachineConfig.memtier`` unset (the default) nothing in this
+With ``RunEnv.memtier`` unset (the default) nothing in this
 package is constructed and every run is byte-identical to the untiered
 simulator (pinned against ``tests/data/goldens_v1.json``).
 """

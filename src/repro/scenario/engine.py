@@ -51,7 +51,7 @@ from repro.scenario.traffic import (
     intensity,
 )
 from repro.sim import systems as systems_mod
-from repro.sim.machine import Machine, MachineConfig
+from repro.sim.machine import Machine, MachineConfig, RunEnv
 from repro.sim.metrics import RunResult
 from repro.sim.multiprogram import (
     PID_STRIDE,
@@ -180,14 +180,16 @@ def _build_machine(config: ScenarioConfig) -> Machine:
         compute_us_per_access=sum(w.compute_us_per_access for w in workloads)
         / len(workloads),
         fabric=config.fabric or FabricConfig(),
-        # Recovery is always armed: the autoscaler and the chaos overlay
-        # both need the monitor/repair machinery.
-        fault_plan=config.fault_plan or FaultPlan(),
-        cluster=ClusterConfig(
-            nodes=total_nodes, replication=config.replication
+        env=RunEnv(
+            # Recovery is always armed: the autoscaler and the chaos
+            # overlay both need the monitor/repair machinery.
+            fault_plan=config.fault_plan or FaultPlan(),
+            cluster=ClusterConfig(
+                nodes=total_nodes, replication=config.replication
+            ),
+            check_invariants=config.check_invariants,
+            telemetry=TelemetryConfig(epoch_us=config.epoch_us),
         ),
-        check_invariants=config.check_invariants,
-        telemetry=TelemetryConfig(epoch_us=config.epoch_us),
         strict_cgroup_prefetch=True,
         absorb_fatal_faults=True,
     )

@@ -1,7 +1,7 @@
 """Full-system simulator: machine, system registry, runner, metrics."""
 
 from repro.sim.detailed import CacheFilter, VolumeReport, mmu_vs_mc_volumes
-from repro.sim.machine import Machine, MachineConfig
+from repro.sim.machine import Machine, MachineConfig, RunEnv
 from repro.sim.metrics import RunResult
 from repro.sim.multiprogram import run_corun
 from repro.sim.runner import (
@@ -20,6 +20,7 @@ __all__ = [
     "mmu_vs_mc_volumes",
     "Machine",
     "MachineConfig",
+    "RunEnv",
     "RunResult",
     "run_corun",
     "Comparison",

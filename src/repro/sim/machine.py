@@ -24,15 +24,15 @@ from repro.cluster.cluster import (
 from repro.cluster.health import (
     EVENT_DOWN,
     EVENT_REJOIN,
-    HealthConfig,
     HealthEvent,
     HealthMonitor,
 )
-from repro.cluster.repair import RepairConfig, RepairEngine
+from repro.cluster.repair import RepairEngine
 from repro.common.constants import (
     PAGE_SHIFT,
     T_CONTEXT_SWITCH_US,
     T_DRAM_HIT_US,
+    T_MINOR_FAULT_US,
     T_PREFETCH_HIT_US,
     T_PREFETCH_ISSUE_US,
     T_PTE_SET_US,
@@ -82,68 +82,42 @@ from repro.telemetry.events import (
 
 PAGE_OFFSET_MASK = (1 << PAGE_SHIFT) - 1
 
+#: Exponential backoff between retries of a synchronous transfer:
+#: ``RETRY_BACKOFF_US * RETRY_BACKOFF_MULTIPLIER ** (attempt - 1)``.
+RETRY_BACKOFF_US = 25.0
+RETRY_BACKOFF_MULTIPLIER = 2.0
+#: Accesses between invariant-sanitizer sweeps (``RunEnv.check_invariants``).
+SANITIZER_INTERVAL_ACCESSES = 2000
 
-@dataclass
-class MachineConfig:
-    """Compute-node parameters.
 
-    ``local_memory_pages`` is the default cgroup limit (the paper's
-    "local memory is set to X% of the workload footprint").
+@dataclass(frozen=True)
+class RunEnv:
+    """The optional conditions a run is measured under.
+
+    The runner applies one env to every system under test and never to
+    the CT_local yardstick: degraded or distributed hardware is the
+    condition being measured, not the baseline.  Every default leaves
+    the run byte-identical to the paper's single-node, fault-free
+    configuration.
     """
 
-    local_memory_pages: int
-    remote_capacity_pages: int = 1 << 22
-    fabric: FabricConfig = field(default_factory=FabricConfig)
-    reclaim_batch: int = 32
-    watermark_slack: int = 16
-    minor_fault_cost_us: float = 1.9
-    #: Charge prefetched pages to the application's cgroup.  HoPP does;
-    #: Fastswap and Leap do not (Section I).
-    charge_prefetch: bool = True
-    mc_channels: int = 1
-    #: Application compute time per LLC-miss access (us), taken from the
-    #: workload; it sets how much memory latency overlaps with work.
-    compute_us_per_access: float = 0.0
-    #: Fault-injection schedule; None (or an empty plan) leaves the
-    #: remote-memory path byte-identical to the unhooked simulator.
+    #: Fault-injection schedule; None leaves the remote-memory path
+    #: byte-identical to the unhooked simulator.  An *empty* plan arms
+    #: the health-monitor, repair and drain machinery without injecting
+    #: any fault.
     fault_plan: Optional[FaultPlan] = None
-    #: Retry budget for synchronous transfers (demand reads, reclaim
-    #: writebacks).  Prefetch reads are never retried — they are dropped.
-    demand_retry_limit: int = 8
-    #: Exponential backoff between retries: base * multiplier ** attempt.
-    retry_backoff_us: float = 25.0
-    retry_backoff_multiplier: float = 2.0
     #: Remote-pool topology.  The default (one node, interleave, no
     #: replication) is byte-identical to the pre-cluster single-node
-    #: path; ``remote_capacity_pages`` is split evenly across nodes.
+    #: path; ``MachineConfig.remote_capacity_pages`` is split evenly
+    #: across nodes.
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
-    #: Health-monitor detection knobs (only used when recovery is armed,
-    #: i.e. when ``fault_plan`` is not None — an *empty* plan arms the
-    #: monitor and drain machinery without injecting any fault).
-    health: HealthConfig = field(default_factory=HealthConfig)
-    #: Repair-traffic shaping for background re-replication.
-    repair: RepairConfig = field(default_factory=RepairConfig)
     #: Run the cross-layer invariant sanitizer at epoch boundaries and
     #: after every recovery event.  Opt-in: each sweep walks every PTE.
     check_invariants: bool = False
-    #: Accesses between sanitizer sweeps when ``check_invariants`` is on.
-    sanitizer_interval_accesses: int = 2000
     #: Telemetry recording; None (the default) is the null-object — no
     #: event bus exists, every probe site is one ``is not None`` check
     #: on the cold path, and run output stays byte-identical.
     telemetry: Optional[TelemetryConfig] = None
-    #: Refuse prefetch charges that would cross the cgroup limit
-    #: (``charge(strict=True)``) instead of charging over the limit and
-    #: reclaiming later.  The scenario engine's multi-tenant isolation
-    #: mode: one tenant's prefetch burst cannot burst its budget.
-    strict_cgroup_prefetch: bool = False
-    #: Absorb :class:`RemoteFetchFatalError` instead of propagating it:
-    #: a demand fault whose retry budget is exhausted resolves with a
-    #: zero-filled frame, and a reclaim writeback that cannot complete
-    #: abandons the eviction and keeps the page resident.  This is the
-    #: scenario engine's never-crash guarantee — availability over
-    #: consistency, every absorption counted.
-    absorb_fatal_faults: bool = False
     #: Memory-tier pool (pooled CXL nodes + hotness-driven migration,
     #: :mod:`repro.memtier`).  None (the default) builds no engine and
     #: keeps every run byte-identical to the untiered simulator.  When
@@ -157,6 +131,44 @@ class MachineConfig:
     #: Arming it without a fault plan upgrades to an *empty* plan so the
     #: recovery machinery (whose pump carries the scrubber) exists.
     scrub: Optional[ScrubConfig] = None
+
+
+@dataclass
+class MachineConfig:
+    """Compute-node parameters.
+
+    ``local_memory_pages`` is the default cgroup limit (the paper's
+    "local memory is set to X% of the workload footprint").
+    """
+
+    local_memory_pages: int
+    remote_capacity_pages: int = 1 << 22
+    fabric: FabricConfig = field(default_factory=FabricConfig)
+    watermark_slack: int = 16
+    #: Charge prefetched pages to the application's cgroup.  HoPP does;
+    #: Fastswap and Leap do not (Section I).
+    charge_prefetch: bool = True
+    #: Application compute time per LLC-miss access (us), taken from the
+    #: workload; it sets how much memory latency overlaps with work.
+    compute_us_per_access: float = 0.0
+    #: Retry budget for synchronous transfers (demand reads, reclaim
+    #: writebacks).  Prefetch reads are never retried — they are dropped.
+    demand_retry_limit: int = 8
+    #: The run's optional conditions (faults, topology, sanitizer,
+    #: telemetry, CXL tier, scrubber).
+    env: RunEnv = field(default_factory=RunEnv)
+    #: Refuse prefetch charges that would cross the cgroup limit
+    #: (``charge(strict=True)``) instead of charging over the limit and
+    #: reclaiming later.  The scenario engine's multi-tenant isolation
+    #: mode: one tenant's prefetch burst cannot burst its budget.
+    strict_cgroup_prefetch: bool = False
+    #: Absorb :class:`RemoteFetchFatalError` instead of propagating it:
+    #: a demand fault whose retry budget is exhausted resolves with a
+    #: zero-filled frame, and a reclaim writeback that cannot complete
+    #: abandons the eviction and keeps the page resident.  This is the
+    #: scenario engine's never-crash guarantee — availability over
+    #: consistency, every absorption counted.
+    absorb_fatal_faults: bool = False
 
 
 class Machine:
@@ -173,23 +185,24 @@ class Machine:
         self.hopp = hopp
         self.now_us = 0.0
 
-        plan = config.fault_plan
-        if plan is None and config.scrub is not None:
+        env = config.env
+        plan = env.fault_plan
+        if plan is None and env.scrub is not None:
             # The scrubber rides the repair engine's pump, so arming it
             # arms the recovery machinery too — with an *empty* plan,
             # which injects nothing and leaves node injectors unarmed.
             plan = FaultPlan.none()
-        cluster_config = config.cluster
-        if config.memtier is not None and cluster_config.node_tiers is None:
+        cluster_config = env.cluster
+        if env.memtier is not None and cluster_config.node_tiers is None:
             # Tiering armed on an untiered topology: put the pooled CXL
             # nodes in front of the configured (far) nodes, and let a
             # default interleave placement upgrade to the tier-aware
             # policy (an explicitly chosen placement is respected).
             cluster_config = replace(
                 cluster_config,
-                nodes=cluster_config.nodes + config.memtier.pool_nodes,
+                nodes=cluster_config.nodes + env.memtier.pool_nodes,
                 node_tiers=derive_node_tiers(
-                    cluster_config.nodes, config.memtier.pool_nodes
+                    cluster_config.nodes, env.memtier.pool_nodes
                 ),
                 placement=(
                     "tiered"
@@ -202,7 +215,7 @@ class Machine:
             config.remote_capacity_pages,
             config.fabric,
             fault_plan=plan,
-            memtier=config.memtier,
+            memtier=env.memtier,
         )
         #: Node 0's injector doubles as the "is fault injection armed"
         #: flag: every node arms iff the plan is non-empty, and on the
@@ -219,18 +232,16 @@ class Machine:
         self.health: Optional[HealthMonitor] = None
         self.repair: Optional[RepairEngine] = None
         if plan is not None:
-            self.health = HealthMonitor(self.cluster, config.health)
+            self.health = HealthMonitor(self.cluster)
             self.cluster.health = self.health
-            self.repair = RepairEngine(
-                self.cluster, self.health, self.swap_space, config.repair
-            )
+            self.repair = RepairEngine(self.cluster, self.health, self.swap_space)
         #: Memory-tier migration engine; armed only with a memtier
         #: config, and pumped only from remote-event paths so the
         #: resident-hit fast path never sees it.
         self.memtier: Optional[MigrationEngine] = None
-        if config.memtier is not None:
+        if env.memtier is not None:
             self.memtier = MigrationEngine(
-                self.cluster, self.swap_space, config.memtier
+                self.cluster, self.swap_space, env.memtier
             )
             self.cluster.memtier_hot = self.memtier.is_hot
         #: End-to-end integrity (repro.integrity): armed when the plan
@@ -239,14 +250,14 @@ class Machine:
         #: and corruption-free runs stay byte-identical.
         self.integrity: Optional[IntegrityController] = None
         self.scrubber: Optional[PatrolScrubber] = None
-        if (plan is not None and plan.has_corruption) or config.scrub is not None:
+        if (plan is not None and plan.has_corruption) or env.scrub is not None:
             self.integrity = IntegrityController(self.cluster, self.swap_space)
             self.integrity.memtier = self.memtier
             if self.memtier is not None:
                 self.memtier.integrity = self.integrity
-            if config.scrub is not None:
+            if env.scrub is not None:
                 self.scrubber = PatrolScrubber(
-                    self.cluster, self.integrity, config.scrub
+                    self.cluster, self.integrity, env.scrub
                 )
                 self.repair.scrubber = self.scrubber
         #: Telemetry, armed only on request.  Probes are observers: they
@@ -254,8 +265,8 @@ class Machine:
         #: instrumented run produces the same RunResult counters as an
         #: uninstrumented one (pinned by tests/test_telemetry.py).
         self.telemetry: Optional[Telemetry] = None
-        if config.telemetry is not None:
-            self.telemetry = Telemetry(config.telemetry)
+        if env.telemetry is not None:
+            self.telemetry = Telemetry(env.telemetry)
             bus = self.telemetry.bus
             for node in self.cluster.nodes:
                 node.fabric.probe = bus.probe(node=node.node_id)
@@ -268,13 +279,13 @@ class Machine:
             if self.integrity is not None:
                 self.integrity.bus = bus
         self.sanitizer: Optional[InvariantSanitizer] = (
-            InvariantSanitizer(self) if config.check_invariants else None
+            InvariantSanitizer(self) if env.check_invariants else None
         )
         self._sanitize_after_recovery = False
         self.cgroups = CgroupManager()
-        self.reclaimer = Reclaimer(config.reclaim_batch, config.watermark_slack)
+        self.reclaimer = Reclaimer(watermark_slack=config.watermark_slack)
         self.vmas = VmaRegistry()
-        self.controller = MemoryController(channels=config.mc_channels)
+        self.controller = MemoryController()
 
         self._page_tables: Dict[int, PageTable] = {}
         self._cgroup_of: Dict[int, MemoryCgroup] = {}
@@ -408,7 +419,7 @@ class Machine:
             self.repair.pump(self.now_us)
         if self.sanitizer is not None and (
             self._sanitize_after_recovery
-            or self.accesses % self.config.sanitizer_interval_accesses == 0
+            or self.accesses % SANITIZER_INTERVAL_ACCESSES == 0
         ):
             self._sanitize_after_recovery = False
             self.sanitizer.check()
@@ -452,11 +463,11 @@ class Machine:
         ``use_fast_path=False``, which sends every reference through
         :meth:`access` (the differential oracle) — pinned by
         tests/test_fastpath.py.  The kernel batches a tap-free machine,
-        or one whose only MC tap is the HoPP data plane's with a stock
-        :class:`HotPageDetector`.  Other taps (HMTT tracers, extra
-        planes, a multi-channel detector) and an armed health monitor or
-        sanitizer, which need per-access epoch work, take the oracle
-        loop.
+        or one whose only MC tap is a stock :class:`HoppDataPlane`'s
+        with a stock :class:`HotPageDetector`.  Other taps (HMTT
+        tracers, extra planes, a multi-channel detector, the prototype
+        plane's trace ring) and an armed health monitor or sanitizer,
+        which need per-access epoch work, take the oracle loop.
         """
         taps = self.controller._taps
         plane = self.hopp
@@ -467,7 +478,7 @@ class Machine:
             and (
                 not taps
                 or (
-                    plane is not None
+                    type(plane) is HoppDataPlane
                     and taps == [plane.on_mc_access]
                     and type(plane.hpd) is HotPageDetector
                 )
@@ -496,7 +507,7 @@ class Machine:
         ppn = self.frames.allocate(pid, vpn)
         table.map_page(vpn, ppn)
         self._lru_of_pid(pid).insert(pid, vpn)
-        return self.config.minor_fault_cost_us
+        return T_MINOR_FAULT_US
 
     def _swapcache_hit(self, pid: int, vpn: int, table: PageTable, pte: Pte) -> float:
         """Prefetch-hit: the page is local but unmapped (Section II-C)."""
@@ -764,9 +775,7 @@ class Machine:
                     waited += fault.wasted_us
                     self.retry_latency_us += fault.wasted_us
                     continue
-                backoff = self.config.retry_backoff_us * (
-                    self.config.retry_backoff_multiplier ** (attempts - 1)
-                )
+                backoff = RETRY_BACKOFF_US * RETRY_BACKOFF_MULTIPLIER ** (attempts - 1)
                 waited += fault.wasted_us + backoff
                 self.retry_latency_us += fault.wasted_us + backoff
 
@@ -1232,9 +1241,7 @@ class Machine:
                         node = rerouted
                         waited += fault.wasted_us
                         continue
-                backoff = self.config.retry_backoff_us * (
-                    self.config.retry_backoff_multiplier ** (attempts - 1)
-                )
+                backoff = RETRY_BACKOFF_US * RETRY_BACKOFF_MULTIPLIER ** (attempts - 1)
                 waited += fault.wasted_us + backoff
 
     # -- helpers ------------------------------------------------------------------------

@@ -4,18 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, Optional, Union
 
-from repro.cluster.cluster import ClusterConfig
-from repro.integrity import ScrubConfig
-from repro.memtier import MemtierConfig
-from repro.net.faults import FaultPlan
 from repro.net.rdma import FabricConfig
 from repro.sim import systems as systems_mod
-from repro.sim.machine import Machine, MachineConfig
+from repro.sim.machine import Machine, MachineConfig, RunEnv
 from repro.sim.metrics import RunResult
 from repro.sim.systems import SystemSpec
-from repro.telemetry import TelemetryConfig
 from repro.workloads.base import Workload
 
 #: Local-memory fraction used when measuring CT_local (big enough that
@@ -34,12 +29,8 @@ def make_machine(
     system: Union[str, SystemSpec],
     local_memory_fraction: float = 0.5,
     fabric: Optional[FabricConfig] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    cluster: Optional[ClusterConfig] = None,
-    check_invariants: bool = False,
-    telemetry: Optional[TelemetryConfig] = None,
-    memtier: Optional[MemtierConfig] = None,
-    scrub: Optional[ScrubConfig] = None,
+    *,
+    env: Optional[RunEnv] = None,
 ) -> Machine:
     """Assemble a machine sized for ``workload`` and register its
     processes and VMAs."""
@@ -51,12 +42,7 @@ def make_machine(
         local_memory_pages=limit,
         fabric=fabric or FabricConfig(),
         compute_us_per_access=workload.compute_us_per_access,
-        fault_plan=fault_plan,
-        cluster=cluster or ClusterConfig(),
-        check_invariants=check_invariants,
-        telemetry=telemetry,
-        memtier=memtier,
-        scrub=scrub,
+        env=env or RunEnv(),
     )
     machine = spec.build(config)
     for process in workload.processes:
@@ -173,37 +159,19 @@ def run(
     system: Union[str, SystemSpec] = "hopp",
     local_memory_fraction: float = 0.5,
     fabric: Optional[FabricConfig] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    cluster: Optional[ClusterConfig] = None,
-    check_invariants: bool = False,
+    *,
+    env: Optional[RunEnv] = None,
     trace: Optional[Iterable] = None,
-    telemetry: Optional[TelemetryConfig] = None,
-    memtier: Optional[MemtierConfig] = None,
-    scrub: Optional[ScrubConfig] = None,
 ) -> RunResult:
     """Drive one workload through one system; the primary entry point.
 
+    ``env`` carries the run's optional conditions (see :class:`RunEnv`);
+    None is the paper's fault-free single-node configuration.
     ``trace`` overrides the workload's generated reference stream — the
     execution engine passes a materialized trace here so a sweep
-    generates each workload's stream once instead of once per point.
-    ``telemetry`` arms the event bus / time-series recording; None (the
-    default) is the probe-free null-object.
-    Every kwarg added to this signature must also be added to
-    :class:`repro.exec.spec.RunSpec`, or cached results would silently
-    ignore it (tests/test_exec_cache.py audits the two)."""
+    generates each workload's stream once instead of once per point."""
     spec = _resolve(system)
-    machine = make_machine(
-        workload,
-        spec,
-        local_memory_fraction,
-        fabric,
-        fault_plan,
-        cluster,
-        check_invariants,
-        telemetry,
-        memtier,
-        scrub,
-    )
+    machine = make_machine(workload, spec, local_memory_fraction, fabric, env=env)
     machine.run(workload.trace() if trace is None else trace)
     # Drain queued tier migrations, then let in-flight recovery converge
     # before measuring (both no-ops unless memtier / a fault plan armed
@@ -241,27 +209,20 @@ def compare(
     system_names: Iterable[str],
     local_memory_fraction: float = 0.5,
     fabric: Optional[FabricConfig] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    cluster: Optional[ClusterConfig] = None,
-    check_invariants: bool = False,
+    *,
+    env: Optional[RunEnv] = None,
 ) -> Comparison:
     """Run one workload under several systems on identical traces.
 
-    ``fault_plan`` and ``cluster`` apply to the systems under test,
-    never to the CT_local reference (degraded or distributed hardware is
-    the condition being measured, not the yardstick)."""
+    ``env`` applies to every system under test, never to the CT_local
+    reference (degraded or distributed hardware is the condition being
+    measured, not the yardstick)."""
     comparison = Comparison(
         workload=workload.name,
         ct_local_us=local_completion_time(workload, fabric),
     )
     for name in system_names:
         comparison.results[name] = run(
-            workload,
-            name,
-            local_memory_fraction,
-            fabric,
-            fault_plan,
-            cluster,
-            check_invariants,
+            workload, name, local_memory_fraction, fabric, env=env
         )
     return comparison

@@ -12,8 +12,8 @@ typed :class:`InvariantViolation` naming the **first** inconsistency
 (like a kernel's ``CONFIG_DEBUG_VM``, it fails loudly at the point of
 corruption instead of letting it surface as a wrong metric three
 subsystems later).  ``Machine`` runs it at epoch boundaries (every
-``sanitizer_interval_accesses`` references) and after every recovery
-event when ``MachineConfig.check_invariants`` is set; the CLI flag is
+``SANITIZER_INTERVAL_ACCESSES`` references) and after every recovery
+event when ``RunEnv.check_invariants`` is set; the CLI flag is
 ``--check-invariants``.
 
 The checks (all must hold between accesses, never mid-fault):

@@ -1,7 +1,7 @@
 """Telemetry subsystem: event-bus probes, windowed time-series, and
 trace-timeline export.
 
-Disabled (the default) it is a null-object: ``MachineConfig.telemetry``
+Disabled (the default) it is a null-object: ``RunEnv.telemetry``
 is ``None``, no bus exists, every probe site in the simulator is a
 single ``is not None`` check on the cold path, and run output is
 byte-identical to the pinned goldens.  Enabled, a :class:`Telemetry`

@@ -10,11 +10,12 @@ lands in a :class:`~repro.exec.spec.RunSpec`:
     ``system.policy.alpha`` — see :func:`repro.sim.systems.hopp_knobs`),
     shipped via ``RunSpec.system_kwargs``.
 ``cluster.<field>``
-    A :class:`~repro.cluster.cluster.ClusterConfig` field
-    (``cluster.nodes``, ``cluster.placement``, ``cluster.replication``).
+    A :class:`~repro.cluster.cluster.ClusterConfig` field of the spec's
+    env (``cluster.nodes``, ``cluster.placement``,
+    ``cluster.replication``).
 ``memtier.<field>``
     A :class:`~repro.memtier.MemtierConfig` field; the special value
-    ``memtier.pool_nodes = 0`` turns tiering off entirely (RunSpec
+    ``memtier.pool_nodes = 0`` turns tiering off entirely (RunEnv
     ``memtier=None``), making "no CXL pool" a searchable design point.
 ``workload.<kwarg>``
     A workload constructor override (``workload.passes`` — the
@@ -36,7 +37,6 @@ from dataclasses import dataclass, replace
 from random import Random
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.cluster.cluster import ClusterConfig
 from repro.exec.spec import RunSpec
 from repro.memtier import MemtierConfig
 
@@ -312,10 +312,10 @@ def to_run_spec(base: RunSpec, config: Config) -> RunSpec:
         else:
             raise SpaceError(f"unknown binding root in {name!r}")
 
-    cluster = base.cluster
+    cluster = base.env.cluster
     if cluster_fields:
-        cluster = replace(cluster or ClusterConfig(), **cluster_fields)
-    memtier = base.memtier
+        cluster = replace(cluster, **cluster_fields)
+    memtier = base.env.memtier
     if memtier_fields:
         pool_nodes = memtier_fields.pop("pool_nodes", None)
         if pool_nodes == 0:
@@ -330,8 +330,7 @@ def to_run_spec(base: RunSpec, config: Config) -> RunSpec:
         fraction=fraction,
         workload_kwargs=workload_kwargs,
         system_kwargs=system_kwargs,
-        cluster=cluster,
-        memtier=memtier,
+        env=replace(base.env, cluster=cluster, memtier=memtier),
     )
 
 
@@ -384,14 +383,14 @@ def default_config(space: SearchSpace, base: RunSpec) -> Config:
                     knob_values = systems_mod.hopp_knob_values(base.system)
                 value = knob_values[path]
         elif root == "cluster":
-            value = getattr(base.cluster or ClusterConfig(), path)
+            value = getattr(base.env.cluster, path)
         elif root == "memtier":
-            if base.memtier is None:
+            if base.env.memtier is None:
                 value = 0 if path == "pool_nodes" else getattr(
                     MemtierConfig(), path
                 )
             else:
-                value = getattr(base.memtier, path)
+                value = getattr(base.env.memtier, path)
         elif root == "workload":
             if path not in base.workload_kwargs:
                 raise SpaceError(

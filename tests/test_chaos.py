@@ -30,7 +30,7 @@ from repro.net.faults import (
 )
 from repro.net.rdma import RdmaFabric
 from repro.sim import runner
-from repro.sim.machine import Machine, MachineConfig
+from repro.sim.machine import Machine, MachineConfig, RunEnv
 from repro.sim.metrics import RunResult
 from repro.workloads import build
 from tests.conftest import quiet_fabric, touch_pages
@@ -192,7 +192,7 @@ class TestResilientDemandPath:
         plan = _drop_plan(probability=0.3, seed=2)
         machine = Machine(
             MachineConfig(local_memory_pages=16, fabric=quiet_fabric(),
-                          fault_plan=plan),
+                          env=RunEnv(fault_plan=plan)),
             fault_prefetcher=FastswapPrefetcher(),
         )
         machine.register_process(1)
@@ -207,7 +207,7 @@ class TestResilientDemandPath:
         plan = FaultPlan(seed=1, timeout_probability=1.0)
         machine = Machine(
             MachineConfig(local_memory_pages=8, fabric=quiet_fabric(),
-                          fault_plan=plan, demand_retry_limit=3),
+                          env=RunEnv(fault_plan=plan), demand_retry_limit=3),
         )
         machine.register_process(1)
         with pytest.raises(RemoteFetchFatalError) as exc:
@@ -216,7 +216,7 @@ class TestResilientDemandPath:
 
     def test_empty_plan_counters_are_exactly_zero(self):
         result = runner.run(_workload(), "hopp", 0.5, quiet_fabric(),
-                            fault_plan=FaultPlan())
+                            env=RunEnv(fault_plan=FaultPlan()))
         assert result.timeouts == 0
         assert result.retries == 0
         assert result.retry_latency_us == 0.0
@@ -228,7 +228,7 @@ class TestResilientDemandPath:
     def test_empty_plan_is_byte_identical_to_no_plan(self):
         clean = runner.run(_workload(), "hopp", 0.5, quiet_fabric())
         empty = runner.run(_workload(), "hopp", 0.5, quiet_fabric(),
-                           fault_plan=FaultPlan())
+                           env=RunEnv(fault_plan=FaultPlan()))
         assert clean.to_dict() == empty.to_dict()
 
 
@@ -238,7 +238,7 @@ class TestConservationUnderChaos:
         workload = _workload()
         plan = _drop_plan(probability=0.25, seed=11)
         machine = runner.make_machine(workload, system, 0.5, quiet_fabric(),
-                                      fault_plan=plan)
+                                      env=RunEnv(fault_plan=plan))
         machine.run(workload.trace())
         result = runner.collect(machine, system, workload.name)
         assert result.timeouts > 0
@@ -270,7 +270,8 @@ class TestConservationUnderChaos:
     def test_bounded_slowdown(self):
         clean = runner.run(_workload(), "hopp", 0.5, quiet_fabric())
         chaos = runner.run(_workload(), "hopp", 0.5, quiet_fabric(),
-                           fault_plan=_drop_plan(probability=0.2, seed=7))
+                           env=RunEnv(fault_plan=_drop_plan(probability=0.2,
+                                                            seed=7)))
         assert chaos.completion_time_us >= clean.completion_time_us
         # Degradation is bounded: retries/backoff cost far less than a
         # collapse (generous 20x envelope).
@@ -286,7 +287,7 @@ class TestDeterminism:
         def one_run():
             return runner.run(
                 build("stream-simple", npages=150, passes=2),
-                system, 0.5, quiet_fabric(), fault_plan=plan,
+                system, 0.5, quiet_fabric(), env=RunEnv(fault_plan=plan),
             )
 
         first, second = one_run(), one_run()
@@ -377,7 +378,7 @@ class TestCircuitBreakerIntegration:
         machine = Machine(
             MachineConfig(local_memory_pages=limit, fabric=quiet_fabric(),
                           compute_us_per_access=workload.compute_us_per_access,
-                          fault_plan=plan),
+                          env=RunEnv(fault_plan=plan)),
             fault_prefetcher=FastswapPrefetcher(),
         )
         plane = HoppDataPlane(machine, HoppConfig(breaker=breaker_config))
@@ -434,7 +435,7 @@ class TestCircuitBreakerIntegration:
                 clean.completion_time_us * 0.45)
         chaos = runner.run(
             workload, "hopp", 0.5, quiet_fabric(),
-            fault_plan=FaultPlan(prefetch_down=(flap,)),
+            env=RunEnv(fault_plan=FaultPlan(prefetch_down=(flap,))),
         )
         assert chaos.timeouts > 0
         assert chaos.dropped_prefetches > 0
@@ -449,7 +450,7 @@ class TestChaosPreset:
     def test_chaos_preset_run_completes_with_live_counters(self):
         workload = build("stream-simple", npages=300, passes=3)
         result = runner.run(workload, "hopp", 0.5, quiet_fabric(),
-                            fault_plan=FaultPlan.chaos(seed=1))
+                            env=RunEnv(fault_plan=FaultPlan.chaos(seed=1)))
         assert result.completion_time_us > 0
         assert result.timeouts > 0
         assert result.retries > 0

@@ -326,6 +326,7 @@ class TestNumericFlagValidation:
              "--fractions"),
             (["compare", "-w", "stream-simple", "--jobs", "0"], "--jobs"),
             (["compare", "-w", "stream-simple", "-f", "-0.5"], "--fraction"),
+            (["run", "-w", "stream-simple", "-f", "0"], "--fraction"),
         ],
     )
     def test_nonpositive_numeric_flags_fail_typed(self, argv, flag, capsys):

@@ -28,7 +28,7 @@ from repro.cluster import (
 from repro.net.faults import FaultPlan, RemoteUnavailableError
 from repro.net.rdma import FabricConfig
 from repro.sim import runner
-from repro.sim.machine import Machine, MachineConfig
+from repro.sim.machine import Machine, MachineConfig, RunEnv
 from repro.workloads import build
 from tests.conftest import quiet_fabric, touch_pages
 
@@ -51,9 +51,11 @@ def _machine(nodes=1, placement="interleave", replication=1, plan=None,
             local_memory_pages=local_pages,
             fabric=quiet_fabric(),
             watermark_slack=4,
-            fault_plan=plan,
-            cluster=ClusterConfig(
-                nodes=nodes, placement=placement, replication=replication
+            env=RunEnv(
+                fault_plan=plan,
+                cluster=ClusterConfig(
+                    nodes=nodes, placement=placement, replication=replication
+                ),
             ),
         )
     )
@@ -310,14 +312,13 @@ class TestSingleNodeEquivalence:
         self, system, explicit_cluster
     ):
         workload = build("stream-simple", npages=200, passes=2)
-        cluster = (
-            ClusterConfig(nodes=1, placement="interleave", replication=1)
+        env = (
+            RunEnv(cluster=ClusterConfig(nodes=1, placement="interleave",
+                                         replication=1))
             if explicit_cluster
-            else None
+            else RunEnv()
         )
-        result = runner.run(
-            workload, system, 0.5, FabricConfig(seed=1), cluster=cluster
-        )
+        result = runner.run(workload, system, 0.5, FabricConfig(seed=1), env=env)
         snapshot = result.to_dict()
         for key, value in _GOLDEN[system].items():
             assert snapshot[key] == value, (system, key)
@@ -328,7 +329,8 @@ class TestSingleNodeEquivalence:
     def test_chaos_run_matches_pre_cluster_golden(self):
         workload = build("stream-simple", npages=200, passes=2)
         result = runner.run(
-            workload, "hopp", 0.5, FabricConfig(seed=1), FaultPlan.chaos(1)
+            workload, "hopp", 0.5, FabricConfig(seed=1),
+            env=RunEnv(fault_plan=FaultPlan.chaos(1)),
         )
         snapshot = result.to_dict()
         for key, value in _GOLDEN_CHAOS.items():
@@ -378,8 +380,8 @@ class TestMultiNodeRuns:
             workload = build("stream-simple", npages=150, passes=2)
             return runner.run(
                 workload, "hopp", 0.5, FabricConfig(seed=3),
-                cluster=ClusterConfig(nodes=3, placement="hash",
-                                      replication=2),
+                env=RunEnv(cluster=ClusterConfig(nodes=3, placement="hash",
+                                                 replication=2)),
             )
 
         assert one().to_dict() == one().to_dict()
@@ -461,8 +463,11 @@ class TestFailover:
         )
         workload = build("stream-simple", npages=300, passes=3)
         machine = runner.make_machine(
-            workload, "hopp", 0.4, FabricConfig(seed=2), plan,
-            ClusterConfig(nodes=3, placement="hash", replication=2),
+            workload, "hopp", 0.4, FabricConfig(seed=2),
+            env=RunEnv(
+                fault_plan=plan,
+                cluster=ClusterConfig(nodes=3, placement="hash", replication=2),
+            ),
         )
         machine.run(workload.trace())
         for node in machine.cluster.nodes:
@@ -477,8 +482,12 @@ class TestFailover:
         past it (kv-cache does, at ~100 ms simulated)."""
         workload = build("kv-cache", seed=1)
         result = runner.run(
-            workload, "hopp", 0.5, FabricConfig(seed=1), FaultPlan.chaos(1),
-            ClusterConfig(nodes=3, placement="interleave", replication=2),
+            workload, "hopp", 0.5, FabricConfig(seed=1),
+            env=RunEnv(
+                fault_plan=FaultPlan.chaos(1),
+                cluster=ClusterConfig(nodes=3, placement="interleave",
+                                      replication=2),
+            ),
         )
         assert result.timeouts > 0
         assert result.demand_failovers > 0
@@ -497,7 +506,7 @@ class TestRunResultClusterMetrics:
         workload = build("stream-simple", npages=100, passes=1)
         result = runner.run(
             workload, "fastswap", 0.5, FabricConfig(seed=1),
-            cluster=ClusterConfig(nodes=2, placement="hash"),
+            env=RunEnv(cluster=ClusterConfig(nodes=2, placement="hash")),
         )
         section = result.to_dict()["cluster"]
         assert section["remote_nodes"] == 2

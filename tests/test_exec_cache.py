@@ -2,15 +2,15 @@
 
 The cache's one job is to never serve a result for inputs that differ
 from the ones that produced it.  These tests attack that from every
-side: every RunSpec field must perturb the key, the code-schema version
-must perturb the key, the runner's signature must stay covered by the
-spec, and uncacheable specs must be refused rather than mis-keyed.
+side: every RunSpec and RunEnv field must perturb the key, the
+code-schema version must perturb the key, the default key is pinned,
+and uncacheable specs must be refused rather than mis-keyed.
 """
 
 from __future__ import annotations
 
-import inspect
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -18,13 +18,13 @@ from repro.cluster.cluster import ClusterConfig
 from repro.exec import cache as cache_mod
 from repro.exec.cache import ResultCache, TraceCache, cache_key, cacheability
 from repro.exec.pool import execute, run_spec
-from repro.exec.spec import RUNNER_KWARGS_COVERED, RunSpec
+from repro.exec.spec import RunSpec
 from repro.integrity import ScrubConfig
 from repro.memtier import MemtierConfig
 from repro.net.faults import FaultPlan
 from repro.net.rdma import FabricConfig
-from repro.sim import runner
 from repro.sim import systems as systems_mod
+from repro.sim.machine import RunEnv
 from repro.sim.systems import SystemSpec
 from repro.telemetry import TelemetryConfig
 from repro.workloads import registry as workload_registry
@@ -58,22 +58,22 @@ class TestCacheKey:
             dict(seed=4),
             dict(workload_kwargs={"npages": 65, "passes": 1}),
             dict(fabric=FabricConfig(seed=9)),
-            dict(fault_plan=FaultPlan()),
-            dict(fault_plan=FaultPlan.chaos(3)),
-            dict(cluster=ClusterConfig(nodes=3)),
-            dict(check_invariants=True),
-            dict(telemetry=TelemetryConfig()),
-            dict(telemetry=TelemetryConfig(epoch_us=500.0)),
-            dict(memtier=MemtierConfig()),
-            dict(memtier=MemtierConfig(pool_nodes=2)),
-            dict(memtier=MemtierConfig(pool_capacity_pages=128)),
-            dict(memtier=MemtierConfig(cxl_latency_us=1.6)),
-            dict(memtier=MemtierConfig(promote_touches=3)),
-            dict(memtier=MemtierConfig(pool_high_watermark=0.8)),
-            dict(scrub=ScrubConfig()),
-            dict(scrub=ScrubConfig(rate_pages_per_s=1000.0)),
-            dict(fault_plan=FaultPlan(bit_flip_read=0.01)),
-            dict(fault_plan=FaultPlan(media_error_rate=0.05)),
+            dict(env=RunEnv(fault_plan=FaultPlan())),
+            dict(env=RunEnv(fault_plan=FaultPlan.chaos(3))),
+            dict(env=RunEnv(cluster=ClusterConfig(nodes=3))),
+            dict(env=RunEnv(check_invariants=True)),
+            dict(env=RunEnv(telemetry=TelemetryConfig())),
+            dict(env=RunEnv(telemetry=TelemetryConfig(epoch_us=500.0))),
+            dict(env=RunEnv(memtier=MemtierConfig())),
+            dict(env=RunEnv(memtier=MemtierConfig(pool_nodes=2))),
+            dict(env=RunEnv(memtier=MemtierConfig(pool_capacity_pages=128))),
+            dict(env=RunEnv(memtier=MemtierConfig(cxl_latency_us=1.6))),
+            dict(env=RunEnv(memtier=MemtierConfig(promote_touches=3))),
+            dict(env=RunEnv(memtier=MemtierConfig(pool_high_watermark=0.8))),
+            dict(env=RunEnv(scrub=ScrubConfig())),
+            dict(env=RunEnv(scrub=ScrubConfig(rate_pages_per_s=1000.0))),
+            dict(env=RunEnv(fault_plan=FaultPlan(bit_flip_read=0.01))),
+            dict(env=RunEnv(fault_plan=FaultPlan(media_error_rate=0.05))),
             dict(system_kwargs={"hpd_threshold": 16}),
             dict(system_kwargs={"policy.alpha": 0.4}),
         ],
@@ -89,22 +89,32 @@ class TestCacheKey:
         )
 
     def test_none_cluster_equals_default_cluster(self):
-        assert cache_key(small_spec(cluster=None)) == cache_key(
-            small_spec(cluster=ClusterConfig())
+        # The default env's single-node cluster keys like an explicit
+        # ClusterConfig() (they run identically).
+        assert cache_key(small_spec()) == cache_key(
+            small_spec(env=RunEnv(cluster=ClusterConfig()))
         )
 
     def test_empty_fault_plan_differs_from_none(self):
         # FaultPlan() arms the recovery machinery even with nothing in
         # it; None leaves it unbuilt.  They are different runs.
-        assert cache_key(small_spec(fault_plan=FaultPlan())) != cache_key(
-            small_spec(fault_plan=None)
+        assert cache_key(small_spec(env=RunEnv(fault_plan=FaultPlan()))) != cache_key(
+            small_spec(env=RunEnv(fault_plan=None))
         )
 
     def test_default_telemetry_differs_from_none(self):
         # Probes never change simulator counters, but an instrumented
         # RunResult carries the telemetry blob — a different artifact.
-        assert cache_key(small_spec(telemetry=TelemetryConfig())) != cache_key(
-            small_spec(telemetry=None)
+        assert cache_key(
+            small_spec(env=RunEnv(telemetry=TelemetryConfig()))
+        ) != cache_key(small_spec(env=RunEnv(telemetry=None)))
+
+    def test_default_key_is_pinned(self):
+        # A drift here orphans every on-disk cache entry: change this
+        # digest only together with a SCHEMA_VERSION bump.
+        assert cache_mod.SCHEMA_VERSION == 5
+        assert cache_key(small_spec()) == (
+            "32b8c4ecf335ac2045aae25d04fc22631b6cc8355bb6f2473ba0694e7dae517b"
         )
 
     def test_schema_version_perturbs_the_key(self, monkeypatch):
@@ -118,12 +128,24 @@ class TestCacheKey:
         assert cache_key(a) == cache_key(b)
 
 
+#: A non-default value for every RunEnv field.
+_NON_DEFAULT_ENV = {
+    "fault_plan": FaultPlan(),
+    "cluster": ClusterConfig(nodes=3),
+    "check_invariants": True,
+    "telemetry": TelemetryConfig(),
+    "memtier": MemtierConfig(),
+    "scrub": ScrubConfig(),
+}
+
+
 class TestRunnerSignatureAudit:
-    def test_runner_kwargs_all_covered(self):
-        """Any parameter added to runner.run must be added to RunSpec
-        (and its key) too, or the cache would silently ignore it."""
-        params = set(inspect.signature(runner.run).parameters)
-        assert params == RUNNER_KWARGS_COVERED
+    @pytest.mark.parametrize("name", [f.name for f in fields(RunEnv)])
+    def test_every_env_field_perturbs_the_key(self, name):
+        """Every RunEnv field must reach the key, or the cache would
+        serve one condition's result for another."""
+        env = RunEnv(**{name: _NON_DEFAULT_ENV[name]})
+        assert cache_key(small_spec(env=env)) != cache_key(small_spec())
 
     def test_spec_fields_map_onto_key_dict(self):
         key = small_spec().key_dict()

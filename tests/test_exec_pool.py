@@ -15,6 +15,7 @@ from repro.exec.cache import ResultCache, TraceCache
 from repro.exec.pool import execute, local_ct_spec, run_spec
 from repro.exec.spec import RunSpec
 from repro.sim import runner
+from repro.sim.machine import RunEnv
 from repro.telemetry import TelemetryConfig
 from tests.conftest import quiet_fabric
 
@@ -129,7 +130,7 @@ class TestTelemetryOnPool:
     def telemetry_grid(self, **telemetry_kwargs):
         specs = grid()
         for spec in specs:
-            spec.telemetry = TelemetryConfig(**telemetry_kwargs)
+            spec.env = RunEnv(telemetry=TelemetryConfig(**telemetry_kwargs))
         return specs
 
     def test_timeseries_rides_the_worker_wire(self):
@@ -159,7 +160,7 @@ class TestTelemetryOnPool:
             seed=3,
             workload_kwargs={"npages": 64, "passes": 2},
             fabric=quiet_fabric(3),
-            telemetry=TelemetryConfig(trace=True),
+            env=RunEnv(telemetry=TelemetryConfig(trace=True)),
         )
         result = execute([spec], jobs=1)[0]
         assert result.telemetry is not None
@@ -167,7 +168,7 @@ class TestTelemetryOnPool:
 
     def test_refusal_names_the_offending_specs(self):
         specs = grid()
-        specs[2].telemetry = TelemetryConfig(trace=True)
+        specs[2].env = RunEnv(telemetry=TelemetryConfig(trace=True))
         with pytest.raises(ValueError, match=specs[2].label()):
             execute(specs, jobs=2)
 

@@ -16,6 +16,7 @@ import pytest
 
 from repro.common.constants import BLOCK_SHIFT, PAGE_SHIFT
 from repro.sim import batchkernel, runner
+from repro.sim.machine import RunEnv
 from repro.sim.runner import collect, make_machine
 from repro.workloads import build
 from tests.conftest import quiet_fabric
@@ -117,9 +118,8 @@ class TestBatchKernelAdversarial:
     extraction at the last access of a chunk, a one-access chunk
     degenerating every run to a single access)."""
 
-    def _oracle(self, workload, trace, **machine_kwargs):
-        machine = make_machine(workload, "hopp", 0.5, quiet_fabric(3),
-                               **machine_kwargs)
+    def _oracle(self, workload, trace, env=None):
+        machine = make_machine(workload, "hopp", 0.5, quiet_fabric(3), env=env)
         machine.run(trace, use_fast_path=False)
         machine.flush_recovery()
         return collect(machine, "hopp", "adv").to_dict(full=True)
@@ -157,11 +157,11 @@ class TestBatchKernelAdversarial:
     def test_telemetry_armed(self):
         from repro.telemetry import TelemetryConfig
 
+        env = RunEnv(telemetry=TelemetryConfig())
         workload = build("stream-simple", seed=3)
         trace = page_sweep_trace(workload)
-        want = self._oracle(workload, trace, telemetry=TelemetryConfig())
-        machine = make_machine(workload, "hopp", 0.5, quiet_fabric(3),
-                               telemetry=TelemetryConfig())
+        want = self._oracle(workload, trace, env)
+        machine = make_machine(workload, "hopp", 0.5, quiet_fabric(3), env=env)
         machine.run(trace)
         machine.flush_recovery()
         assert collect(machine, "hopp", "adv").to_dict(full=True) == want
@@ -169,11 +169,11 @@ class TestBatchKernelAdversarial:
     def test_chaos_fault_plan(self):
         from repro.net.faults import FaultPlan
 
+        env = RunEnv(fault_plan=FaultPlan.chaos(seed=3))
         workload = build("stream-simple", seed=3)
         trace = page_sweep_trace(workload)
-        want = self._oracle(workload, trace, fault_plan=FaultPlan.chaos(seed=3))
-        machine = make_machine(workload, "hopp", 0.5, quiet_fabric(3),
-                               fault_plan=FaultPlan.chaos(seed=3))
+        want = self._oracle(workload, trace, env)
+        machine = make_machine(workload, "hopp", 0.5, quiet_fabric(3), env=env)
         machine.run(trace)
         machine.flush_recovery()
         assert collect(machine, "hopp", "adv").to_dict(full=True) == want
@@ -181,11 +181,11 @@ class TestBatchKernelAdversarial:
     def test_memtier_active(self):
         from repro.memtier import MemtierConfig
 
+        env = RunEnv(memtier=MemtierConfig())
         workload = build("stream-simple", seed=3)
         trace = page_sweep_trace(workload)
-        want = self._oracle(workload, trace, memtier=MemtierConfig())
-        machine = make_machine(workload, "hopp", 0.5, quiet_fabric(3),
-                               memtier=MemtierConfig())
+        want = self._oracle(workload, trace, env)
+        machine = make_machine(workload, "hopp", 0.5, quiet_fabric(3), env=env)
         machine.run(trace)
         machine.flush_recovery()
         assert collect(machine, "hopp", "adv").to_dict(full=True) == want
@@ -365,11 +365,10 @@ class TestFastPathGating:
         workload = build("stream-simple", seed=3, npages=256, passes=10)
         trace = list(workload.trace())
         assert len(trace) >= 2000
-        a = make_machine(workload, "hopp", 0.5, quiet_fabric(3),
-                         check_invariants=True)
+        env = RunEnv(check_invariants=True)
+        a = make_machine(workload, "hopp", 0.5, quiet_fabric(3), env=env)
         a.run(trace)
-        b = make_machine(workload, "hopp", 0.5, quiet_fabric(3),
-                         check_invariants=True)
+        b = make_machine(workload, "hopp", 0.5, quiet_fabric(3), env=env)
         b.run(trace, use_fast_path=False)
         assert collect(a, "hopp", "s").to_dict(full=True) == \
             collect(b, "hopp", "s").to_dict(full=True)
@@ -410,6 +409,33 @@ class TestFastPathGating:
         assert fast.to_dict(full=True) == slow.to_dict(full=True)
         tracer, controller = tapped[0]
         assert tracer.ring.produced == controller.accesses > 0
+
+    def test_starved_prototype_plane_matches_oracle(self):
+        # The Section V prototype's tap only enqueues into a trace ring
+        # that a rate-limited consumer drains; feeding its HPD straight
+        # from the kernel would skip the lag and the dropped records.
+        from repro.baselines.fastswap import FastswapPrefetcher
+        from repro.hopp.prototype import PrototypeDataPlane
+        from repro.sim.machine import Machine
+        from repro.sim.systems import SystemSpec
+
+        def builder(config):
+            machine = Machine(config, fault_prefetcher=FastswapPrefetcher())
+            plane = PrototypeDataPlane(machine, consume_rate_per_us=1.0,
+                                       ring_capacity=256)
+            machine.hopp = plane
+            machine.controller.add_tap(plane.on_mc_access)
+            return machine
+
+        planes = []
+        fast, slow = run_both(
+            "stream-simple", SystemSpec(name="hopp-proto", builder=builder),
+            0.5, attach=lambda machine: planes.append(machine.hopp),
+            npages=128, passes=2,
+        )
+        assert fast.to_dict(full=True) == slow.to_dict(full=True)
+        assert planes[0].records_dropped == planes[1].records_dropped > 0
+        assert planes[0].records_consumed == planes[1].records_consumed
 
     def test_multichannel_hpd_machine_matches_oracle(self):
         from repro.hopp.hpd import MultiChannelHpd

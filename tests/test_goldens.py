@@ -21,6 +21,7 @@ from repro.cluster.cluster import ClusterConfig
 from repro.net.faults import FaultPlan
 from repro.net.rdma import FabricConfig
 from repro.sim import runner
+from repro.sim.machine import RunEnv
 from repro.workloads import build
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "goldens_v1.json"
@@ -61,7 +62,6 @@ def goldens():
 def test_result_matches_golden(case, goldens):
     name, system, fraction, plan, cluster = case
     workload = build(name, seed=SEED)
-    result = runner.run(
-        workload, system, fraction, FabricConfig(seed=SEED), plan, cluster
-    )
+    env = RunEnv(fault_plan=plan, cluster=cluster or ClusterConfig())
+    result = runner.run(workload, system, fraction, FabricConfig(seed=SEED), env=env)
     assert result.to_dict() == goldens[_key(*case)]

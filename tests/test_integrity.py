@@ -41,7 +41,7 @@ from repro.kernel.swap import SwapSpace
 from repro.memtier import TIER_POOL, MemtierConfig
 from repro.net.faults import FaultInjector, FaultPlan
 from repro.sim import runner
-from repro.sim.machine import Machine, MachineConfig
+from repro.sim.machine import Machine, MachineConfig, RunEnv
 from repro.sim.metrics import RunResult
 from repro.sim.sanitizer import InvariantSanitizer
 from repro.workloads import build
@@ -74,11 +74,13 @@ def _machine(plan=None, nodes=2, replication=1, local_pages=16,
             local_memory_pages=local_pages,
             fabric=quiet_fabric(),
             watermark_slack=4,
-            fault_plan=plan,
-            cluster=ClusterConfig(nodes=nodes, replication=replication),
-            check_invariants=check_invariants,
-            memtier=memtier,
-            scrub=scrub,
+            env=RunEnv(
+                fault_plan=plan,
+                cluster=ClusterConfig(nodes=nodes, replication=replication),
+                check_invariants=check_invariants,
+                memtier=memtier,
+                scrub=scrub,
+            ),
         )
     )
     machine.register_process(1)
@@ -96,12 +98,14 @@ def _acceptance_result(replication, scrub_rate=5000.0, seed=1,
         "hopp",
         0.5,
         quiet_fabric(),
-        plan or FaultPlan.corruption(seed),
-        ClusterConfig(nodes=nodes, replication=replication),
-        check_invariants=True,
-        scrub=(
-            ScrubConfig(rate_pages_per_s=scrub_rate)
-            if scrub_rate else None
+        env=RunEnv(
+            fault_plan=plan or FaultPlan.corruption(seed),
+            cluster=ClusterConfig(nodes=nodes, replication=replication),
+            check_invariants=True,
+            scrub=(
+                ScrubConfig(rate_pages_per_s=scrub_rate)
+                if scrub_rate else None
+            ),
         ),
     )
 
@@ -622,7 +626,8 @@ class TestCorruptionAcceptance:
         # section: pre-existing chaos results stay byte-identical.
         workload = build("stream-simple", npages=120, passes=2)
         result = runner.run(
-            workload, "hopp", 0.5, quiet_fabric(), FaultPlan.chaos(1)
+            workload, "hopp", 0.5, quiet_fabric(),
+            env=RunEnv(fault_plan=FaultPlan.chaos(1)),
         )
         assert "integrity" not in result.to_dict(full=True)
 

@@ -10,6 +10,7 @@ from repro.baselines.depthn import DepthNPrefetcher
 from repro.baselines.fastswap import FastswapPrefetcher
 from repro.common.constants import (
     T_DRAM_HIT_US,
+    T_MINOR_FAULT_US,
     T_PREFETCH_HIT_US,
 )
 from repro.kernel.page_table import PteState
@@ -34,7 +35,7 @@ class TestFirstTouch:
     def test_minor_fault_maps_page(self):
         machine = make_machine()
         cost = machine.access(1, 0)
-        assert cost == pytest.approx(machine.config.minor_fault_cost_us)
+        assert cost == pytest.approx(T_MINOR_FAULT_US)
         assert machine.minor_faults == 1
         assert machine.page_state(1, 0) == PteState.PRESENT
 

@@ -36,7 +36,7 @@ from repro.memtier import (
 )
 from repro.net.faults import FaultPlan
 from repro.sim import runner
-from repro.sim.machine import Machine, MachineConfig
+from repro.sim.machine import Machine, MachineConfig, RunEnv
 from repro.sim.metrics import RunResult
 from repro.telemetry import TelemetryConfig, prometheus_snapshot
 from repro.workloads import build
@@ -56,10 +56,12 @@ def _tiered_machine(memtier=None, local_pages=24, plan=None,
             local_memory_pages=local_pages,
             fabric=quiet_fabric(),
             watermark_slack=4,
-            fault_plan=plan,
-            cluster=ClusterConfig(nodes=far_nodes),
-            check_invariants=check_invariants,
-            memtier=memtier or _tiny_pool(),
+            env=RunEnv(
+                fault_plan=plan,
+                cluster=ClusterConfig(nodes=far_nodes),
+                check_invariants=check_invariants,
+                memtier=memtier or _tiny_pool(),
+            ),
         )
     )
     machine.register_process(1)
@@ -240,10 +242,12 @@ class TestMachineDerivation:
                 local_memory_pages=24,
                 fabric=quiet_fabric(),
                 watermark_slack=4,
-                cluster=ClusterConfig(
-                    nodes=2, node_tiers=("pool", "far"), placement="tiered"
+                env=RunEnv(
+                    cluster=ClusterConfig(
+                        nodes=2, node_tiers=("pool", "far"), placement="tiered"
+                    ),
+                    memtier=MemtierConfig(pool_nodes=1),
                 ),
-                memtier=MemtierConfig(pool_nodes=1),
             )
         )
         # No extra nodes appended: the explicit labeling wins.
@@ -352,7 +356,7 @@ class TestEndToEnd:
         workload = build("kv-cache", seed=7)
         result = runner.run(
             workload, "hopp", 0.4, quiet_fabric(7),
-            memtier=_tiny_pool(),
+            env=RunEnv(memtier=_tiny_pool()),
         )
         section = result.memtier
         assert section is not None
@@ -378,9 +382,11 @@ class TestEndToEnd:
         workload = build("kv-cache", seed=7)
         result = runner.run(
             workload, "hopp", 0.4, quiet_fabric(7),
-            fault_plan=FaultPlan.chaos(7),
-            check_invariants=True,
-            memtier=_tiny_pool(),
+            env=RunEnv(
+                fault_plan=FaultPlan.chaos(7),
+                check_invariants=True,
+                memtier=_tiny_pool(),
+            ),
         )
         assert result.invariant_checks > 0
         for snap in result.node_stats:
@@ -396,7 +402,8 @@ class TestEndToEnd:
     def test_cxl_beats_rdma_latency(self):
         workload = build("stream-simple", seed=7)
         tiered = runner.run(
-            workload, "hopp", 0.5, quiet_fabric(7), memtier=MemtierConfig()
+            workload, "hopp", 0.5, quiet_fabric(7),
+            env=RunEnv(memtier=MemtierConfig()),
         )
         untiered = runner.run(workload, "hopp", 0.5, quiet_fabric(7))
         assert tiered.completion_time_us < untiered.completion_time_us
@@ -404,7 +411,8 @@ class TestEndToEnd:
     def test_memtier_section_round_trips(self):
         workload = build("stream-simple", seed=7)
         result = runner.run(
-            workload, "hopp", 0.5, quiet_fabric(7), memtier=MemtierConfig()
+            workload, "hopp", 0.5, quiet_fabric(7),
+            env=RunEnv(memtier=MemtierConfig()),
         )
         clone = RunResult.from_dict(result.to_dict(full=True))
         assert clone.memtier == result.memtier
@@ -424,8 +432,10 @@ class TestObservability:
         workload = build("kv-cache", seed=7)
         return runner.run(
             workload, "hopp", 0.4, quiet_fabric(7),
-            telemetry=TelemetryConfig(epoch_us=500.0),
-            memtier=_tiny_pool(),
+            env=RunEnv(
+                telemetry=TelemetryConfig(epoch_us=500.0),
+                memtier=_tiny_pool(),
+            ),
         )
 
     def test_series_reconcile_with_section(self):

@@ -84,7 +84,7 @@ class TestStrictPrefetchCharging:
 
     def _corun_machine(self, strict: bool):
         from repro.sim import systems
-        from repro.sim.machine import MachineConfig
+        from repro.sim.machine import MachineConfig, RunEnv
         from repro.sim.multiprogram import (
             build_corun_machine,
             interleave_traces,
@@ -99,7 +99,7 @@ class TestStrictPrefetchCharging:
             fabric=quiet_fabric(),
             compute_us_per_access=0.3,
             strict_cgroup_prefetch=strict,
-            check_invariants=True,
+            env=RunEnv(check_invariants=True),
         )
         machine, traces = build_corun_machine(
             apps, systems.build("hopp"), 0.3, config

@@ -2,9 +2,13 @@
 
 import pytest
 
+from repro.memtier import MemtierConfig
+from repro.net.faults import FaultPlan
 from repro.sim import runner, systems
+from repro.sim.machine import RunEnv
 from repro.sim.metrics import RunResult
 from repro.sim.multiprogram import run_corun
+from repro.telemetry import TelemetryConfig
 from repro.workloads import build
 from tests.conftest import quiet_fabric
 
@@ -97,6 +101,26 @@ class TestRunner:
         assert 0 < np_fast < 1
         assert np_hopp > np_fast
         assert comparison.speedup("hopp") > 0
+
+    def test_compare_applies_env_to_systems_not_ct_local(self):
+        wl = small_stream()
+        fabric = quiet_fabric()
+        env = RunEnv(memtier=MemtierConfig(), telemetry=TelemetryConfig())
+        comparison = runner.compare(wl, ["fastswap", "hopp"], 0.5, fabric, env=env)
+        for name in ("fastswap", "hopp"):
+            result = comparison.results[name]
+            assert result.memtier is not None
+            assert result.telemetry is not None
+            alone = runner.run(wl, name, 0.5, fabric, env=env)
+            assert result.to_dict(full=True) == alone.to_dict(full=True)
+        # CT_local stays the clean single-node yardstick.
+        assert comparison.ct_local_us == runner.local_completion_time(wl, fabric)
+
+    def test_env_is_keyword_only(self):
+        # A stale positional call must not bind a fault plan to env.
+        with pytest.raises(TypeError):
+            runner.run(small_stream(), "hopp", 0.5, quiet_fabric(),
+                       FaultPlan.chaos(1))
 
 
 class TestMetrics:

@@ -34,7 +34,7 @@ from repro.scenario import (
     run_scenario,
 )
 from repro.scenario.traffic import TIER_BEST_EFFORT, TIER_GUARANTEED
-from repro.sim.machine import Machine, MachineConfig
+from repro.sim.machine import Machine, MachineConfig, RunEnv
 from repro.sim.metrics import RunResult
 from repro.telemetry.events import EV_DEMAND_FAULT
 from repro.cluster.cluster import ClusterConfig
@@ -276,8 +276,9 @@ def _armed_machine(nodes=3, standby=1):
     machine = Machine(
         MachineConfig(
             local_memory_pages=64,
-            fault_plan=FaultPlan(),
-            cluster=ClusterConfig(nodes=nodes),
+            env=RunEnv(
+                fault_plan=FaultPlan(), cluster=ClusterConfig(nodes=nodes)
+            ),
         )
     )
     machine.register_process(0)

@@ -33,7 +33,7 @@ from repro.kernel.page_table import PteState
 from repro.kernel.swap import SwapSpace
 from repro.net.faults import FaultPlan
 from repro.sim import runner
-from repro.sim.machine import Machine, MachineConfig
+from repro.sim.machine import Machine, MachineConfig, RunEnv
 from repro.sim.sanitizer import InvariantSanitizer, InvariantViolation
 from repro.workloads import build
 from tests.conftest import quiet_fabric, touch_pages
@@ -62,9 +62,11 @@ def _machine(nodes=2, replication=1, plan=None, local_pages=16,
             local_memory_pages=local_pages,
             fabric=quiet_fabric(),
             watermark_slack=4,
-            fault_plan=plan,
-            cluster=ClusterConfig(nodes=nodes, replication=replication),
-            check_invariants=check_invariants,
+            env=RunEnv(
+                fault_plan=plan,
+                cluster=ClusterConfig(nodes=nodes, replication=replication),
+                check_invariants=check_invariants,
+            ),
         )
     )
     machine.register_process(1)
@@ -86,9 +88,11 @@ def _crash_machine(replication, rejoin=False, check_invariants=True):
         "hopp",
         0.5,
         quiet_fabric(),
-        plan,
-        ClusterConfig(nodes=3, replication=replication),
-        check_invariants=check_invariants,
+        env=RunEnv(
+            fault_plan=plan,
+            cluster=ClusterConfig(nodes=3, replication=replication),
+            check_invariants=check_invariants,
+        ),
     )
     machine.run(workload.trace())
     machine.flush_recovery()
@@ -445,7 +449,7 @@ class TestSanitizer:
         workload = build("quicksort", seed=1)
         result = runner.run(
             workload, "noprefetch", 0.5, quiet_fabric(),
-            check_invariants=True,
+            env=RunEnv(check_invariants=True),
         )
         assert result.invariant_checks > 0
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import json
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.cluster.cluster import ClusterConfig
 from repro.net.faults import FaultPlan
 from repro.net.rdma import FabricConfig
 from repro.sim import runner
+from repro.sim.machine import RunEnv
 from repro.telemetry import (
     Telemetry,
     TelemetryConfig,
@@ -48,15 +50,16 @@ from repro.workloads import build
 
 SEED = 7
 
-#: name -> (workload, system, fraction, fault_plan, cluster).  Spans the
-#: probe surface: prefetch lifecycle (hopp), retry/drop traffic (chaos),
-#: and node transitions + repair (crash on a replicated cluster).
+#: name -> (workload, system, fraction, env).  Spans the probe surface:
+#: prefetch lifecycle (hopp), retry/drop traffic (chaos), and node
+#: transitions + repair (crash on a replicated cluster).
 _CASES = {
-    "prefetch": ("quicksort", "hopp", 0.5, None, None),
-    "chaos": ("kv-cache", "hopp", 0.5, FaultPlan.chaos(SEED), None),
+    "prefetch": ("quicksort", "hopp", 0.5, RunEnv()),
+    "chaos": ("kv-cache", "hopp", 0.5, RunEnv(fault_plan=FaultPlan.chaos(SEED))),
     "crash": (
-        "quicksort", "noprefetch", 0.5, FaultPlan.crash(SEED),
-        ClusterConfig(nodes=3, replication=2),
+        "quicksort", "noprefetch", 0.5,
+        RunEnv(fault_plan=FaultPlan.crash(SEED),
+               cluster=ClusterConfig(nodes=3, replication=2)),
     ),
 }
 
@@ -64,7 +67,7 @@ _CASES = {
 @functools.lru_cache(maxsize=None)
 def run_pair(case: str):
     """(disabled, enabled) RunResults for one case, computed once."""
-    workload_name, system, fraction, plan, cluster = _CASES[case]
+    workload_name, system, fraction, env = _CASES[case]
     outs = []
     for telemetry in (None, TelemetryConfig(epoch_us=500.0, trace=True)):
         outs.append(
@@ -73,9 +76,7 @@ def run_pair(case: str):
                 system,
                 fraction,
                 FabricConfig(seed=SEED),
-                plan,
-                cluster,
-                telemetry=telemetry,
+                env=replace(env, telemetry=telemetry),
             )
         )
     return tuple(outs)
@@ -288,7 +289,7 @@ class TestChromeTrace:
         workload = build("quicksort", seed=SEED)
         result = runner.run(
             workload, "hopp", 0.5, FabricConfig(seed=SEED),
-            telemetry=TelemetryConfig(trace=True, trace_limit=5),
+            env=RunEnv(telemetry=TelemetryConfig(trace=True, trace_limit=5)),
         )
         blob = result.telemetry
         assert len(blob["trace_events"]) == 5

@@ -162,8 +162,8 @@ class TestBinding:
             small_base(),
             {"cluster.nodes": 3, "cluster.replication": 2, "run.fraction": 0.25},
         )
-        assert spec.cluster.nodes == 3
-        assert spec.cluster.replication == 2
+        assert spec.env.cluster.nodes == 3
+        assert spec.env.cluster.replication == 2
         assert spec.fraction == 0.25
 
     def test_memtier_pool_nodes_zero_means_untiered(self):
@@ -171,13 +171,13 @@ class TestBinding:
             small_base(),
             {"memtier.pool_nodes": 0, "memtier.cxl_latency_us": 1.0},
         )
-        assert off.memtier is None
+        assert off.env.memtier is None
         on = to_run_spec(
             small_base(),
             {"memtier.pool_nodes": 2, "memtier.cxl_latency_us": 1.0},
         )
-        assert on.memtier.pool_nodes == 2
-        assert on.memtier.cxl_latency_us == 1.0
+        assert on.env.memtier.pool_nodes == 2
+        assert on.env.memtier.cxl_latency_us == 1.0
 
     def test_base_spec_is_not_mutated(self):
         base = small_base()
