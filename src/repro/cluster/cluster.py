@@ -320,18 +320,21 @@ class RemoteMemoryCluster:
         on the ring successors.  DOWN/DRAINING nodes are skipped when a
         health monitor is attached.  Returns the holders in write order."""
         primary = self.placement.place(pid, vpn, slot, self)
+        count = len(self.nodes)
+        replication = self.config.replication
         if self.health is None:
-            holders = [
-                (primary + k) % self.node_count
-                for k in range(self.config.replication)
-            ]
+            if replication == 1:
+                primary %= count
+                self._holders[slot] = [primary]
+                return [self.nodes[primary]]
+            holders = [(primary + k) % count for k in range(replication)]
         else:
             holders = []
-            for hop in range(self.node_count):
-                candidate = (primary + hop) % self.node_count
+            for hop in range(count):
+                candidate = (primary + hop) % count
                 if self._placeable(candidate):
                     holders.append(candidate)
-                    if len(holders) == self.config.replication:
+                    if len(holders) == replication:
                         break
             if not holders:
                 # Nowhere healthy to place: fall back to the policy's

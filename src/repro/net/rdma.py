@@ -95,21 +95,8 @@ class RdmaFabric:
         self.reads = 0
         self.writes = 0
         self.latency_stat = RunningStat()
-
-    @property
-    def page_service_us(self) -> float:
-        """Link occupancy of one 4 KB page at the configured bandwidth."""
-        bits = PAGE_SIZE * 8
-        return bits / (self.config.gbps * 1e3)  # Gbps -> bits/us
-
-    def _propagation_us(self, now_us: float) -> float:
-        cfg = self.config
-        latency = cfg.base_latency_us + self._rng.uniform(0.0, cfg.jitter_us)
-        if cfg.spike_probability and self._rng.random() < cfg.spike_probability:
-            latency *= cfg.spike_factor
-        if self.injector is not None:
-            latency *= self.injector.latency_factor(now_us)
-        return latency
+        #: Link occupancy of one 4 KB page at the configured bandwidth.
+        self.page_service_us = PAGE_SIZE * 8 / (self.config.gbps * 1e3)
 
     def read_page(self, now_us: float, priority: bool = False) -> float:
         """Issue a 4 KB READ at ``now_us``; returns its completion time.
@@ -129,6 +116,7 @@ class RdmaFabric:
                 now_us, "demand" if priority else "prefetch"
             )
         done = self._transfer(now_us, priority)
+        self.latency_stat.add(done - now_us)
         if self.probe is not None:
             self.probe.emit(EV_FETCH_LATENCY, done, latency_us=done - now_us)
         return done
@@ -146,12 +134,9 @@ class RdmaFabric:
             self.probe.emit(EV_FABRIC_READ, now_us, n=npages)
         if self.injector is not None:
             self.injector.check_transfer(now_us, "prefetch")
-        start = max(now_us, self._link_free_at_us)
-        self._link_free_at_us = start + npages * self.page_service_us
-        first_byte = start + self._propagation_us(now_us)
-        arrivals = [
-            first_byte + (i + 1) * self.page_service_us for i in range(npages)
-        ]
+        first_byte = self._transfer(now_us, False, npages)
+        service = self.page_service_us
+        arrivals = [first_byte + (i + 1) * service for i in range(npages)]
         self.latency_stat.add(arrivals[-1] - now_us)
         if self.probe is not None:
             self.probe.emit(
@@ -167,20 +152,36 @@ class RdmaFabric:
             self.probe.emit(EV_FABRIC_WRITE, now_us)
         if self.injector is not None:
             self.injector.check_transfer(now_us, "write")
-        return self._transfer(now_us, priority=False)
-
-    def _transfer(self, now_us: float, priority: bool) -> float:
-        if priority:
-            start = max(now_us, self._prio_free_at_us)
-            self._prio_free_at_us = start + self.page_service_us
-            # The link is shared: bulk traffic sees priority occupancy.
-            self._link_free_at_us = max(self._link_free_at_us, self._prio_free_at_us)
-        else:
-            start = max(now_us, self._link_free_at_us)
-            self._link_free_at_us = start + self.page_service_us
-        done = start + self._propagation_us(now_us)
+        done = self._transfer(now_us, False)
         self.latency_stat.add(done - now_us)
         return done
+
+    def _transfer(self, now_us: float, priority: bool, pages: int = 1) -> float:
+        """Queue ``pages`` pages at ``now_us``; returns when the first
+        byte lands: the service start plus one propagation delay (base,
+        uniform jitter, an occasional spike, any injected slowdown)."""
+        if priority:
+            free = self._prio_free_at_us
+            start = free if free > now_us else now_us
+            free = start + self.page_service_us
+            self._prio_free_at_us = free
+            # The link is shared: bulk traffic sees priority occupancy.
+            if free > self._link_free_at_us:
+                self._link_free_at_us = free
+        else:
+            free = self._link_free_at_us
+            start = free if free > now_us else now_us
+            self._link_free_at_us = start + pages * self.page_service_us
+        cfg = self.config
+        rng = self._rng
+        # uniform(0.0, j) is 0.0 + (j - 0.0) * random(): j * random()
+        # bit for bit.
+        latency = cfg.base_latency_us + cfg.jitter_us * rng.random()
+        if cfg.spike_probability and rng.random() < cfg.spike_probability:
+            latency *= cfg.spike_factor
+        if self.injector is not None:
+            latency *= self.injector.latency_factor(now_us)
+        return start + latency
 
     @property
     def transfers(self) -> int:

@@ -1,15 +1,14 @@
 """Batch kernel for :meth:`Machine.run`'s fast path.
 
-Between *barriers* the machine's event state is frozen: no prefetch
-arrival is due, residency cannot change (only faults, prefetch
-issue/arrival and eviction move PTEs), and the HPD table only moves
-when it is fed.  So the kernel buffers the trace in chunks and scans
-ahead into *same-page runs* — maximal spans of consecutive accesses by
-one pid to one resident vpn — bounded by the next barrier: the chunk
-edge, a due prefetch arrival, a residency miss, or an HPD extraction
-(which enters the HoPP pipeline and may issue prefetches, evict pages
-and mutate the arrivals heap).  Each run is retired with O(1)
-bookkeeping instead of O(run):
+Between *barriers* the machine's event state is frozen: residency
+cannot change (only faults, prefetch issue/arrival and eviction move
+PTEs), and the HPD table only moves when it is fed.  So the kernel
+buffers the trace in chunks and scans ahead into *same-page runs* —
+maximal spans of consecutive accesses by one pid to one resident vpn —
+bounded by the next barrier: the chunk edge, a residency miss (PTE
+absent or not PRESENT), or an HPD extraction (which enters the HoPP
+pipeline and may issue prefetches, evict pages and mutate the arrivals
+heap).  Each run is retired with O(1) bookkeeping instead of O(run):
 
 * HPD counters collapse via :meth:`HotPageDetector.process_run`;
 * the LRU touch is applied once per run (touching an already-MRU key
@@ -22,10 +21,18 @@ bookkeeping instead of O(run):
   ``now_us`` increment is ``T_DRAM_HIT_US + compute`` rounded once;
   :func:`_add_n` gives a long chain's result without the loop.
 
-Every other access — a missing, non-PRESENT or prefetched PTE, or one
-past the arrival budget — goes through :meth:`Machine.access` itself,
-with the kernel's locals flushed before and reloaded after; its MC tap
-then feeds HPD exactly as in the oracle loop.
+Only a residency miss — a fault — goes through :meth:`Machine.access`
+itself, with the kernel's locals flushed before and reloaded after; its
+MC tap then feeds HPD exactly as in the oracle loop.  Two other events
+are retired in the kernel, in the oracle's order:
+
+* a due prefetch arrival is landed by ``Machine._process_arrivals(now)``
+  before the access reads its PTE, the oracle's own first step for that
+  access (landing reads none of the kernel's locals);
+* the first touch of an injected prefetch (a PRESENT PTE that still
+  carries ``prefetched``) touches the LRU, then counts the hit with
+  ``now_us`` flushed to the access's start time, and ends its run: the
+  count may reorder the LRU or issue prefetches.
 
 On a tap-free machine with no arrival pending, a chunk of reads by one
 pid has no barrier but residency misses.  The kernel then finds the
@@ -40,12 +47,14 @@ time in builtins rather than in per-access bytecode, which also keeps
 its speed steady when a shared host slows bytecode dispatch more than
 it slows memory-bound work.
 
-Exactness of the arrival barrier: the oracle takes the resident path
-while ``arrivals[0][0] > now``.  Within a run ``now`` advances by the
-constant ``cost0`` per access, so the accesses that fit before the
-deadline have the closed form ``gap / cost0``; the kernel budgets
-``int(gap / cost0) - 1``, whose slack (at least one full ``cost0``)
-dwarfs the rounding error of a chunk-long float sum.  The budget only needs to be
+Exactness of the arrival budget: a run must stop before the access
+that starts at or after the head arrival, where the oracle would land
+it first.  Within a run ``now`` advances by the constant ``cost0`` per
+access, so the accesses that fit have the closed form ``gap / cost0``;
+the kernel budgets ``int(gap / cost0) - 1``, whose slack (at least one
+full ``cost0``) dwarfs the rounding error of a chunk-long float sum,
+but never less than one: once due arrivals have landed, the head is
+after the current access's start.  The budget only needs to be
 conservative, never tight.
 
 Results are byte-identical to ``use_fast_path=False`` (pinned by
@@ -160,6 +169,8 @@ def _replay_chunk(m, plane, buf) -> None:
     tables = m._page_tables
     lru_of_pid = m._lru_of_pid
     access = m.access
+    process_arrivals = m._process_arrivals
+    count_prefetch_hit = m._count_prefetch_hit
     breakdown = m.breakdown
     present = PteState.PRESENT
     compute = m.config.compute_us_per_access
@@ -221,23 +232,24 @@ def _replay_chunk(m, plane, buf) -> None:
         else:
             pid, vaddr = item
             is_write = False
-        # -- barrier checks: due/imminent arrival, residency ------------
-        pte = None
+        # -- barriers: land due arrivals, then check residency -----------
+        budget = n
         if arrivals:
-            gap = arrivals[0][0] - now
-            budget = int(gap / cost0) - 1 if gap > 0.0 else 0
-        else:
-            budget = n
-        if budget > 0:
-            cached = hot.get(pid)
-            if cached is None:
-                cached = hot[pid] = (tables[pid]._entries, lru_of_pid(pid))
-            vpn = vaddr >> page_shift
-            pte = cached[0].get(vpn)
-            if pte is not None and (pte.state is not present or pte.prefetched):
-                pte = None
-        if pte is None:
-            # -- slow path: this one access goes through the oracle ------
+            if arrivals[0][0] <= now:
+                # The oracle's first step for this access; it reads none
+                # of the kernel's locals.
+                process_arrivals(now)
+            if arrivals:
+                budget = int((arrivals[0][0] - now) / cost0) - 1
+                if budget < 1:
+                    budget = 1
+        cached = hot.get(pid)
+        if cached is None:
+            cached = hot[pid] = (tables[pid]._entries, lru_of_pid(pid))
+        vpn = vaddr >> page_shift
+        pte = cached[0].get(vpn)
+        if pte is None or pte.state is not present:
+            # -- residency miss: this one access faults through the oracle --
             m.now_us = now
             m.accesses = accesses
             m.compute_us = compute_us
@@ -249,25 +261,36 @@ def _replay_chunk(m, plane, buf) -> None:
             dram = breakdown.dram_hit_us
             i += 1
             continue
-        # -- scan the same-page run ---------------------------------------
-        limit = i + budget
-        if limit > n:
-            limit = n
         writes = 1 if is_write else 0
-        if runs is not None:
-            # The chunk's runs are known; every access is a read.
-            j = starts[bisect_right(starts, i)]
-            if j > limit:
-                j = limit
-        else:
+        if pte.prefetched:
+            # -- first touch of an injected prefetch, in the oracle's
+            # order: LRU touch, then the hit count at the access's start
+            # time.  The count may reorder the LRU or issue prefetches,
+            # so the run ends with this access.
+            cached[1].touch(pid, vpn)
+            m.now_us = now
+            count_prefetch_hit(pid, vpn, pte, "dram")
             j = i + 1
-            while j < limit:
-                nxt = buf[j]
-                if nxt[0] != pid or nxt[1] >> page_shift != vpn:
-                    break
-                if len(nxt) == 3 and nxt[2]:
-                    writes += 1
-                j += 1
+        else:
+            # -- scan the same-page run -----------------------------------
+            limit = i + budget
+            if limit > n:
+                limit = n
+            if runs is not None:
+                # The chunk's runs are known; every access is a read.
+                j = starts[bisect_right(starts, i)]
+                if j > limit:
+                    j = limit
+            else:
+                j = i + 1
+                while j < limit:
+                    nxt = buf[j]
+                    if nxt[0] != pid or nxt[1] >> page_shift != vpn:
+                        break
+                    if len(nxt) == 3 and nxt[2]:
+                        writes += 1
+                    j += 1
+            cached[1].touch(pid, vpn)
         consumed = j - i
         fired = False
         if plane is not None:
@@ -294,7 +317,6 @@ def _replay_chunk(m, plane, buf) -> None:
                 now += cost0
                 dram += t_dram
                 compute_us += compute
-        cached[1].touch(pid, vpn)
         if fired:
             # -- barrier: the extraction pipeline re-enters the machine --
             m.now_us = now

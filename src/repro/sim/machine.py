@@ -456,10 +456,13 @@ class Machine:
         """Drive a whole (pid, vaddr) or (pid, vaddr, is_write) trace.
 
         By default the batch kernel (:mod:`repro.sim.batchkernel`)
-        retires runs of resident hits without the fault machinery and
-        sends every other access through :meth:`access`.  It repeats
-        :meth:`access`'s arithmetic operation-for-operation, so every
-        counter and timestamp stays byte-identical to
+        retires runs of resident hits without the fault machinery,
+        lands due prefetch arrivals and counts first touches of injected
+        prefetches itself, and sends only faults through
+        :meth:`access`.  Its barriers are the chunk edge, a residency
+        miss (PTE absent or not PRESENT) and an HPD extraction.  It
+        repeats :meth:`access`'s arithmetic operation-for-operation, so
+        every counter and timestamp stays byte-identical to
         ``use_fast_path=False``, which sends every reference through
         :meth:`access` (the differential oracle) — pinned by
         tests/test_fastpath.py.  The kernel batches a tap-free machine,
@@ -514,7 +517,7 @@ class Machine:
         self.swapcache.take(pid, vpn)
         self._count_prefetch_hit(pid, vpn, pte, "swapcache")
         table.map_page(vpn, pte.ppn)
-        self._release_remote_copy(pid, vpn)
+        self._release_remote_copy(pte)
         self._lru_of_pid(pid).touch(pid, vpn)
         cost = T_PREFETCH_HIT_US
         self.breakdown.prefetch_hit_us += cost
@@ -530,7 +533,7 @@ class Machine:
         if pte.state == PteState.SWAPCACHE:
             self.swapcache.take(pid, vpn)
             table.map_page(vpn, pte.ppn)
-            self._release_remote_copy(pid, vpn)
+            self._release_remote_copy(pte)
         self._count_prefetch_hit(pid, vpn, pte, "inflight")
         self._lru_of_pid(pid).touch(pid, vpn)
         cost = wait + T_PREFETCH_HIT_US
@@ -601,7 +604,7 @@ class Machine:
                 self.fatal_faults_absorbed += 1
                 zero_filled = True
         table.map_page(vpn, ppn)
-        self._release_remote_copy(pid, vpn, slot)
+        self._release_remote_copy(pte, slot)
         self._lru_of_pid(pid).insert(pid, vpn)
         cost = (
             T_CONTEXT_SWITCH_US
@@ -793,11 +796,11 @@ class Machine:
         # peek, not entry: a rejected speculative target must not leave
         # an UNTOUCHED PTE behind in the page table.
         pte = table.peek(vpn)
-        if pte is None or pte.state != PteState.REMOTE:
+        if pte is None or pte.state is not PteState.REMOTE:
             return None
-        if self._slot_is_lost(pte.swap_slot) or self._slot_is_poisoned(
-            pte.swap_slot
-        ):
+        slot = pte.swap_slot
+        cluster = self.cluster
+        if slot in cluster._lost_slots or slot in cluster._poisoned_slots:
             # Every replica died (or is known-bad); nothing worth
             # fetching — the demand path will zero-fill on first touch.
             return None
@@ -817,7 +820,9 @@ class Machine:
                 self.prefetch_overlimit_rejects += 1
                 return None
         else:
-            self._ensure_headroom(pid)
+            # _ensure_headroom's own test, made here: most targets fit.
+            if self._resident[cgroup.name] + 1 > cgroup.limit_pages:
+                self._ensure_headroom(pid)
             cgroup.charge(1, prefetch=True)
         self._resident[cgroup.name] += 1
         self._resident_total += 1
@@ -826,8 +831,8 @@ class Machine:
         try:
             completion = node.fabric.read_page(now_us)
             if self.faults is not None:
-                if pte.swap_slot is not None and pte.swap_slot >= 0:
-                    node.remote.read(pte.swap_slot, now_us=now_us)
+                if slot >= 0:
+                    node.remote.read(slot, now_us=now_us)
                 completion += node.injector.remote_delay_us(now_us)
         except TransferTimeout:
             # Prefetches are speculative: never retried, dropped with
@@ -990,20 +995,21 @@ class Machine:
         return last_arrival
 
     def _process_arrivals(self, upto_us: float) -> None:
-        while self._arrivals and self._arrivals[0][0] <= upto_us:
-            arrival, _, pid, vpn = heapq.heappop(self._arrivals)
+        arrivals = self._arrivals
+        while arrivals and arrivals[0][0] <= upto_us:
+            arrival, _, pid, vpn = heapq.heappop(arrivals)
             table = self._page_tables[pid]
             pte = table.entry(vpn)
-            if pte.state != PteState.INFLIGHT:
+            if pte.state is not PteState.INFLIGHT:
                 continue
             if pte.injected:
                 # Early PTE injection: map immediately, no future fault.
                 table.map_page(vpn, pte.ppn, injected=True)
-                self._release_remote_copy(pid, vpn)
+                self._release_remote_copy(pte)
             else:
                 pte.state = PteState.SWAPCACHE
                 self.swapcache.insert(pid, vpn, pte.arrival_us)
-            self._lru_of_pid(pid).insert(pid, vpn)
+            self._lru_of[self._cgroup_of[pid].name].insert(pid, vpn)
             if self.telemetry is not None:
                 self.telemetry.bus.emit(
                     EV_PREFETCH_LAND, arrival,
@@ -1075,12 +1081,13 @@ class Machine:
         """Evict one resident page; returns 1 when it was a clean drop."""
         table = self._page_tables[pid]
         pte = table.entry(vpn)
-        lru = self._lru_of_pid(pid)
-        lru.remove(pid, vpn)
         cgroup = self._cgroup_of[pid]
+        lru = self._lru_of[cgroup.name]
+        lru.remove(pid, vpn)
         wasted = pte.prefetched
         was_prefetch_charge = False
-        if pte.state == PteState.SWAPCACHE:
+        state = pte.state
+        if state is PteState.SWAPCACHE:
             self.swapcache.drop(pid, vpn)
             if self.telemetry is not None:
                 self.telemetry.bus.emit(
@@ -1094,7 +1101,7 @@ class Machine:
                 # copy left.  Write it back to a fresh slot instead of
                 # clean-dropping it (that would turn a recoverable
                 # crash into data loss).
-                self._release_remote_copy(pid, vpn)
+                self._release_remote_copy(pte)
                 slot = self.swap_space.allocate(pid, vpn)
                 try:
                     self._writeback_resilient(slot, pid, vpn)
@@ -1124,18 +1131,17 @@ class Machine:
             pte.ppn = -1
             pte.state = PteState.REMOTE
             was_prefetch_charge = True
-        elif pte.state == PteState.PRESENT:
+        elif state is PteState.PRESENT:
             ppn = pte.ppn
             table.unmap_page(vpn)
             slot = self.swap_space.allocate(pid, vpn)
             if self.faults is None:
-                for index, target in enumerate(
-                    self.cluster.assign(slot, pid, vpn)
-                ):
+                now = self.now_us
+                targets = self.cluster.assign(slot, pid, vpn)
+                for target in targets:
                     target.remote.write(slot, pid, vpn)
-                    target.fabric.write_page(self.now_us)
-                    if index:
-                        self.cluster.replica_writes += 1
+                    target.fabric.write_page(now)
+                self.cluster.replica_writes += len(targets) - 1
             else:
                 try:
                     self._writeback_resilient(slot, pid, vpn)
@@ -1257,10 +1263,9 @@ class Machine:
         )
         self.memtier.pump(self.now_us)
 
-    def _release_remote_copy(self, pid: int, vpn: int, slot: Optional[int] = None) -> None:
+    def _release_remote_copy(self, pte: Pte, slot: Optional[int] = None) -> None:
         """The page is mapped locally again: drop its swap slot — every
         replica across the cluster, so slot accounting conserves."""
-        pte = self._page_tables[pid].entry(vpn)
         slot = pte.swap_slot if slot is None else slot
         if slot is not None and slot >= 0:
             self.cluster.release(slot)

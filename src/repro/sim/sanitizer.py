@@ -34,7 +34,8 @@ The checks (all must hold between accesses, never mid-fault):
    holders on nodes whose permanent crash has not been *detected* yet
    (their store still answers, so they are consistent by construction).
 5. **Residency accounting** — the per-cgroup resident counters sum to
-   the frames in use, and every node's slot accounting conserves.
+   the machine's running total and to the frames in use, and every
+   node's slot accounting conserves.
 6. **Integrity bookkeeping** — no slot is both lost and poisoned;
    every poisoned slot still has directory holders (poison means the
    data *exists* but is known-bad — loss drops the mark); every deviant
@@ -229,6 +230,12 @@ class InvariantSanitizer:
     def _check_residency(self) -> None:
         machine = self.machine
         resident = sum(machine._resident.values())
+        if resident != machine._resident_total:
+            _fail(
+                "residency",
+                f"cgroups count {resident} resident pages but the "
+                f"machine's running total is {machine._resident_total}",
+            )
         if resident != machine.frames.used:
             _fail(
                 "residency",

@@ -14,9 +14,11 @@ import random
 
 import pytest
 
-from repro.common.constants import BLOCK_SHIFT, PAGE_SHIFT
-from repro.sim import batchkernel, runner
-from repro.sim.machine import RunEnv
+from repro.baselines.depthn import DepthNPrefetcher
+from repro.common.constants import BLOCK_SHIFT, PAGE_SHIFT, T_DRAM_HIT_US
+from repro.net.rdma import FabricConfig
+from repro.sim import batchkernel, runner, systems
+from repro.sim.machine import Machine, MachineConfig, RunEnv
 from repro.sim.runner import collect, make_machine
 from repro.workloads import build
 from tests.conftest import quiet_fabric
@@ -450,3 +452,266 @@ class TestFastPathGating:
         assert isinstance(detectors[0], MultiChannelHpd)
         assert fast.extra["hpd_hot_page_ratio"] > 0
         assert fast.to_dict(full=True) == slow.to_dict(full=True)
+
+
+def page_visit_writes(trace, ratio=0.1, seed=5):
+    """Mark a seeded ``ratio`` of page visits as writes, every cacheline
+    of the visit."""
+    rng = random.Random(seed)
+    last = None
+    write = False
+    out = []
+    for pid, vaddr in trace:
+        page = (pid, vaddr >> PAGE_SHIFT)
+        if page != last:
+            last = page
+            write = rng.random() < ratio
+        out.append((pid, vaddr, write))
+    return out
+
+
+def machine_state(machine, system_name):
+    """What the differentials below compare: the full RunResult and
+    every cgroup's LRU order."""
+    return (
+        collect(machine, system_name, "adv").to_dict(full=True),
+        {name: list(lru) for name, lru in machine._lru_of.items()},
+    )
+
+
+class TestDispatchContract:
+    """The kernel calls :meth:`Machine.access` only for an access that
+    faults: due arrivals, accesses just ahead of an arrival and first
+    touches of injected prefetches all stay in the kernel."""
+
+    @pytest.mark.parametrize("writes", [False, True], ids=["reads", "writes"])
+    @pytest.mark.parametrize("system", ["hopp", "fastswap", "depth-16", "leap",
+                                        "noprefetch"])
+    @pytest.mark.parametrize("workload_name,kwargs", [
+        ("omp-kmeans", {}),
+        ("stream-simple", {"npages": 256, "passes": 3}),
+        ("kv-cache", {"operations": 4000}),
+    ], ids=["omp-kmeans", "stream-simple", "kv-cache"])
+    def test_access_is_called_once_per_fault(self, workload_name, kwargs,
+                                             system, writes):
+        workload = build(workload_name, seed=3, **kwargs)
+        trace = list(workload.trace())
+        if writes:
+            trace = page_visit_writes(trace)
+        machine = make_machine(workload, system, 0.5, quiet_fabric(3))
+        access = machine.access
+        calls = []
+
+        def counting(pid, vaddr, is_write=False):
+            calls.append(pid)
+            return access(pid, vaddr, is_write)
+
+        machine.access = counting
+        machine.run(trace)
+        faults = (machine.minor_faults + machine.remote_demand_reads
+                  + machine.prefetch_hit_swapcache
+                  + machine.prefetch_hit_inflight)
+        assert len(calls) == faults
+        assert machine.accesses == len(trace)
+
+
+#: Local pages of a scheduled-arrival machine; its warm-up touches 96,
+#: so the first 32 and more end up remote.
+SCHEDULED_LOCAL_PAGES = 64
+#: First resident page of the scheduled traces' runs.
+FIRST_RESIDENT_VPN = 70
+
+
+def scheduled_machine(system, gbps, env=None):
+    """A machine on a link with no propagation delay: a prefetch issued
+    at ``t`` on an idle link lands at exactly ``t``, and each one queued
+    behind it one ``page_service_us`` later.  Pages 0-95 are touched
+    once, so pages 0-31 are remote and 70-95 resident."""
+    config = MachineConfig(
+        local_memory_pages=SCHEDULED_LOCAL_PAGES,
+        fabric=FabricConfig(base_latency_us=0.0, jitter_us=0.0,
+                            spike_probability=0.0, gbps=gbps, seed=3),
+        watermark_slack=4,
+        compute_us_per_access=0.3,
+        env=env or RunEnv(),
+    )
+    machine = systems.build(system).build(config)
+    machine.register_process(1)
+    machine.add_vma(1, 0, 4096, "test")
+    machine.run([(1, vpn << PAGE_SHIFT) for vpn in range(96)],
+                use_fast_path=False)
+    return machine
+
+
+def start_times(now, trace, cost):
+    """Each access's start time when every access costs ``cost``: the
+    oracle's own float additions."""
+    out = []
+    for _ in trace:
+        out.append(now)
+        now += cost
+    return out
+
+
+def replay_scheduled(system, trace, schedule, chunk, monkeypatch, gbps,
+                     inject=True, env=None):
+    """Schedule prefetches ``(vpn, access index, copies)`` to land at
+    that access's start time (``copies`` extra requests queued behind
+    each, one service time apart), then replay ``trace`` through the
+    kernel and the oracle.  Returns both machines' states and the
+    oracle's landing log ``(head arrival, now)`` per landing call."""
+    states = []
+    landings = []
+    for fast in (True, False):
+        machine = scheduled_machine(system, gbps, env)
+        cost = T_DRAM_HIT_US + machine.config.compute_us_per_access
+        times = start_times(machine.now_us, trace, cost)
+        for vpn, index, copies in schedule:
+            for extra in range(copies + 1):
+                target = vpn + extra
+                assert machine.prefetch_page(1, target, times[index], inject,
+                                             "test") is not None
+        if not fast:
+            process_arrivals = machine._process_arrivals
+
+            def logged(upto_us, machine=machine, real=process_arrivals):
+                landings.append((machine._arrivals[0][0], upto_us))
+                real(upto_us)
+
+            machine._process_arrivals = logged
+        monkeypatch.setattr(batchkernel, "CHUNK", chunk)
+        machine.run(trace, use_fast_path=fast)
+        states.append(machine_state(machine, system))
+    return states[0], states[1], landings
+
+
+def resident_runs(lengths, first=FIRST_RESIDENT_VPN):
+    """Runs of the given lengths, each on its own resident page, so the
+    LRU order a landing leaves behind lasts to the end of the trace."""
+    trace = []
+    for index, length in enumerate(lengths):
+        vpn = first + index
+        trace += [(1, (vpn << PAGE_SHIFT) | (k << BLOCK_SHIFT))
+                  for k in range(length)]
+    return trace
+
+
+#: Run lengths that put scheduled arrivals at run starts, mid-run and
+#: on a run's last access.
+RUN_LENGTHS = (3, 1, 4, 2, 5, 1, 2, 6, 1, 3, 2, 4, 1, 1, 5, 3, 2, 2, 4, 1)
+
+
+class TestKernelLandsArrivals:
+    """The kernel lands due arrivals itself, as the oracle's first step
+    for the access, and lets an access run while the next arrival is
+    still ahead of its start.  Each case compares the kernel with the
+    oracle, LRU order included, at chunk sizes that put chunk edges
+    everywhere."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    def test_arrival_due_exactly_at_now(self, chunk, monkeypatch):
+        trace = resident_runs(RUN_LENGTHS)
+        schedule = [(vpn, index, 0) for vpn, index in
+                    zip(range(0, 16, 2), (2, 3, 7, 11, 16, 24, 31, 40))]
+        fast, slow, landings = replay_scheduled(
+            "noprefetch", trace, schedule, chunk, monkeypatch, gbps=1e4)
+        assert fast == slow
+        assert sum(head == now for head, now in landings) == len(schedule)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    @pytest.mark.parametrize("system", ["noprefetch", "hopp"])
+    def test_arrivals_closer_than_one_access_cost(self, system, chunk,
+                                                  monkeypatch):
+        # At 300 Gb/s a page occupies the link for 0.11 us, against
+        # 0.4 us per access: every batch lands over two accesses, and
+        # the access between its landings has a budget of one.
+        trace = resident_runs(RUN_LENGTHS)
+        schedule = [(0, 2, 5), (8, 13, 5), (16, 30, 5)]
+        fast, slow, landings = replay_scheduled(
+            system, trace, schedule, chunk, monkeypatch, gbps=300.0)
+        assert fast == slow
+        assert len(landings) >= 2 * len(schedule)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    @pytest.mark.parametrize("inject", [True, False],
+                             ids=["injected", "swapcache"])
+    def test_arrival_on_the_page_being_accessed(self, inject, chunk,
+                                                monkeypatch):
+        # Page 0 lands at the start of its own first access: injected,
+        # that access is the page's first touch (a DRAM prefetch hit);
+        # otherwise it is a swapcache hit through the oracle.  The
+        # telemetry trace records the hit at the machine's clock.
+        from repro.telemetry import TelemetryConfig
+
+        trace = resident_runs((3, 2))
+        trace += [(1, k << BLOCK_SHIFT) for k in range(4)]
+        trace += resident_runs((2, 3, 1), first=FIRST_RESIDENT_VPN + 2)
+        fast, slow, landings = replay_scheduled(
+            "noprefetch", trace, [(0, 5, 0)], chunk, monkeypatch,
+            gbps=1e4, inject=inject,
+            env=RunEnv(telemetry=TelemetryConfig(trace=True)))
+        assert fast == slow
+        result = fast[0]
+        assert result["prefetch_hit_dram" if inject
+                      else "prefetch_hit_swapcache"] == 1
+        assert landings and landings[0][0] == landings[0][1]
+
+
+class DemotingDepthN(DepthNPrefetcher):
+    """Depth-16 whose hit feedback sends the page just hit to the cold
+    end of the LRU: the kernel must touch the page before counting the
+    hit, as the oracle does, or its touch would undo the demotion."""
+
+    def on_prefetch_hit(self, pid, vpn, now_us, machine=None):
+        machine.demote_page(pid, vpn)
+
+
+DEMOTING = systems.SystemSpec(
+    name="depth-16-demote",
+    builder=lambda config: Machine(config, fault_prefetcher=DemotingDepthN(16)),
+)
+
+
+class TestKernelFirstTouches:
+    """The first touch of an injected prefetch (a PRESENT page that
+    still carries its prefetch bookkeeping) is retired in the kernel:
+    LRU touch, then the hit count at the access's start time."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    @pytest.mark.parametrize("case", ["hopp", "depth-16", "hopp-telemetry"])
+    def test_injected_first_touches_match_oracle(self, case, chunk,
+                                                 monkeypatch):
+        from repro.telemetry import TelemetryConfig
+
+        system = "depth-16" if case == "depth-16" else "hopp"
+        env = RunEnv(telemetry=TelemetryConfig()) if case.endswith(
+            "telemetry") else None
+        # Zipf-skewed short visits: first touches fall between flushes
+        # of the kernel's clock, and arrivals land among short runs.
+        workload = build("kv-cache", seed=3, operations=4000)
+        trace = list(workload.trace())
+        states = []
+        for fast in (True, False):
+            machine = make_machine(workload, system, 0.5, quiet_fabric(3),
+                                   env=env)
+            monkeypatch.setattr(batchkernel, "CHUNK", chunk)
+            machine.run(trace, use_fast_path=fast)
+            states.append(machine_state(machine, system))
+        assert states[0] == states[1]
+        assert states[0][0]["prefetch_hit_dram"] > 0
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    def test_hit_feedback_that_demotes_the_page(self, chunk, monkeypatch):
+        # One access per page visit: a demoted page stays at the cold
+        # end until reclaim takes it.
+        workload = build("stream-simple", seed=3, npages=160, passes=3,
+                         blocks_per_page=1)
+        trace = list(workload.trace())
+        states = []
+        for fast in (True, False):
+            machine = make_machine(workload, DEMOTING, 0.5, quiet_fabric(3))
+            monkeypatch.setattr(batchkernel, "CHUNK", chunk)
+            machine.run(trace, use_fast_path=fast)
+            states.append(machine_state(machine, DEMOTING.name))
+        assert states[0] == states[1]
+        assert states[0][0]["prefetch_hit_dram"] > 0

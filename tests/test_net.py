@@ -113,6 +113,48 @@ class TestReadBatchPinned:
         # The priority QP does not queue behind bulk batches.
         assert fabric.read_page(100.0, priority=True) == 104.42870560344535
 
+    def test_interleaved_transfers_with_spikes(self):
+        # Bulk reads, writebacks, priority reads and one batch share the
+        # RNG stream and the two service cursors; at this spike rate
+        # some transfers take 5x the base latency.  Any change to the
+        # draw order or to the float operations of a transfer moves
+        # these values.
+        fabric = RdmaFabric(FabricConfig(seed=7, spike_probability=0.25))
+        ops = [
+            ("read", 0.0), ("write", 0.0), ("prio", 0.5), ("read", 1.0),
+            ("write", 1.0), ("prio", 1.0), ("read", 9.0), ("batch", 9.0),
+            ("prio", 9.0), ("write", 30.0), ("read", 30.0), ("prio", 30.2),
+            ("write", 31.0),
+        ]
+        done = []
+        for kind, now in ops:
+            if kind == "read":
+                done.append(fabric.read_page(now))
+            elif kind == "prio":
+                done.append(fabric.read_page(now, priority=True))
+            elif kind == "batch":
+                done.append(fabric.read_batch(now, 3)[-1])
+            else:
+                done.append(fabric.write_page(now))
+        assert done == [
+            21.295331059332653,
+            23.18888074930227,
+            4.928705603445351,
+            5.21668485410548,
+            5.785425098182159,
+            21.36456455144133,
+            13.339615351314011,
+            31.835779273170008,
+            13.501946577924471,
+            34.461682358893995,
+            54.49016327951453,
+            34.88677476723895,
+            51.74730604771546,
+        ]
+        assert (fabric.reads, fabric.writes) == (11, 4)
+        assert fabric.latency_stat.mean == 12.641758428583127
+        assert fabric.latency_stat.max == 24.490163279514533
+
     def test_page_service_time_pinned(self):
         assert self._fabric().page_service_us == 0.5851428571428572
 

@@ -445,6 +445,15 @@ class TestSanitizer:
         with pytest.raises(InvariantViolation, match=r"\[stores\]"):
             InvariantSanitizer(machine).check()
 
+    def test_detects_drifted_resident_total(self):
+        # peak_resident_pages is read from the running total, which
+        # every residency change updates next to its cgroup's count.
+        machine = self._healthy_machine()
+        machine._resident_total += 1
+        with pytest.raises(InvariantViolation,
+                           match=r"\[residency\].*running total"):
+            InvariantSanitizer(machine).check()
+
     def test_runner_flag_counts_sweeps(self):
         workload = build("quicksort", seed=1)
         result = runner.run(
