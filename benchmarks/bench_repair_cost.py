@@ -49,7 +49,7 @@ def _run(replication, plan, repair_interval_us=None):
         ),
     )
     if repair_interval_us is not None:
-        machine.repair.config = RepairConfig(
+        machine.backend.repair.config = RepairConfig(
             repair_interval_us=repair_interval_us
         )
     machine.run(workload.trace())

@@ -684,15 +684,6 @@ def _cmd_run(args) -> int:
             ["component", "seconds", "share"], report.rows(),
             title=f"wall-clock by component ({report.total_s:.2f}s total)",
         ))
-        loop_rows = [
-            [loop, f"{aps:,.0f}"]
-            for loop, aps in sorted(report.loop_acc_per_sec.items())
-        ]
-        if loop_rows:
-            print(render_table(
-                ["replay loop", "accesses/sec"], loop_rows,
-                title="replay-loop throughput (unprofiled probe)",
-            ))
     return 0
 
 

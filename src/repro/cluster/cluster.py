@@ -54,9 +54,9 @@ class SlotDirectoryError(KeyError):
 class PageLostError(RuntimeError):
     """Every copy of a page died with its node(s).
 
-    ``Machine`` resolves the fault by mapping a zero-filled frame and
-    counting ``pages_zero_filled`` — the disaggregated-memory analogue
-    of an uncorrectable machine check on the lost DRAM."""
+    The backend resolves the fault with a zero-filled frame, counted in
+    ``pages_zero_filled`` — the disaggregated-memory analogue of an
+    uncorrectable machine check on the lost DRAM."""
 
     def __init__(
         self, pid: int, vpn: int, slot: int, waited_us: float = 0.0
@@ -273,14 +273,14 @@ class RemoteMemoryCluster:
         self._holders: Dict[int, List[int]] = {}
         #: Slots whose every copy died with its node — reads of these
         #: must zero-fill, not hit the fabric.
-        self._lost_slots: Set[int] = set()
+        self.lost_slots: Set[int] = set()
         #: Slots poisoned by the integrity controller: every copy failed
         #: checksum verification (CXL poison semantics — the data still
         #: *exists*, so holders stay in the directory, but reads must
         #: zero-fill and promotion to the pool tier is barred).
-        self._poisoned_slots: Set[int] = set()
+        self.poisoned_slots: Set[int] = set()
         #: Optional :class:`~repro.cluster.health.HealthMonitor`;
-        #: attached by ``Machine`` when recovery is armed.  When present,
+        #: attached by the backend when recovery is armed.  When present,
         #: placement and re-routing skip non-placeable (DOWN/DRAINING)
         #: nodes; when absent, behaviour is byte-identical to pre-health.
         self.health = None
@@ -395,8 +395,8 @@ class RemoteMemoryCluster:
         """Drop every copy of ``slot`` (the page is local again)."""
         for node_id in self._holders.pop(slot, ()):  # pragma: no branch
             self.nodes[node_id].remote.release(slot)
-        self._lost_slots.discard(slot)
-        self._poisoned_slots.discard(slot)
+        self.lost_slots.discard(slot)
+        self.poisoned_slots.discard(slot)
 
     def holders_of(self, slot: int) -> Tuple[int, ...]:
         return tuple(self._holders.get(slot, ()))
@@ -440,28 +440,20 @@ class RemoteMemoryCluster:
     def mark_lost(self, slot: int) -> None:
         """Every copy of ``slot`` died; remember it for zero-fill."""
         self._holders.pop(slot, None)
-        self._lost_slots.add(slot)
-        self._poisoned_slots.discard(slot)
+        self.lost_slots.add(slot)
+        self.poisoned_slots.discard(slot)
 
     def is_lost(self, slot: int) -> bool:
-        return slot in self._lost_slots
-
-    @property
-    def lost_slot_count(self) -> int:
-        return len(self._lost_slots)
+        return slot in self.lost_slots
 
     def mark_poisoned(self, slot: int) -> None:
         """Every copy of ``slot`` failed verification.  Unlike
         :meth:`mark_lost` the holders stay: the known-bad data still
         occupies its slots until the page is released or salvaged."""
-        self._poisoned_slots.add(slot)
+        self.poisoned_slots.add(slot)
 
     def is_poisoned(self, slot: int) -> bool:
-        return slot in self._poisoned_slots
-
-    @property
-    def poisoned_slot_count(self) -> int:
-        return len(self._poisoned_slots)
+        return slot in self.poisoned_slots
 
     # -- aggregate metrics --------------------------------------------------------------
 
@@ -494,7 +486,7 @@ class RemoteMemoryCluster:
             "writeback_reroutes": self.writeback_reroutes,
             "replica_writes": self.replica_writes,
             "directory_misses": self.directory_misses,
-            "lost_slots": len(self._lost_slots),
+            "lost_slots": len(self.lost_slots),
             "per_node": [node.stats_snapshot() for node in self.nodes],
         }
         if self.config.node_tiers is not None:

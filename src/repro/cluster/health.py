@@ -120,7 +120,7 @@ class HealthMonitor:
         #: instead of re-admitting them (autoscaler scale-in).
         self._retire_after_drain: set = set()
         #: Telemetry event bus; None keeps transitions probe-free.  Set
-        #: by the machine when telemetry is armed — the monitor never
+        #: by the backend when telemetry is armed — the monitor never
         #: creates one itself.
         self.bus = None
         #: (now_us, node_id, from_state, to_state) audit trail.
@@ -184,6 +184,10 @@ class HealthMonitor:
             self._transition(node_id, NodeState.UP, now_us)
 
     # -- control plane ----------------------------------------------------------------
+
+    def due_us(self) -> float:
+        """The earliest time at which :meth:`tick` probes again."""
+        return self._next_heartbeat_us
 
     def tick(self, now_us: float, force: bool = False) -> List[HealthEvent]:
         """The periodic heartbeat: probe every node, advance REJOINING

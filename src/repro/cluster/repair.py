@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from math import inf
 from typing import TYPE_CHECKING, Deque, Optional, Tuple
 
 from repro.cluster.health import NodeState
@@ -82,12 +83,12 @@ class RepairEngine:
         self._queue: Deque[_Task] = deque()
         self._queued: set = set()
         #: Telemetry event bus; None keeps the pump probe-free.  Set by
-        #: the machine when telemetry is armed.
+        #: the backend when telemetry is armed.
         self.bus = None
         #: Optional :class:`~repro.integrity.scrub.PatrolScrubber`
         #: riding this engine's rate limiter: repair tasks always win
         #: the issue slot, scrub audits run in the idle gaps.  Set by
-        #: the machine when ``--scrub-rate`` arms it.
+        #: the backend when ``--scrub-rate`` arms it.
         self.scrubber = None
         self._retries_of: dict = {}
         self._next_issue_us = 0.0
@@ -157,9 +158,9 @@ class RepairEngine:
 
     def pump(self, now_us: float) -> None:
         """Advance repair by at most one page copy, respecting the rate
-        limit.  Called from the machine's access loop, so repair
-        progresses with simulated time and its transfers contend with
-        demand traffic on the shared links.  With the queue empty, the
+        limit.  Called at the start of an access, so repair progresses
+        with simulated time and its transfers contend with demand
+        traffic on the shared links.  With the queue empty, the
         idle slot goes to the patrol scrubber (when armed and due) —
         scrub audits share the limiter instead of adding load on top."""
         if now_us < self._next_issue_us:
@@ -179,6 +180,16 @@ class RepairEngine:
         else:
             self._evacuate(task, slot, source_id, now_us)
         self._check_drains(now_us)
+
+    def due_us(self) -> float:
+        """The earliest time at which :meth:`pump` acts: the next issue
+        slot while tasks are queued; with the queue empty, the later of
+        that slot and the scrubber's next audit (inf with no scrubber)."""
+        if self._queue:
+            return self._next_issue_us
+        if self.scrubber is None:
+            return inf
+        return max(self._next_issue_us, self.scrubber.due_us())
 
     def flush(self, now_us: float) -> None:
         """Run the queue dry, ignoring the rate limit (end-of-run

@@ -47,7 +47,9 @@ from repro.workloads import registry as workload_registry
 #: format gained the optional ``integrity`` section.
 #: v5: design-space autotuner — RunSpec gained the ``system_kwargs``
 #: key dimension (HoppConfig knob overrides on registered systems).
-SCHEMA_VERSION = 5
+#: v6: a run with the sanitizer armed but no fault plan gets its final
+#: sweep, so its ``invariant_checks`` grows by one.
+SCHEMA_VERSION = 6
 
 
 def canonical_json(payload: Dict[str, object]) -> str:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cProfile
 import pstats
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -41,9 +40,6 @@ class ProfileReport:
     total_s: float
     seconds: Dict[str, float] = field(default_factory=dict)
     result: Optional[RunResult] = None
-    #: Unprofiled replay-loop throughput (accesses/sec) keyed by loop
-    #: kind ("tapped", "untapped") — the hot-path regression signal.
-    loop_acc_per_sec: Dict[str, float] = field(default_factory=dict)
 
     def share(self, component: str) -> float:
         if self.total_s <= 0:
@@ -71,50 +67,6 @@ def classify(filename: str) -> str:
     return "other"
 
 
-#: Accesses replayed per loop-throughput probe; enough to dominate the
-#: per-run setup cost without stretching ``run --profile`` noticeably.
-LOOP_PROBE_ACCESSES = 200_000
-
-
-def loop_throughput(spec: RunSpec, max_accesses: int = LOOP_PROBE_ACCESSES) -> Dict[str, float]:
-    """Accesses/sec of the spec's replay loops, measured unprofiled.
-
-    Replays (a prefix of) the spec's trace on a fresh machine through
-    the loop its tap wiring selects — "tapped" for systems with an MC
-    tap (HoPP and friends), "untapped" otherwise — and, for tapped
-    systems, once more with the taps detached so both loop kinds are
-    visible per system.  The untapped probe of a tapped system is a
-    *throughput* number only (its simulation results are discarded; a
-    detached tap never feeds the HPD).  Armed extras (fault plans,
-    telemetry, cluster) are deliberately left out: they force the exact
-    per-access slow loop, whose cost the component table already shows.
-    """
-    from repro.sim.runner import make_machine
-    from repro.workloads import build
-
-    workload = build(spec.workload, seed=spec.seed, **(spec.workload_kwargs or {}))
-    trace = list(workload.trace())
-    if len(trace) > max_accesses:
-        trace = trace[:max_accesses]
-    out: Dict[str, float] = {}
-    probes = []
-    base = make_machine(workload, spec.system, spec.fraction, spec.fabric)
-    if base.controller._taps:
-        probes.append(("tapped", False))
-        probes.append(("untapped", True))
-    else:
-        probes.append(("untapped", False))
-    for label, detach in probes:
-        machine = make_machine(workload, spec.system, spec.fraction, spec.fabric)
-        if detach:
-            machine.controller._taps = []
-        start = time.perf_counter()
-        machine.run(trace)
-        elapsed = time.perf_counter() - start
-        out[label] = len(trace) / elapsed if elapsed > 0 else 0.0
-    return out
-
-
 def profile_spec(spec: RunSpec) -> ProfileReport:
     """Run ``spec`` under the profiler and aggregate component shares."""
     profiler = cProfile.Profile()
@@ -128,7 +80,4 @@ def profile_spec(spec: RunSpec) -> ProfileReport:
         bucket = classify(filename)
         seconds[bucket] = seconds.get(bucket, 0.0) + tottime
         total += tottime
-    loops = loop_throughput(spec)
-    return ProfileReport(
-        total_s=total, seconds=seconds, result=result, loop_acc_per_sec=loops
-    )
+    return ProfileReport(total_s=total, seconds=seconds, result=result)

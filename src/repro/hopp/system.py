@@ -104,11 +104,13 @@ class HoppDataPlane:
                 f"unknown trainer {cfg.trainer!r}; use 'three-tier' or 'learned'"
             )
         self.policy = PolicyEngine(cfg.policy)
-        # The breaker only arms when the backend actually injects faults
-        # (Machine.faults); a clean run never records an outcome, so the
-        # extra branch cannot perturb baseline numbers.
+        # The machine's remote side (a RemoteBackend), if it has one.
+        remote = getattr(backend, "backend", None)
+        # The breaker only arms when the remote side actually injects
+        # faults; a clean run never records an outcome, so the extra
+        # branch cannot perturb baseline numbers.
         breaker = None
-        if cfg.breaker.enabled and getattr(backend, "faults", None) is not None:
+        if cfg.breaker.enabled and remote is not None and remote.faults is not None:
             breaker = CircuitBreaker(cfg.breaker)
         self.executor = ExecutionEngine(
             backend,
@@ -141,7 +143,7 @@ class HoppDataPlane:
         self.hot_pages_unresolved = 0
         # Memory-tier bridge: on a tiered machine, HPD hotness doubles
         # as the promotion signal (see repro.memtier) — None otherwise.
-        self._memtier = getattr(backend, "memtier", None)
+        self._memtier = remote.memtier if remote is not None else None
 
     # -- the MC tap (step 1-4 of Figure 4) -------------------------------------------
 

@@ -33,7 +33,7 @@ class PageCorruptError(RuntimeError):
     """Every copy of a page failed checksum verification.
 
     The CXL-style analogue of :class:`~repro.cluster.cluster.PageLostError`:
-    the data still *exists* but is known-bad, so ``Machine`` resolves the
+    the data still *exists* but is known-bad, so the backend resolves the
     fault by poisoning the slot and mapping a zero-filled frame, counted
     separately from loss (``poisoned_reads``, not ``pages_zero_filled``
     alone)."""

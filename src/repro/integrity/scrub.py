@@ -77,7 +77,7 @@ class IntegrityController:
         self.cluster = cluster
         self.swap_space = swap_space
         #: Migration engine (for poison force-demotes); None when
-        #: tiering is off.  Wired by the machine.
+        #: tiering is off.  Wired by the backend.
         self.memtier = None
         #: Telemetry event bus; None keeps every path probe-free.
         self.bus = None
@@ -297,6 +297,10 @@ class PatrolScrubber:
 
     def due(self, now_us: float) -> bool:
         return now_us >= self._next_scrub_us
+
+    def due_us(self) -> float:
+        """The earliest time at which the next audit may run."""
+        return self._next_scrub_us
 
     def step(self, now_us: float) -> None:
         """Audit the next stored copy, if any copy is auditable."""

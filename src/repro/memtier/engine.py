@@ -80,10 +80,10 @@ class MigrationEngine:
         self.swap_space = swap_space
         self.config = config
         #: Telemetry event bus; None keeps every note/pump probe-free.
-        #: Set by the machine when telemetry is armed.
+        #: Set by the backend when telemetry is armed.
         self.bus = None
         #: Integrity controller (:mod:`repro.integrity`); None keeps
-        #: migration reads verify-free.  Set by the machine when
+        #: migration reads verify-free.  Set by the backend when
         #: corruption injection or the patrol scrubber is armed.
         self.integrity = None
         #: (pid, vpn) -> far-tier demand-read touches so far.  Bounded;

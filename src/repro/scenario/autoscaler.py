@@ -15,9 +15,9 @@ between the pools, reusing the recovery machinery end to end:
 * **scale-in** — sustained calm below ``in_pressure`` flags the
   highest-id active node with
   :meth:`HealthMonitor.retire_after_drain` and starts a graceful
-  drain (:meth:`Machine.drain_node`): the repair engine evacuates its
-  pages in the background and, on completion, the node parks itself
-  in standby instead of rejoining placement.
+  drain (:meth:`RemoteBackend.drain_node`): the repair engine
+  evacuates its pages in the background and, on completion, the node
+  parks itself in standby instead of rejoining placement.
 
 State machine: ``STEADY -> (hot streak) -> SCALE_OUT -> cooldown ->
 STEADY -> (calm streak) -> SCALE_IN -> cooldown -> STEADY``.  The
@@ -64,7 +64,7 @@ class Autoscaler:
     def __init__(
         self, machine: "Machine", config: AutoscalerConfig = AutoscalerConfig()
     ) -> None:
-        if machine.health is None or machine.repair is None:
+        if machine.backend.health is None:
             raise RuntimeError(
                 "autoscaler needs armed recovery: build the machine with "
                 "a fault plan (an empty FaultPlan() suffices)"
@@ -83,7 +83,7 @@ class Autoscaler:
 
     def active_nodes(self) -> List[int]:
         """Nodes serving placement or mid-drain (still active capacity)."""
-        health = self.machine.health
+        health = self.machine.backend.health
         return [
             node_id
             for node_id in sorted(health.states_snapshot())
@@ -93,7 +93,7 @@ class Autoscaler:
         ]
 
     def standby_nodes(self) -> List[int]:
-        return self.machine.health.standby_nodes()
+        return self.machine.backend.health.standby_nodes()
 
     # -- control loop -----------------------------------------------------------------
 
@@ -125,19 +125,20 @@ class Autoscaler:
             return None
         node_id = standby[0]
         now = self.machine.now_us
-        health = self.machine.health
-        health.activate(node_id)
+        backend = self.machine.backend
+        backend.health.activate(node_id)
         # A standby node could only have left UP if its hardware died
         # while parked; only rack in live machines.
-        if health.state(node_id) is NodeState.UP:
-            self.machine.repair.on_node_rejoin(node_id, now)
+        if backend.health.state(node_id) is NodeState.UP:
+            backend.repair.on_node_rejoin(node_id, now)
         self.scale_outs += 1
         self._cooldown = self.config.cooldown_rounds
         self.events.append([rnd, "scale_out", node_id])
         return "scale_out"
 
     def _scale_in(self, rnd: int) -> Optional[str]:
-        health = self.machine.health
+        backend = self.machine.backend
+        health = backend.health
         candidates = [
             node_id
             for node_id in self.active_nodes()
@@ -150,7 +151,7 @@ class Autoscaler:
             return None
         node_id = candidates[-1]
         health.retire_after_drain(node_id)
-        self.machine.drain_node(node_id)
+        backend.drain_node(node_id, self.machine.now_us)
         self.scale_ins += 1
         self._cooldown = self.config.cooldown_rounds
         self.events.append([rnd, "scale_in", node_id])

@@ -197,7 +197,7 @@ def _build_machine(config: ScenarioConfig) -> Machine:
     machine = spec.build(machine_config)
     # Park the elastic headroom in standby before any page lands.
     for node_id in range(config.remote_nodes, total_nodes):
-        machine.health.retire(node_id)
+        machine.backend.health.retire(node_id)
     return machine
 
 
@@ -207,7 +207,7 @@ def _pressure(
     """Max of bulk-QP backlog (normalized to the pressure window) and
     demand-fault p99 (normalized to the guaranteed SLO) over active
     nodes — whichever bottleneck is angrier."""
-    health = machine.health
+    health = machine.backend.health
     backlog = 0.0
     for node in machine.cluster.nodes:
         if health.is_standby(node.node_id) or not health.is_placeable(

@@ -21,10 +21,13 @@ heap).  Each run is retired with O(1) bookkeeping instead of O(run):
   ``now_us`` increment is ``T_DRAM_HIT_US + compute`` rounded once;
   :func:`_add_n` gives a long chain's result without the loop.
 
-Only a residency miss — a fault — goes through :meth:`Machine.access`
-itself, with the kernel's locals flushed before and reloaded after; its
-MC tap then feeds HPD exactly as in the oracle loop.  Two other events
-are retired in the kernel, in the oracle's order:
+Only a residency miss — a fault — and a *due* access go through
+:meth:`Machine.access` itself, with the kernel's locals flushed before
+and reloaded after; its MC tap then feeds HPD exactly as in the oracle
+loop.  An access is due when it starts at or after the remote backend's
+next deadline (:meth:`RemoteBackend.due_us`), or when the sanitizer
+sweeps at it; with nothing armed no access is ever due.  Two other
+events are retired in the kernel, in the oracle's order:
 
 * a due prefetch arrival is landed by ``Machine._process_arrivals(now)``
   before the access reads its PTE, the oracle's own first step for that
@@ -34,13 +37,13 @@ are retired in the kernel, in the oracle's order:
   ``now_us`` flushed to the access's start time, and ends its run: the
   count may reorder the LRU or issue prefetches.
 
-On a tap-free machine with no arrival pending, a chunk of reads by one
-pid has no barrier but residency misses.  The kernel then finds the
-chunk's runs once, with C-level passes over the whole chunk, and
-retires windows of resident runs at a time: one ``dict.get`` and one
-LRU touch per run, each a C-level pass, and one :func:`_add_n` per
-float chain.  A window stops at the first run that is not
-resident; that access and the next ``MISS_SPAN`` take the per-run path
+On a tap-free machine with nothing armed and no arrival pending, a
+chunk of reads by one pid has no barrier but residency misses.  The
+kernel then finds the chunk's runs once, with C-level passes over the
+whole chunk, and retires windows of resident runs at a time: one
+``dict.get`` and one LRU touch per run, each a C-level pass, and one
+:func:`_add_n` per float chain.  A window stops at the first run that
+is not resident; that access and the next ``MISS_SPAN`` take the per-run path
 above, and the next window re-reads residency, because the slow path
 may have moved any PTE.  This keeps most of a tap-free replay's host
 time in builtins rather than in per-access bytecode, which also keeps
@@ -55,7 +58,8 @@ the kernel budgets ``int(gap / cost0) - 1``, whose slack (at least one
 full ``cost0``) dwarfs the rounding error of a chunk-long float sum,
 but never less than one: once due arrivals have landed, the head is
 after the current access's start.  The budget only needs to be
-conservative, never tight.
+conservative, never tight.  The backend's deadline is budgeted the
+same way, and the sanitizer's sweep by a plain access count.
 
 Results are byte-identical to ``use_fast_path=False`` (pinned by
 tests/test_fastpath.py and tests/data/goldens_v1.json).
@@ -65,11 +69,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import compress, count, islice, repeat
-from math import frexp, ldexp
+from math import frexp, inf, ldexp
 from operator import attrgetter, itemgetter, ne, rshift
 
 from repro.common.constants import BLOCK_SIZE, PAGE_SHIFT, T_DRAM_HIT_US
 from repro.kernel.page_table import Pte, PteState
+from repro.sim.sanitizer import SANITIZER_INTERVAL_ACCESSES
 
 #: Trace accesses buffered per chunk.  Also caps a run's float-addition
 #: chain, which keeps the arrival-budget rounding analysis valid.
@@ -177,13 +182,18 @@ def _replay_chunk(m, plane, buf) -> None:
     t_dram = T_DRAM_HIT_US
     cost0 = t_dram + compute
     page_shift = PAGE_SHIFT
+    # An armed run's deadlines: the backend's next step (inf for good
+    # when recovery is not armed) and the sanitizer's sweep interval.
+    due_us = m.backend.due_us
+    sweep = SANITIZER_INTERVAL_ACCESSES if m.sanitizer is not None else 0
+    timed = due_us() != inf or sweep
     if plane is not None:
         hpd = plane.hpd
         process_run = hpd.process_run
         on_hot_page = plane.on_hot_page
         runs = None
     else:
-        runs = _read_runs(buf)
+        runs = None if timed else _read_runs(buf)
     if runs is not None:
         run_pid, starts, run_vpns = runs
         nruns = len(run_vpns)
@@ -243,13 +253,26 @@ def _replay_chunk(m, plane, buf) -> None:
                 budget = int((arrivals[0][0] - now) / cost0) - 1
                 if budget < 1:
                     budget = 1
+        if timed:
+            # -- an armed run: budget 0 marks this access due ------------
+            due = due_us()
+            if sweep:
+                left = sweep - 1 - accesses % sweep
+                if left < budget:
+                    budget = left
+            if now >= due:
+                budget = 0
+            elif budget and due != inf:
+                cap = int((due - now) / cost0) - 1
+                if cap < budget:
+                    budget = cap if cap > 1 else 1
         cached = hot.get(pid)
         if cached is None:
             cached = hot[pid] = (tables[pid]._entries, lru_of_pid(pid))
         vpn = vaddr >> page_shift
         pte = cached[0].get(vpn)
-        if pte is None or pte.state is not present:
-            # -- residency miss: this one access faults through the oracle --
+        if pte is None or pte.state is not present or not budget:
+            # -- residency miss or due access: through the oracle ---------
             m.now_us = now
             m.accesses = accesses
             m.compute_us = compute_us

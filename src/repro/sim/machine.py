@@ -1,6 +1,8 @@
 """The compute-node machine model: ties the cache/MC substrate, the
-kernel VMS, the RDMA fabric, a fault-time prefetcher (the baselines) and
-optionally the HoPP data plane into one trace-driven simulator.
+kernel VMS, a fault-time prefetcher (the baselines) and optionally the
+HoPP data plane into one trace-driven simulator.  The remote side — the
+memory pool behind the RDMA links and whatever a :class:`RunEnv` arms
+on it — sits behind one :class:`~repro.cluster.backend.RemoteBackend`.
 
 The input is the LLC-miss reference stream (cacheline-granular virtual
 addresses per PID).  Virtual time advances only by critical-path costs;
@@ -11,23 +13,12 @@ the application through the shared fabric queue and the LRU lists.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.baselines.base import FaultTimePrefetcher
-from repro.cluster.cluster import (
-    ClusterConfig,
-    ClusterNode,
-    PageLostError,
-    RemoteMemoryCluster,
-)
-from repro.cluster.health import (
-    EVENT_DOWN,
-    EVENT_REJOIN,
-    HealthEvent,
-    HealthMonitor,
-)
-from repro.cluster.repair import RepairEngine
+from repro.cluster.backend import RemoteBackend
+from repro.cluster.cluster import ClusterConfig
 from repro.common.constants import (
     PAGE_SHIFT,
     T_CONTEXT_SWITCH_US,
@@ -43,12 +34,7 @@ from repro.common.constants import (
 from repro.common.types import FaultBreakdown
 from repro.hopp.hpd import HotPageDetector
 from repro.hopp.system import HoppDataPlane
-from repro.integrity import (
-    IntegrityController,
-    PageCorruptError,
-    PatrolScrubber,
-    ScrubConfig,
-)
+from repro.integrity import ScrubConfig
 from repro.kernel.cgroup import CgroupManager, CgroupOverLimitError, MemoryCgroup
 from repro.kernel.frames import FrameAllocator
 from repro.kernel.page_table import PageTable, Pte, PteState
@@ -56,18 +42,12 @@ from repro.kernel.reclaim import LruPageList, Reclaimer
 from repro.kernel.swap import SwapCache, SwapSpace
 from repro.kernel.vma import VmaRegistry
 from repro.memsim.controller import MemoryController
-from repro.memtier import MemtierConfig, MigrationEngine, derive_node_tiers
-from repro.net.faults import (
-    FaultInjector,
-    FaultPlan,
-    RemoteFetchFatalError,
-    RemoteUnavailableError,
-    TransferTimeout,
-)
+from repro.memtier import MemtierConfig
+from repro.net.faults import FaultPlan, RemoteFetchFatalError
 from repro.net.rdma import FabricConfig, RdmaFabric
 from repro.net.remote import RemoteMemoryNode
 from repro.sim import batchkernel
-from repro.sim.sanitizer import InvariantSanitizer
+from repro.sim.sanitizer import SANITIZER_INTERVAL_ACCESSES, InvariantSanitizer
 from repro.telemetry import Telemetry, TelemetryConfig
 from repro.telemetry.events import (
     EV_CACHE_INVALIDATE,
@@ -77,17 +57,9 @@ from repro.telemetry.events import (
     EV_PREFETCH_ISSUE,
     EV_PREFETCH_LAND,
     EV_PREFETCH_UNUSED,
-    EV_RETRY,
 )
 
 PAGE_OFFSET_MASK = (1 << PAGE_SHIFT) - 1
-
-#: Exponential backoff between retries of a synchronous transfer:
-#: ``RETRY_BACKOFF_US * RETRY_BACKOFF_MULTIPLIER ** (attempt - 1)``.
-RETRY_BACKOFF_US = 25.0
-RETRY_BACKOFF_MULTIPLIER = 2.0
-#: Accesses between invariant-sanitizer sweeps (``RunEnv.check_invariants``).
-SANITIZER_INTERVAL_ACCESSES = 2000
 
 
 @dataclass(frozen=True)
@@ -172,7 +144,7 @@ class MachineConfig:
 
 
 class Machine:
-    """One compute node plus its remote memory pool."""
+    """One compute node; its remote memory pool is :attr:`backend`."""
 
     def __init__(
         self,
@@ -186,80 +158,6 @@ class Machine:
         self.now_us = 0.0
 
         env = config.env
-        plan = env.fault_plan
-        if plan is None and env.scrub is not None:
-            # The scrubber rides the repair engine's pump, so arming it
-            # arms the recovery machinery too — with an *empty* plan,
-            # which injects nothing and leaves node injectors unarmed.
-            plan = FaultPlan.none()
-        cluster_config = env.cluster
-        if env.memtier is not None and cluster_config.node_tiers is None:
-            # Tiering armed on an untiered topology: put the pooled CXL
-            # nodes in front of the configured (far) nodes, and let a
-            # default interleave placement upgrade to the tier-aware
-            # policy (an explicitly chosen placement is respected).
-            cluster_config = replace(
-                cluster_config,
-                nodes=cluster_config.nodes + env.memtier.pool_nodes,
-                node_tiers=derive_node_tiers(
-                    cluster_config.nodes, env.memtier.pool_nodes
-                ),
-                placement=(
-                    "tiered"
-                    if cluster_config.placement == "interleave"
-                    else cluster_config.placement
-                ),
-            )
-        self.cluster = RemoteMemoryCluster(
-            cluster_config,
-            config.remote_capacity_pages,
-            config.fabric,
-            fault_plan=plan,
-            memtier=env.memtier,
-        )
-        #: Node 0's injector doubles as the "is fault injection armed"
-        #: flag: every node arms iff the plan is non-empty, and on the
-        #: default 1-node cluster this is exactly the old single
-        #: injector (same plan, same seed).
-        self.faults: Optional[FaultInjector] = self.cluster.nodes[0].injector
-        self.frames = FrameAllocator(total_frames=1 << 24)
-        self.swap_space = SwapSpace()
-        self.swapcache = SwapCache()
-        #: Recovery is armed iff a fault plan was given at all — an
-        #: *empty* plan arms the monitor/repair/drain machinery without
-        #: injecting faults; ``fault_plan=None`` leaves ``health`` unset
-        #: and every pre-recovery code path byte-identical.
-        self.health: Optional[HealthMonitor] = None
-        self.repair: Optional[RepairEngine] = None
-        if plan is not None:
-            self.health = HealthMonitor(self.cluster)
-            self.cluster.health = self.health
-            self.repair = RepairEngine(self.cluster, self.health, self.swap_space)
-        #: Memory-tier migration engine; armed only with a memtier
-        #: config, and pumped only from remote-event paths so the
-        #: resident-hit fast path never sees it.
-        self.memtier: Optional[MigrationEngine] = None
-        if env.memtier is not None:
-            self.memtier = MigrationEngine(
-                self.cluster, self.swap_space, env.memtier
-            )
-            self.cluster.memtier_hot = self.memtier.is_hot
-        #: End-to-end integrity (repro.integrity): armed when the plan
-        #: can corrupt pages or a patrol scrubber is configured.  None
-        #: otherwise — every verify site is one ``is not None`` check
-        #: and corruption-free runs stay byte-identical.
-        self.integrity: Optional[IntegrityController] = None
-        self.scrubber: Optional[PatrolScrubber] = None
-        if (plan is not None and plan.has_corruption) or env.scrub is not None:
-            self.integrity = IntegrityController(self.cluster, self.swap_space)
-            self.integrity.memtier = self.memtier
-            if self.memtier is not None:
-                self.memtier.integrity = self.integrity
-            if env.scrub is not None:
-                self.scrubber = PatrolScrubber(
-                    self.cluster, self.integrity, env.scrub
-                )
-                self.repair.scrubber = self.scrubber
         #: Telemetry, armed only on request.  Probes are observers: they
         #: never touch RNG state or simulator bookkeeping, so an
         #: instrumented run produces the same RunResult counters as an
@@ -267,21 +165,20 @@ class Machine:
         self.telemetry: Optional[Telemetry] = None
         if env.telemetry is not None:
             self.telemetry = Telemetry(env.telemetry)
-            bus = self.telemetry.bus
-            for node in self.cluster.nodes:
-                node.fabric.probe = bus.probe(node=node.node_id)
-            if self.health is not None:
-                self.health.bus = bus
-            if self.repair is not None:
-                self.repair.bus = bus
-            if self.memtier is not None:
-                self.memtier.bus = bus
-            if self.integrity is not None:
-                self.integrity.bus = bus
+        self.frames = FrameAllocator(total_frames=1 << 24)
+        self.swap_space = SwapSpace()
+        self.swapcache = SwapCache()
+        #: The remote side: the memory pool plus whatever ``env`` arms on
+        #: it (failures, recovery, integrity, the CXL tier).
+        self.backend = RemoteBackend(
+            config, self.swap_space, self._demand_timeout,
+            bus=self.telemetry.bus if self.telemetry is not None else None,
+        )
+        #: The backend's pool: every node, its link, the slot directory.
+        self.cluster = self.backend.cluster
         self.sanitizer: Optional[InvariantSanitizer] = (
             InvariantSanitizer(self) if env.check_invariants else None
         )
-        self._sanitize_after_recovery = False
         self.cgroups = CgroupManager()
         self.reclaimer = Reclaimer(watermark_slack=config.watermark_slack)
         self.vmas = VmaRegistry()
@@ -324,16 +221,9 @@ class Machine:
         self.breakdown = FaultBreakdown()
         self.peak_resident_pages = 0
         self.compute_us = 0.0
-        # Fault-injection counters (all exactly 0 without a fault plan).
-        self.timeouts = 0
-        self.retries = 0
-        self.retry_latency_us = 0.0
+        # Prefetches whose READ lost its completion (0 without a plan).
         self.dropped_prefetches = 0
         self.dropped_by_tier: Dict[str, int] = {}
-        # Recovery counters (all exactly 0 without node crashes/drains).
-        #: Demand faults on a page whose every replica died: resolved by
-        #: mapping a zero-filled frame (the data is gone).
-        self.pages_zero_filled = 0
         #: Swapcache pages whose remote copy was lost but whose local
         #: copy survived: re-written back instead of clean-dropped.
         self.pages_salvaged = 0
@@ -414,14 +304,10 @@ class Machine:
         self.accesses += 1
         if self._arrivals and self._arrivals[0][0] <= self.now_us:
             self._process_arrivals(self.now_us)
-        if self.health is not None:
-            self._apply_health_events(self.health.tick(self.now_us))
-            self.repair.pump(self.now_us)
+        recovered = self.backend.step(self.now_us)
         if self.sanitizer is not None and (
-            self._sanitize_after_recovery
-            or self.accesses % SANITIZER_INTERVAL_ACCESSES == 0
+            recovered or self.accesses % SANITIZER_INTERVAL_ACCESSES == 0
         ):
-            self._sanitize_after_recovery = False
             self.sanitizer.check()
 
         vpn = vaddr >> PAGE_SHIFT
@@ -456,35 +342,29 @@ class Machine:
         """Drive a whole (pid, vaddr) or (pid, vaddr, is_write) trace.
 
         By default the batch kernel (:mod:`repro.sim.batchkernel`)
-        retires runs of resident hits without the fault machinery,
-        lands due prefetch arrivals and counts first touches of injected
-        prefetches itself, and sends only faults through
-        :meth:`access`.  Its barriers are the chunk edge, a residency
-        miss (PTE absent or not PRESENT) and an HPD extraction.  It
-        repeats :meth:`access`'s arithmetic operation-for-operation, so
-        every counter and timestamp stays byte-identical to
+        retires runs of resident hits itself, lands due prefetch
+        arrivals and counts first touches of injected prefetches, and
+        sends only faults and due accesses through :meth:`access`.  Its
+        barriers are the chunk edge, a residency miss, an HPD
+        extraction, the backend's next deadline
+        (:meth:`RemoteBackend.due_us`) and the sanitizer's next sweep.
+        Every counter and timestamp stays byte-identical to
         ``use_fast_path=False``, which sends every reference through
-        :meth:`access` (the differential oracle) — pinned by
-        tests/test_fastpath.py.  The kernel batches a tap-free machine,
-        or one whose only MC tap is a stock :class:`HoppDataPlane`'s
-        with a stock :class:`HotPageDetector`.  Other taps (HMTT
-        tracers, extra planes, a multi-channel detector, the prototype
-        plane's trace ring) and an armed health monitor or sanitizer,
-        which need per-access epoch work, take the oracle loop.
+        :meth:`access` (the differential oracle, pinned by
+        tests/test_fastpath.py).  Only MC taps other than a stock
+        :class:`HoppDataPlane`'s with a stock :class:`HotPageDetector`
+        (HMTT tracers, extra planes, a multi-channel detector, the
+        prototype plane's trace ring) see every access, so they take
+        the oracle loop.
         """
         taps = self.controller._taps
         plane = self.hopp
-        if (
-            use_fast_path
-            and self.health is None
-            and self.sanitizer is None
-            and (
-                not taps
-                or (
-                    type(plane) is HoppDataPlane
-                    and taps == [plane.on_mc_access]
-                    and type(plane.hpd) is HotPageDetector
-                )
+        if use_fast_path and (
+            not taps
+            or (
+                type(plane) is HoppDataPlane
+                and taps == [plane.on_mc_access]
+                and type(plane.hpd) is HotPageDetector
             )
         ):
             batchkernel.run(self, trace, plane if taps else None)
@@ -517,7 +397,7 @@ class Machine:
         self.swapcache.take(pid, vpn)
         self._count_prefetch_hit(pid, vpn, pte, "swapcache")
         table.map_page(vpn, pte.ppn)
-        self._release_remote_copy(pte)
+        self.backend.release(pte)
         self._lru_of_pid(pid).touch(pid, vpn)
         cost = T_PREFETCH_HIT_US
         self.breakdown.prefetch_hit_us += cost
@@ -533,7 +413,7 @@ class Machine:
         if pte.state == PteState.SWAPCACHE:
             self.swapcache.take(pid, vpn)
             table.map_page(vpn, pte.ppn)
-            self._release_remote_copy(pte)
+            self.backend.release(pte)
         self._count_prefetch_hit(pid, vpn, pte, "inflight")
         self._lru_of_pid(pid).touch(pid, vpn)
         cost = wait + T_PREFETCH_HIT_US
@@ -552,59 +432,22 @@ class Machine:
         ppn = self.frames.allocate(pid, vpn)
         pte.ppn = ppn
         slot = pte.swap_slot
-        zero_filled = False
-        if self._slot_is_lost(slot):
-            # Every replica died with its node: nothing to fetch.  Map a
-            # zero-filled frame and carry on — the disaggregated-memory
-            # analogue of an uncorrectable machine check.
-            rdma_wait = 0.0
-            self.pages_zero_filled += 1
-            zero_filled = True
-        elif self._slot_is_poisoned(slot):
-            # Every copy is known-bad (CXL poison): serving it would
-            # return garbage, so the read resolves like a machine-check
-            # — a zero-filled frame, counted separately from loss.
-            rdma_wait = 0.0
-            self.integrity.poisoned_reads += 1
-            self.pages_zero_filled += 1
-            zero_filled = True
-        elif self.faults is None:
-            node = self.cluster.primary_node(slot)
-            completion = node.fabric.read_page(
-                self.now_us, priority=pid not in self.deprioritized_pids
+        try:
+            rdma_wait, zero_filled = self.backend.demand_read(
+                pid, vpn, slot, self.now_us, pid not in self.deprioritized_pids
             )
-            rdma_wait = completion - self.now_us
-            if self.memtier is not None:
-                self.memtier.note_demand_read(node, pid, vpn, self.now_us)
-        else:
-            try:
-                rdma_wait = self._demand_fetch_resilient(pid, vpn, slot)
-            except PageLostError as gone:
-                # The loss was discovered by this very fault's retries:
-                # the detection latency is paid, then zero-fill.
-                rdma_wait = gone.waited_us
-                self.pages_zero_filled += 1
-                zero_filled = True
-            except PageCorruptError as rotten:
-                # This very fault discovered that no clean copy exists:
-                # the slot was just poisoned, the verify latency is
-                # paid, then zero-fill.
-                rdma_wait = rotten.waited_us
-                self.integrity.poisoned_reads += 1
-                self.pages_zero_filled += 1
-                zero_filled = True
-            except RemoteFetchFatalError as fatal:
-                if not self.config.absorb_fatal_faults:
-                    raise
-                # Availability over consistency: the retry budget is
-                # spent, so resolve the fault with a zero-filled frame
-                # rather than crash the tenant.  The (possibly live)
-                # remote copy is released below with the slot.
-                rdma_wait = fatal.waited_us
-                self.fatal_faults_absorbed += 1
-                zero_filled = True
+        except RemoteFetchFatalError as fatal:
+            if not self.config.absorb_fatal_faults:
+                raise
+            # Availability over consistency: the retry budget is spent,
+            # so resolve the fault with a zero-filled frame rather than
+            # crash the tenant.  The (possibly live) remote copy is
+            # released below with the slot.
+            rdma_wait = fatal.waited_us
+            self.fatal_faults_absorbed += 1
+            zero_filled = True
         table.map_page(vpn, ppn)
-        self._release_remote_copy(pte, slot)
+        self.backend.release(pte)
         self._lru_of_pid(pid).insert(pid, vpn)
         cost = (
             T_CONTEXT_SWITCH_US
@@ -644,143 +487,8 @@ class Machine:
                 cost_us=cost,
                 zero_filled=zero_filled,
             )
-        if self.memtier is not None:
-            self.memtier.pump(self.now_us)
+        self.backend.demand_done(self.now_us)
         return cost
-
-    def _demand_fetch_resilient(self, pid: int, vpn: int, slot: int) -> float:
-        """Demand READ with bounded exponential-backoff retries.
-
-        Each dropped completion costs its CQE-timeout wait plus a
-        growing backoff; the retry re-issues at the advanced time, which
-        is what lets it escape link-down and restart windows.  Returns
-        the total wait charged to the fault (retries + final transfer +
-        any remote stall); raises ``RemoteFetchFatalError`` once the
-        budget is exhausted.
-
-        With integrity armed, every completed read is verified: a
-        transient wire flip re-reads the same node (detected and
-        repaired on the spot); a stored-corrupt copy fails over to the
-        next replica, and when every replica is corrupt the slot is
-        poisoned and ``PageCorruptError`` raised.  A clean read that
-        followed corrupt copies repairs them all — the fault's release
-        of the slot discards every bad replica.
-        """
-        waited = 0.0
-        attempts = 0
-        flips = 0
-        candidates = (
-            self.cluster.read_candidates(slot)
-            if slot is not None and slot >= 0
-            else [self.cluster.nodes[0]]
-        )
-        target = 0
-        prio = pid not in self.deprioritized_pids
-        integrity = self.integrity
-        bad: set = set()
-        while True:
-            node = candidates[target % len(candidates)]
-            if bad and node.node_id in bad and len(bad) < len(candidates):
-                # Known-corrupt holder; an unexamined replica remains.
-                target += 1
-                continue
-            t = self.now_us + waited
-            try:
-                completion = node.fabric.read_page(t, priority=prio)
-                if slot is not None and slot >= 0:
-                    node.remote.read(slot, now_us=t)
-                stall = node.injector.remote_delay_us(t)
-                if (
-                    integrity is not None
-                    and slot is not None
-                    and slot >= 0
-                    and node.injector is not None
-                ):
-                    checksums = node.remote.checksums
-                    if not checksums.is_clean(slot, t):
-                        # Stored copy is bad: the transfer is paid, the
-                        # mismatch detected, and the fault fails over.
-                        integrity.note_detected(
-                            t, slot, node.node_id,
-                            since=checksums.corrupt_since(slot),
-                            source="demand",
-                        )
-                        bad.add(node.node_id)
-                        waited += (completion - t) + stall
-                        if len(bad) >= len(candidates):
-                            # Every replica is corrupt: CXL poison.
-                            integrity.poison(slot, t, condemned=len(bad))
-                            raise PageCorruptError(
-                                pid, vpn, slot, waited_us=waited
-                            )
-                        target += 1
-                        continue
-                    if node.injector.corrupt_read(t):
-                        # Transient flip on the wire: the stored copy is
-                        # fine, so the re-read (same node) repairs it.
-                        integrity.note_detected(
-                            t, slot, node.node_id, source="demand"
-                        )
-                        integrity.note_repaired(1, t, slot, node.node_id)
-                        if flips <= self.config.demand_retry_limit:
-                            flips += 1
-                            waited += (completion - t) + stall
-                            continue
-                if self.health is not None:
-                    self.health.observe_success(node.node_id, t)
-                if self.memtier is not None:
-                    self.memtier.note_demand_read(node, pid, vpn, t)
-                if bad and integrity is not None:
-                    # A clean copy served the page; the corrupt replicas
-                    # die with the slot's release, so they count repaired.
-                    integrity.note_repaired(len(bad), t, slot, node.node_id)
-                    bad.clear()
-                return waited + (completion - t) + stall
-            except TransferTimeout as fault:
-                self.timeouts += 1
-                attempts += 1
-                if self.hopp is not None:
-                    self.hopp.on_fabric_timeout(t)
-                if self.health is not None:
-                    self._apply_health_events(
-                        self.health.observe_timeout(node.node_id, t)
-                    )
-                    if slot is not None and slot >= 0 and self.cluster.is_lost(slot):
-                        # The timeout just exposed a permanent crash and
-                        # this slot had no surviving replica.
-                        if bad and integrity is not None:
-                            integrity.note_unresolved(len(bad))
-                        raise PageLostError(
-                            pid, vpn, slot, waited_us=waited + fault.wasted_us
-                        ) from fault
-                if attempts > self.config.demand_retry_limit:
-                    if bad and integrity is not None:
-                        integrity.note_unresolved(len(bad))
-                    raise RemoteFetchFatalError(
-                        pid, vpn, attempts,
-                        waited_us=waited + fault.wasted_us,
-                    ) from fault
-                self.retries += 1
-                if self.telemetry is not None:
-                    self.telemetry.bus.emit(
-                        EV_RETRY, t, op="demand", node=node.node_id
-                    )
-                if (
-                    isinstance(fault, RemoteUnavailableError)
-                    and len(candidates) > 1
-                ):
-                    # The node is restarting and a replica holds the
-                    # page one link over: fail over immediately.  The
-                    # detection timeout is paid, the backoff is not —
-                    # the retry goes straight out on a live QP.
-                    target += 1
-                    self.cluster.demand_failovers += 1
-                    waited += fault.wasted_us
-                    self.retry_latency_us += fault.wasted_us
-                    continue
-                backoff = RETRY_BACKOFF_US * RETRY_BACKOFF_MULTIPLIER ** (attempts - 1)
-                waited += fault.wasted_us + backoff
-                self.retry_latency_us += fault.wasted_us + backoff
 
     # -- the prefetch backend (HoPP executor + fault-time baselines) ------------------
 
@@ -800,7 +508,7 @@ class Machine:
             return None
         slot = pte.swap_slot
         cluster = self.cluster
-        if slot in cluster._lost_slots or slot in cluster._poisoned_slots:
+        if slot in cluster.lost_slots or slot in cluster.poisoned_slots:
             # Every replica died (or is known-bad); nothing worth
             # fetching — the demand path will zero-fill on first touch.
             return None
@@ -827,35 +535,18 @@ class Machine:
         self._resident[cgroup.name] += 1
         self._resident_total += 1
         pte.ppn = self.frames.allocate(pid, vpn)
-        node = self._node_for_page(pte)
-        try:
-            completion = node.fabric.read_page(now_us)
-            if self.faults is not None:
-                if slot >= 0:
-                    node.remote.read(slot, now_us=now_us)
-                completion += node.injector.remote_delay_us(now_us)
-        except TransferTimeout:
-            # Prefetches are speculative: never retried, dropped with
-            # full bookkeeping cleanup so every counter still conserves.
+        completion = self.backend.prefetch_read(slot, now_us)
+        if completion is None:
+            # Prefetches are speculative: a dropped one is unwound with
+            # full bookkeeping so every counter still conserves.
             self.frames.free(pte.ppn)
             pte.ppn = -1
             cgroup.uncharge(1, prefetch=True)
             self._resident[cgroup.name] -= 1
             self._resident_total -= 1
-            self.timeouts += 1
-            self.prefetch_issued += 1
-            self.issued_by_tier[tier] = self.issued_by_tier.get(tier, 0) + 1
-            self.dropped_prefetches += 1
-            self.dropped_by_tier[tier] = self.dropped_by_tier.get(tier, 0) + 1
-            if self.hopp is not None:
-                self.hopp.on_prefetch_dropped(now_us)
-            if self.telemetry is not None:
-                bus = self.telemetry.bus
-                bus.emit(
-                    EV_PREFETCH_ISSUE, now_us,
-                    pid=pid, vpn=vpn, tier=tier, arrival_us=-1.0,
-                )
-                bus.emit(EV_PREFETCH_DROP, now_us, tier=tier, n=1)
+            self._prefetch_dropped(
+                tier, 1, now_us, pid=pid, vpn=vpn, tier=tier, arrival_us=-1.0
+            )
             return None
         self._note_peak()
         pte.state = PteState.INFLIGHT
@@ -867,8 +558,6 @@ class Machine:
         heapq.heappush(self._arrivals, (completion, self._arrival_seq, pid, vpn))
         self.prefetch_issued += 1
         self.issued_by_tier[tier] = self.issued_by_tier.get(tier, 0) + 1
-        if self.memtier is not None:
-            self.memtier.note_prefetch_read(node, 1)
         if self.telemetry is not None:
             self.telemetry.bus.emit(
                 EV_PREFETCH_ISSUE, now_us,
@@ -892,60 +581,41 @@ class Machine:
         table = self._page_tables.get(pid)
         if table is None or npages < 1:
             return None
-        fetchable = []
+        cluster = self.cluster
+        lost = cluster.lost_slots
+        poisoned = cluster.poisoned_slots
+        # One scatter-gather request per node holding pages of the range
+        # (pages interleaved across nodes fragment the batch; affinity
+        # placement keeps it whole).  Node order is first appearance in
+        # the VPN range, so grouping is deterministic.
+        groups: Dict[object, List[int]] = {}
+        fetchable = 0
         for vpn in range(max(start_vpn, 0), start_vpn + npages):
             pte = table.peek(vpn)
-            if (
-                pte is not None
-                and pte.state == PteState.REMOTE
-                and not self._slot_is_lost(pte.swap_slot)
-                and not self._slot_is_poisoned(pte.swap_slot)
-            ):
-                fetchable.append(vpn)
+            if pte is not None and pte.state == PteState.REMOTE:
+                slot = pte.swap_slot
+                if slot not in lost and slot not in poisoned:
+                    groups.setdefault(cluster.primary_node(slot), []).append(vpn)
+                    fetchable += 1
         if not fetchable:
             return None
         if self.prefetch_admission is not None and not self.prefetch_admission(
             pid, tier, now_us
         ):
-            self.prefetch_throttled += len(fetchable)
+            self.prefetch_throttled += fetchable
             return None
-        # One scatter-gather request per node holding pages of the range
-        # (pages interleaved across nodes fragment the batch; affinity
-        # placement keeps it whole).  Node order is first appearance in
-        # the VPN range, so grouping is deterministic.
-        groups: Dict[int, List[int]] = {}
-        for vpn in fetchable:
-            node = self._node_for_page(table.entry(vpn))
-            groups.setdefault(node.node_id, []).append(vpn)
         cgroup = self._cgroup_of[pid]
         last_arrival = None
-        for node_id, vpns in groups.items():
-            node = self.cluster.nodes[node_id]
-            try:
-                arrivals = node.fabric.read_batch(now_us, len(vpns))
-                if self.faults is not None:
-                    node.injector.check_remote(now_us)
-            except TransferTimeout:
-                # This node's scatter-gather request lost its completion;
-                # drop every page in it (nothing was charged or
-                # allocated yet).  Other nodes' requests proceed.
-                count = len(vpns)
-                self.timeouts += 1
-                self.prefetch_issued += count
-                self.issued_by_tier[tier] = self.issued_by_tier.get(tier, 0) + count
-                self.dropped_prefetches += count
-                self.dropped_by_tier[tier] = (
-                    self.dropped_by_tier.get(tier, 0) + count
+        for node, vpns in groups.items():
+            count = len(vpns)
+            arrivals = self.backend.prefetch_batch_read(node, count, now_us)
+            if arrivals is None:
+                # This node's request lost its completion: drop every
+                # page in it (nothing was charged or allocated yet).
+                # Other nodes' requests proceed.
+                self._prefetch_dropped(
+                    tier, count, now_us, tier=tier, arrival_us=-1.0, n=count
                 )
-                if self.hopp is not None:
-                    self.hopp.on_prefetch_dropped(now_us)
-                if self.telemetry is not None:
-                    bus = self.telemetry.bus
-                    bus.emit(
-                        EV_PREFETCH_ISSUE, now_us,
-                        tier=tier, arrival_us=-1.0, n=count,
-                    )
-                    bus.emit(EV_PREFETCH_DROP, now_us, tier=tier, n=count)
                 continue
             emit = self.telemetry.bus.emit if self.telemetry is not None else None
             strict = self.config.strict_cgroup_prefetch and cgroup.charge_prefetch
@@ -986,10 +656,6 @@ class Machine:
             self._note_peak()
             self.prefetch_issued += landed
             self.issued_by_tier[tier] = self.issued_by_tier.get(tier, 0) + landed
-            if self.memtier is not None:
-                # Count transfers, not landings: the scatter-gather READ
-                # moved every page even if strict mode refused some.
-                self.memtier.note_prefetch_read(node, len(vpns))
             if landed and (last_arrival is None or arrivals[-1] > last_arrival):
                 last_arrival = arrivals[-1]
         return last_arrival
@@ -1005,7 +671,7 @@ class Machine:
             if pte.injected:
                 # Early PTE injection: map immediately, no future fault.
                 table.map_page(vpn, pte.ppn, injected=True)
-                self._release_remote_copy(pte)
+                self.backend.release(pte)
             else:
                 pte.state = PteState.SWAPCACHE
                 self.swapcache.insert(pid, vpn, pte.arrival_us)
@@ -1015,6 +681,22 @@ class Machine:
                     EV_PREFETCH_LAND, arrival,
                     pid=pid, vpn=vpn, tier=pte.prefetch_tier,
                 )
+
+    def _prefetch_dropped(
+        self, tier: str, count: int, now_us: float, /, **issue
+    ) -> None:
+        """``count`` prefetched pages lost their READ's completion: count
+        them issued and dropped, and tell the HoPP breaker."""
+        self.prefetch_issued += count
+        self.issued_by_tier[tier] = self.issued_by_tier.get(tier, 0) + count
+        self.dropped_prefetches += count
+        self.dropped_by_tier[tier] = self.dropped_by_tier.get(tier, 0) + count
+        if self.hopp is not None:
+            self.hopp.on_prefetch_dropped(now_us)
+        if self.telemetry is not None:
+            bus = self.telemetry.bus
+            bus.emit(EV_PREFETCH_ISSUE, now_us, **issue)
+            bus.emit(EV_PREFETCH_DROP, now_us, tier=tier, n=count)
 
     # -- prefetch-hit accounting --------------------------------------------------------
 
@@ -1093,40 +775,22 @@ class Machine:
                 self.telemetry.bus.emit(
                     EV_CACHE_INVALIDATE, self.now_us, pid=pid, vpn=vpn
                 )
-            if self._slot_is_lost(pte.swap_slot) or self._slot_is_poisoned(
-                pte.swap_slot
-            ):
+            cluster = self.cluster
+            slot = pte.swap_slot
+            if slot not in cluster.lost_slots and slot not in cluster.poisoned_slots:
+                # Clean: the remote copy at its slot is still valid.
+                clean = 1
+            else:
                 # The remote copy died with its node (or every replica
                 # is poisoned); this swapcache page is the last good
                 # copy left.  Write it back to a fresh slot instead of
                 # clean-dropping it (that would turn a recoverable
                 # crash into data loss).
-                self._release_remote_copy(pte)
-                slot = self.swap_space.allocate(pid, vpn)
-                try:
-                    self._writeback_resilient(slot, pid, vpn)
-                except RemoteFetchFatalError:
-                    if not self.config.absorb_fatal_faults:
-                        raise
-                    # The salvage writeback burned its retry budget and
-                    # this frame is the page's last copy: keep it.  The
-                    # page promotes to PRESENT (it already left the
-                    # swapcache above) and rejoins the LRU; any replica
-                    # already written goes with the abandoned slot.
-                    self.cluster.release(slot)
-                    self.swap_space.free(slot)
-                    pte.swap_slot = -1
-                    table.map_page(vpn, pte.ppn)
-                    lru.insert(pid, vpn)
-                    self.writebacks_abandoned += 1
+                self.backend.release(pte)
+                if not self._write_back(pid, vpn, table, pte, pte.ppn, lru):
                     return 0
-                pte.swap_slot = slot
                 self.pages_salvaged += 1
-                self._memtier_note_writeback(slot, pid, vpn)
                 clean = 0
-            else:
-                # Clean: the remote copy at its slot is still valid.
-                clean = 1
             self.frames.free(pte.ppn)
             pte.ppn = -1
             pte.state = PteState.REMOTE
@@ -1134,33 +798,8 @@ class Machine:
         elif state is PteState.PRESENT:
             ppn = pte.ppn
             table.unmap_page(vpn)
-            slot = self.swap_space.allocate(pid, vpn)
-            if self.faults is None:
-                now = self.now_us
-                targets = self.cluster.assign(slot, pid, vpn)
-                for target in targets:
-                    target.remote.write(slot, pid, vpn)
-                    target.fabric.write_page(now)
-                self.cluster.replica_writes += len(targets) - 1
-            else:
-                try:
-                    self._writeback_resilient(slot, pid, vpn)
-                except RemoteFetchFatalError:
-                    if not self.config.absorb_fatal_faults:
-                        raise
-                    # The writeback burned its whole retry budget:
-                    # abandon the eviction instead of losing the page.
-                    # Replicas already written are released with the
-                    # slot, the frame stays mapped, and the page goes
-                    # back on the LRU for a later attempt.
-                    self.cluster.release(slot)
-                    self.swap_space.free(slot)
-                    table.map_page(vpn, ppn)
-                    lru.insert(pid, vpn)
-                    self.writebacks_abandoned += 1
-                    return 0
-            pte.swap_slot = slot
-            self._memtier_note_writeback(slot, pid, vpn)
+            if not self._write_back(pid, vpn, table, pte, ppn, lru):
+                return 0
             self.frames.free(ppn)
             pte.ppn = -1
             pte.state = PteState.REMOTE
@@ -1191,162 +830,48 @@ class Machine:
                 self.fault_prefetcher.on_prefetch_wasted(pid, vpn)
         return clean
 
-    def _writeback_resilient(self, slot: int, pid: int, vpn: int) -> None:
-        """Reclaim writeback with bounded retries.  Writebacks are
-        asynchronous (off the application's critical path), so retries
-        only advance the transfer's issue time, not ``now_us``; losing
-        the page is not an option, so budget exhaustion is fatal.
+    def _write_back(
+        self, pid: int, vpn: int, table: PageTable, pte: Pte, ppn: int,
+        lru: LruPageList,
+    ) -> bool:
+        """Write an evicted page to a fresh swap slot.  False when the
+        writeback burned its retry budget under ``absorb_fatal_faults``:
+        the eviction is abandoned, the frame stays mapped and the page
+        rejoins the LRU for a later attempt."""
+        slot = pte.swap_slot = self.swap_space.allocate(pid, vpn)
+        try:
+            self.backend.writeback(slot, pid, vpn, self.now_us)
+        except RemoteFetchFatalError:
+            if not self.config.absorb_fatal_faults:
+                raise
+            self.backend.release(pte)
+            table.map_page(vpn, ppn)
+            lru.insert(pid, vpn)
+            self.writebacks_abandoned += 1
+            return False
+        return True
 
-        On a multi-node cluster a writeback that finds its target node
-        restarting re-routes to the next live node (the directory is
-        updated); plain fabric drops retry the same node with backoff."""
-        targets = self.cluster.assign(slot, pid, vpn)
-        for index, target in enumerate(targets):
-            self._writeback_one(slot, pid, vpn, target)
-            if index:
-                self.cluster.replica_writes += 1
+    def _demand_timeout(self, now_us: float) -> None:
+        """A demand READ timed out and will be retried: the HoPP
+        breaker counts it as evidence the fabric is hostile."""
+        if self.hopp is not None:
+            self.hopp.on_fabric_timeout(now_us)
 
-    def _writeback_one(
-        self, slot: int, pid: int, vpn: int, node: ClusterNode
-    ) -> None:
-        waited = 0.0
-        attempts = 0
-        while True:
-            t = self.now_us + waited
-            try:
-                node.fabric.write_page(t)
-                node.remote.write(slot, pid, vpn, now_us=t)
-                if self.health is not None:
-                    self.health.observe_success(node.node_id, t)
-                return
-            except TransferTimeout as fault:
-                self.timeouts += 1
-                attempts += 1
-                if self.health is not None:
-                    self._apply_health_events(
-                        self.health.observe_timeout(node.node_id, t)
-                    )
-                if attempts > self.config.demand_retry_limit:
-                    raise RemoteFetchFatalError(
-                        pid, vpn, attempts,
-                        waited_us=waited + fault.wasted_us,
-                    ) from fault
-                self.retries += 1
-                if self.telemetry is not None:
-                    self.telemetry.bus.emit(
-                        EV_RETRY, t, op="writeback", node=node.node_id
-                    )
-                if (
-                    isinstance(fault, RemoteUnavailableError)
-                    and self.cluster.node_count > 1
-                ):
-                    rerouted = self.cluster.reroute(slot, node.node_id)
-                    if rerouted.node_id != node.node_id:
-                        # Detection cost is paid; the re-issued write
-                        # goes straight out on the new node's link.
-                        node = rerouted
-                        waited += fault.wasted_us
-                        continue
-                backoff = RETRY_BACKOFF_US * RETRY_BACKOFF_MULTIPLIER ** (attempts - 1)
-                waited += fault.wasted_us + backoff
-
-    # -- helpers ------------------------------------------------------------------------
-
-    def _memtier_note_writeback(self, slot: int, pid: int, vpn: int) -> None:
-        """Route a completed writeback into the migration engine (tier
-        accounting, pool pressure) and give its pump a turn.  One
-        ``None`` check on the default path."""
-        if self.memtier is None:
-            return
-        self.memtier.note_writeback(
-            self.cluster.primary_node(slot), slot, pid, vpn, self.now_us
-        )
-        self.memtier.pump(self.now_us)
-
-    def _release_remote_copy(self, pte: Pte, slot: Optional[int] = None) -> None:
-        """The page is mapped locally again: drop its swap slot — every
-        replica across the cluster, so slot accounting conserves."""
-        slot = pte.swap_slot if slot is None else slot
-        if slot is not None and slot >= 0:
-            self.cluster.release(slot)
-            self.swap_space.free(slot)
-            pte.swap_slot = -1
-
-    def _slot_is_lost(self, slot: Optional[int]) -> bool:
-        """Whether every replica of ``slot`` died with its node(s)."""
-        return slot is not None and slot >= 0 and self.cluster.is_lost(slot)
-
-    def _slot_is_poisoned(self, slot: Optional[int]) -> bool:
-        """Whether ``slot`` carries the CXL poison mark (every stored
-        copy known-bad; reads must zero-fill, never serve)."""
-        return slot is not None and slot >= 0 and self.cluster.is_poisoned(slot)
-
-    def _apply_health_events(self, events: List[HealthEvent]) -> None:
-        """Route monitor events into the repair engine.  The sanitizer
-        run is deferred to the next access boundary — events can fire
-        mid-fault, when the structures are legitimately in transition."""
-        for event, node_id in events:
-            if event == EVENT_DOWN:
-                self.repair.on_node_down(node_id, self.now_us)
-            elif event == EVENT_REJOIN:
-                self.repair.on_node_rejoin(node_id, self.now_us)
-        if events and self.sanitizer is not None:
-            self._sanitize_after_recovery = True
-
-    # -- recovery control ---------------------------------------------------------------
-
-    def drain_node(self, node_id: int) -> None:
-        """Gracefully decommission ``node_id``: stop placing new copies
-        on it and background-evacuate the pages it holds.  Requires
-        recovery to be armed (any ``fault_plan``, even an empty one)."""
-        if self.health is None or self.repair is None:
-            raise RuntimeError(
-                "recovery is not armed: construct the machine with a fault "
-                "plan (an empty FaultPlan() suffices) to enable drain"
-            )
-        self.health.start_drain(node_id, self.now_us)
-        self.repair.on_drain(node_id)
+    # -- end of run ---------------------------------------------------------------------
 
     def flush_memtier(self) -> None:
         """Drain every queued tier migration at the current simulated
         time so end-of-run metrics see a settled pool.  No-op on
         untiered machines."""
-        if self.memtier is not None:
-            self.memtier.flush(self.now_us)
+        self.backend.flush_memtier(self.now_us)
 
     def flush_recovery(self) -> None:
-        """Drive recovery to quiescence at the current simulated time:
-        force a heartbeat probe, apply its events, run the repair queue
-        dry, and repeat until nothing moves (a drain completion unlocks
-        a rejoin, a rejoin queues top-ups, ...).  No-op when recovery is
-        not armed."""
-        if self.health is None or self.repair is None:
-            return
-        for _ in range(4):
-            events = self.health.tick(self.now_us, force=True)
-            self._apply_health_events(events)
-            # Flush before judging quiescence: an already-empty DRAINING
-            # node has no evacuate tasks, so the queue alone looks idle
-            # while the drain still needs its completion check.
-            before = self.health.states_snapshot()
-            self.repair.flush(self.now_us)
-            if (
-                not events
-                and self.repair.idle
-                and self.health.states_snapshot() == before
-            ):
-                break
+        """Drive recovery to quiescence at the current simulated time
+        (:meth:`RemoteBackend.flush_recovery`), then give the sanitizer,
+        when armed, its final sweep."""
+        self.backend.flush_recovery(self.now_us)
         if self.sanitizer is not None:
-            self._sanitize_after_recovery = False
             self.sanitizer.check()
-
-    def _node_for_page(self, pte: Pte) -> ClusterNode:
-        """The node holding a REMOTE page's primary copy (node 0 when
-        the slot was never placed, matching the single-link model)."""
-        slot = pte.swap_slot
-        if slot is not None and slot >= 0:
-            return self.cluster.primary_node(slot)
-        return self.cluster.nodes[0]
 
     def _lru_of_pid(self, pid: int) -> LruPageList:
         return self._lru_of[self._cgroup_of[pid].name]

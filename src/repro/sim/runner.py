@@ -70,25 +70,11 @@ def collect(machine: Machine, system_name: str, workload_name: str) -> RunResult
         issued_by_tier=dict(machine.issued_by_tier),
         hits_by_tier=dict(machine.hits_by_tier),
         breakdown=machine.breakdown,
-        fabric_reads=machine.cluster.fabric_reads,
-        fabric_writes=machine.cluster.fabric_writes,
         reclaim_pages=machine.reclaimer.stats.pages_reclaimed,
         peak_resident_pages=machine.peak_resident_pages,
-        timeouts=machine.timeouts,
-        retries=machine.retries,
-        retry_latency_us=machine.retry_latency_us,
         dropped_prefetches=machine.dropped_prefetches,
         dropped_by_tier=dict(machine.dropped_by_tier),
-        remote_nodes=machine.cluster.node_count,
-        placement=machine.cluster.placement.name,
-        replication=machine.cluster.config.replication,
-        demand_failovers=machine.cluster.demand_failovers,
-        writeback_reroutes=machine.cluster.writeback_reroutes,
-        replica_writes=machine.cluster.replica_writes,
-        node_stats=[node.stats_snapshot() for node in machine.cluster.nodes],
-        pages_zero_filled=machine.pages_zero_filled,
         pages_salvaged=machine.pages_salvaged,
-        directory_misses=machine.cluster.directory_misses,
         compute_us=machine.compute_us,
         mc_writes=machine.controller.writes,
         mc_bytes=machine.controller.bytes_transferred,
@@ -100,23 +86,9 @@ def collect(machine: Machine, system_name: str, workload_name: str) -> RunResult
         swapcache_hits=machine.swapcache.hits,
         swapcache_drops=machine.swapcache.drops,
     )
-    if machine.health is not None:
-        result.node_crashes = machine.health.node_crashes
-        result.node_rejoins = machine.health.node_rejoins
-    if machine.repair is not None:
-        result.pages_repaired = machine.repair.pages_repaired
-        result.pages_lost = machine.repair.pages_lost
-        result.pages_drained = machine.repair.pages_drained
-        result.repair_reads = machine.repair.repair_reads
-        result.repair_writes = machine.repair.repair_writes
-        result.repair_bytes = machine.repair.repair_bytes
-        result.repair_retries = machine.repair.repair_retries
+    machine.backend.collect(result)
     if machine.sanitizer is not None:
         result.invariant_checks = machine.sanitizer.checks_run
-    if machine.memtier is not None:
-        result.memtier = machine.memtier.section()
-    if machine.integrity is not None:
-        result.integrity = machine.integrity.section()
     if machine.hopp is not None:
         plane = machine.hopp
         result.hopp_hot_pages_unresolved = plane.hot_pages_unresolved
@@ -175,7 +147,7 @@ def run(
     machine.run(workload.trace() if trace is None else trace)
     # Drain queued tier migrations, then let in-flight recovery converge
     # before measuring (both no-ops unless memtier / a fault plan armed
-    # them).
+    # them); an armed sanitizer sweeps the end state.
     machine.flush_memtier()
     machine.flush_recovery()
     return collect(machine, spec.name, workload.name)

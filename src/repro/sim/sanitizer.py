@@ -57,6 +57,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
 _FRAME_STATES = (PteState.PRESENT, PteState.SWAPCACHE, PteState.INFLIGHT)
 #: PTE states that keep a remote swap slot alive.
 _SLOT_STATES = (PteState.REMOTE, PteState.SWAPCACHE, PteState.INFLIGHT)
+#: Accesses between epoch sweeps (``RunEnv.check_invariants``).
+SANITIZER_INTERVAL_ACCESSES = 2000
 
 
 class InvariantViolation(AssertionError):
@@ -255,7 +257,7 @@ class InvariantSanitizer:
     def _check_integrity(self) -> None:
         machine = self.machine
         cluster = machine.cluster
-        for slot in cluster._poisoned_slots:
+        for slot in cluster.poisoned_slots:
             if cluster.is_lost(slot):
                 _fail(
                     "integrity",
@@ -275,7 +277,7 @@ class InvariantSanitizer:
                         f"node {node.node_id} checksum ledger tracks "
                         f"slot {slot} which the node does not store",
                     )
-        controller = machine.integrity
+        controller = machine.backend.integrity
         if controller is not None and not controller.balanced:
             _fail(
                 "integrity",

@@ -197,9 +197,9 @@ class TestResilientDemandPath:
         )
         machine.register_process(1)
         touch_pages(machine, 1, list(range(100)) * 3)
-        assert machine.timeouts > 0
-        assert machine.retries > 0
-        assert machine.retry_latency_us > 0.0
+        assert machine.backend.timeouts > 0
+        assert machine.backend.retries > 0
+        assert machine.backend.retry_latency_us > 0.0
         # Retried faults cost strictly more than a clean fetch.
         assert machine.now_us > 0
 

@@ -49,6 +49,15 @@ class TestRun:
         ]) == 2
         assert "crash:<int>" in capsys.readouterr().err
 
+    def test_profile_prints_the_component_table(self, capsys):
+        assert main(["run", "-w", "stream-simple", "-s", "hopp",
+                     "--profile", "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        assert "normalized performance" in out
+        assert "wall-clock by component" in out
+        assert "batch-kernel" in out
+        assert "replay loop" not in out
+
 
 class TestTelemetryFlags:
     def test_run_with_telemetry_artifacts(self, tmp_path, capsys):

@@ -438,7 +438,7 @@ class TestFailover:
         machine.now_us = 1_000_000.0
         touch_pages(machine, 1, [victim])
         assert machine.cluster.demand_failovers == 0
-        assert machine.retries >= 1
+        assert machine.backend.retries >= 1
 
     def test_writeback_reroutes_to_live_node(self):
         machine = _machine(

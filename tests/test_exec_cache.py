@@ -112,9 +112,9 @@ class TestCacheKey:
     def test_default_key_is_pinned(self):
         # A drift here orphans every on-disk cache entry: change this
         # digest only together with a SCHEMA_VERSION bump.
-        assert cache_mod.SCHEMA_VERSION == 5
+        assert cache_mod.SCHEMA_VERSION == 6
         assert cache_key(small_spec()) == (
-            "32b8c4ecf335ac2045aae25d04fc22631b6cc8355bb6f2473ba0694e7dae517b"
+            "bb232eb6594d69b3124c25874057b5b6c287af0c7d84a2d4190c21499b814228"
         )
 
     def test_schema_version_perturbs_the_key(self, monkeypatch):

@@ -15,11 +15,17 @@ import random
 import pytest
 
 from repro.baselines.depthn import DepthNPrefetcher
+from repro.cluster.cluster import ClusterConfig
 from repro.common.constants import BLOCK_SHIFT, PAGE_SHIFT, T_DRAM_HIT_US
+from repro.integrity import ScrubConfig
+from repro.kernel.page_table import PteState
+from repro.memtier import MemtierConfig
+from repro.net.faults import FaultPlan
 from repro.net.rdma import FabricConfig
 from repro.sim import batchkernel, runner, systems
 from repro.sim.machine import Machine, MachineConfig, RunEnv
 from repro.sim.runner import collect, make_machine
+from repro.sim.sanitizer import SANITIZER_INTERVAL_ACCESSES
 from repro.workloads import build
 from tests.conftest import quiet_fabric
 
@@ -169,8 +175,6 @@ class TestBatchKernelAdversarial:
         assert collect(machine, "hopp", "adv").to_dict(full=True) == want
 
     def test_chaos_fault_plan(self):
-        from repro.net.faults import FaultPlan
-
         env = RunEnv(fault_plan=FaultPlan.chaos(seed=3))
         workload = build("stream-simple", seed=3)
         trace = page_sweep_trace(workload)
@@ -181,8 +185,6 @@ class TestBatchKernelAdversarial:
         assert collect(machine, "hopp", "adv").to_dict(full=True) == want
 
     def test_memtier_active(self):
-        from repro.memtier import MemtierConfig
-
         env = RunEnv(memtier=MemtierConfig())
         workload = build("stream-simple", seed=3)
         trace = page_sweep_trace(workload)
@@ -360,10 +362,10 @@ class TestBatchPrimitives:
 
 
 class TestFastPathGating:
-    def test_sanitizer_forces_slow_loop(self):
-        # With the invariant sanitizer armed the dispatcher must take
-        # the per-access loop (the sanitizer sweeps every N accesses,
-        # so the trace must be long enough to cross that interval).
+    def test_sanitizer_armed_kernel_matches_oracle(self):
+        # The kernel sends every SANITIZER_INTERVAL_ACCESSES-th access
+        # through Machine.access, whose sweep then runs where the
+        # oracle's does (the trace must cross that interval).
         workload = build("stream-simple", seed=3, npages=256, passes=10)
         trace = list(workload.trace())
         assert len(trace) >= 2000
@@ -715,3 +717,162 @@ class TestKernelFirstTouches:
             states.append(machine_state(machine, DEMOTING.name))
         assert states[0] == states[1]
         assert states[0][0]["prefetch_hit_dram"] > 0
+
+
+#: Run environments arming each remote-side component the CLI can arm,
+#: alone and combined; armed runs take the batch kernel too.
+ARMED_ENVS = {
+    "empty-plan": RunEnv(fault_plan=FaultPlan.none()),
+    "chaos": RunEnv(fault_plan=FaultPlan.chaos(7)),
+    "crash-3-nodes": RunEnv(fault_plan=FaultPlan.crash(7),
+                            cluster=ClusterConfig(nodes=3, replication=2)),
+    "crash-rejoin": RunEnv(fault_plan=FaultPlan.crash_rejoin(7),
+                           cluster=ClusterConfig(nodes=3, replication=2)),
+    "corruption": RunEnv(fault_plan=FaultPlan.corruption(7),
+                         cluster=ClusterConfig(nodes=3, replication=2)),
+    "corruption-chaos-scrub": RunEnv(
+        fault_plan=FaultPlan.corruption_chaos(7),
+        cluster=ClusterConfig(nodes=3, replication=2), scrub=ScrubConfig()),
+    "scrub": RunEnv(scrub=ScrubConfig()),
+    "chaos-sanitizer": RunEnv(fault_plan=FaultPlan.chaos(7),
+                              check_invariants=True),
+    "sanitizer": RunEnv(check_invariants=True),
+    "memtier-chaos": RunEnv(fault_plan=FaultPlan.chaos(7),
+                            memtier=MemtierConfig()),
+    # One copy per page, and a crash that a demand read detects between
+    # heartbeats: it loses pages and queues no repair, so only the
+    # post-recovery sweep makes the next access due.
+    "crash-sanitizer": RunEnv(fault_plan=FaultPlan.crash(7, at_us=30_200.0),
+                              cluster=ClusterConfig(nodes=3),
+                              check_invariants=True),
+}
+
+#: (workload, system) pairs whose simulated run outlasts the plans'
+#: crash times: hopp takes the tapped kernel, fastswap the tap-free one.
+ARMED_PAIRS = [("npb-cg", "fastswap"), ("omp-kmeans", "hopp")]
+
+_TRACES = {}
+_ORACLE = {}
+
+
+def armed_run(workload_name, system, env_name, fast, attach=None):
+    """One replay under ``ARMED_ENVS[env_name]``, flushed the way the
+    runner flushes it.  Returns the machine and the ``(accesses,
+    now_us)`` of each sanitizer sweep."""
+    if workload_name not in _TRACES:
+        workload = build(workload_name, seed=7)
+        _TRACES[workload_name] = (workload, list(workload.trace()))
+    workload, trace = _TRACES[workload_name]
+    machine = make_machine(workload, system, 0.5, FabricConfig(seed=7),
+                           env=ARMED_ENVS[env_name])
+    sweeps = []
+    if machine.sanitizer is not None:
+        check = machine.sanitizer.check
+
+        def counting():
+            sweeps.append((machine.accesses, machine.now_us))
+            check()
+
+        machine.sanitizer.check = counting
+    if attach is not None:
+        attach(machine)
+    machine.run(trace, use_fast_path=fast)
+    machine.flush_memtier()
+    machine.flush_recovery()
+    return machine, sweeps
+
+
+def armed_state(machine, sweeps, system, workload_name):
+    return collect(machine, system, workload_name).to_dict(full=True), sweeps
+
+
+def armed_oracle(workload_name, system, env_name):
+    """The oracle's result and sweeps, and how many accesses started on
+    a resident page when a backend step or a sweep was due."""
+    key = (workload_name, system, env_name)
+    if key not in _ORACLE:
+        due_resident = []
+
+        def judge(machine):
+            access = machine.access
+
+            def judging(pid, vaddr, is_write=False):
+                if machine._arrivals and machine._arrivals[0][0] <= machine.now_us:
+                    machine._process_arrivals(machine.now_us)
+                pte = machine.page_table(pid).peek(vaddr >> PAGE_SHIFT)
+                sweep = machine.sanitizer is not None and (
+                    (machine.accesses + 1) % SANITIZER_INTERVAL_ACCESSES == 0)
+                if (pte is not None and pte.state is PteState.PRESENT and (
+                        sweep or machine.now_us >= machine.backend.due_us())):
+                    due_resident.append(machine.accesses)
+                return access(pid, vaddr, is_write)
+
+            machine.access = judging
+
+        machine, sweeps = armed_run(workload_name, system, env_name, False,
+                                    judge)
+        _ORACLE[key] = (armed_state(machine, sweeps, system, workload_name),
+                        len(due_resident))
+    return _ORACLE[key]
+
+
+class TestArmedRunsTakeTheKernel:
+    """Fault plans, recovery, integrity, the CXL tier and the sanitizer
+    replay through the batch kernel: it cuts its runs at the backend's
+    next deadline and the sanitizer's next sweep, and sends the due
+    access through Machine.access.  The result and every sweep's place
+    must be the oracle's."""
+
+    @pytest.mark.parametrize("env_name", sorted(ARMED_ENVS))
+    @pytest.mark.parametrize("workload_name,system", ARMED_PAIRS,
+                             ids=["/".join(p) for p in ARMED_PAIRS])
+    def test_matches_oracle(self, workload_name, system, env_name):
+        machine, sweeps = armed_run(workload_name, system, env_name, True)
+        fast = armed_state(machine, sweeps, system, workload_name)
+        slow, _ = armed_oracle(workload_name, system, env_name)
+        assert fast == slow
+        if machine.sanitizer is not None:
+            assert len(sweeps) > 2
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    @pytest.mark.parametrize("env_name", ["chaos-sanitizer", "crash-3-nodes",
+                                          "corruption-chaos-scrub"])
+    def test_chunk_edges(self, env_name, chunk, monkeypatch):
+        slow, _ = armed_oracle("npb-cg", "fastswap", env_name)
+        monkeypatch.setattr(batchkernel, "CHUNK", chunk)
+        machine, sweeps = armed_run("npb-cg", "fastswap", env_name, True)
+        assert armed_state(machine, sweeps, "fastswap", "npb-cg") == slow
+
+    @pytest.mark.parametrize("env_name", ["chaos-sanitizer", "crash-3-nodes",
+                                          "corruption-chaos-scrub",
+                                          "crash-sanitizer"])
+    def test_access_is_called_per_fault_and_due_step(self, env_name):
+        # The oracle counts the accesses that start on a resident page
+        # when a backend step or a sweep is due; the kernel must send
+        # exactly those, plus its faults, through Machine.access.
+        calls = []
+        runs = []
+
+        def count(machine):
+            access = machine.access
+            process_run = machine.hopp.hpd.process_run
+
+            def counting(pid, vaddr, is_write=False):
+                calls.append(pid)
+                return access(pid, vaddr, is_write)
+
+            def counting_runs(ppn, reads):
+                runs.append(reads)
+                return process_run(ppn, reads)
+
+            machine.access = counting
+            machine.hopp.hpd.process_run = counting_runs
+
+        machine, _ = armed_run("omp-kmeans", "hopp", env_name, True, count)
+        _, due_resident = armed_oracle("omp-kmeans", "hopp", env_name)
+        faults = (machine.minor_faults + machine.remote_demand_reads
+                  + machine.prefetch_hit_swapcache
+                  + machine.prefetch_hit_inflight)
+        assert runs
+        assert due_resident
+        assert len(calls) == faults + due_resident

@@ -399,13 +399,13 @@ class TestPatrolScrubber:
     def test_scrubber_rides_the_repair_pump_idle_slot(self):
         # A fast audit rate so even this short run sees patrol reads.
         machine = _machine(scrub=ScrubConfig(rate_pages_per_s=100_000.0))
-        assert machine.scrubber is not None
-        assert machine.repair.scrubber is machine.scrubber
+        assert machine.backend.scrubber is not None
+        assert machine.backend.repair.scrubber is machine.backend.scrubber
         touch_pages(machine, 1, range(64))
-        assert machine.integrity.scrub_reads > 0
+        assert machine.backend.integrity.scrub_reads > 0
         # Scrub-only arming injects nothing and detects nothing.
-        assert machine.integrity.corruption_detected == 0
-        section = machine.integrity.section()
+        assert machine.backend.integrity.corruption_detected == 0
+        section = machine.backend.integrity.section()
         assert section["bit_flips_injected"] == 0
         assert section["media_errors_injected"] == 0
 
@@ -423,7 +423,7 @@ class TestPoisonSemantics:
             and table.peek(v).state == PteState.REMOTE
         )
         slot = table.peek(vpn).swap_slot
-        machine.integrity.poison(slot, machine.now_us, condemned=0)
+        machine.backend.integrity.poison(slot, machine.now_us, condemned=0)
         return vpn, slot
 
     def test_poisoned_demand_read_zero_fills(self):
@@ -431,8 +431,8 @@ class TestPoisonSemantics:
         touch_pages(machine, 1, range(64))
         vpn, slot = self._poison_one_remote(machine)
         machine.access(1, vpn << 12)
-        assert machine.integrity.poisoned_reads == 1
-        assert machine.pages_zero_filled == 1
+        assert machine.backend.integrity.poisoned_reads == 1
+        assert machine.backend.pages_zero_filled == 1
         table = machine.page_table(1)
         assert table.peek(vpn).state == PteState.PRESENT
         # The fault released the slot, which discards the poison mark.
@@ -468,7 +468,7 @@ class TestPoisonSemantics:
         pte = table.peek(victim)
         assert pte.state == PteState.SWAPCACHE
         old_slot = pte.swap_slot
-        machine.integrity.poison(old_slot, machine.now_us, condemned=0)
+        machine.backend.integrity.poison(old_slot, machine.now_us, condemned=0)
         salvaged_before = machine.pages_salvaged
         machine._evict(1, victim)
         assert machine.pages_salvaged == salvaged_before + 1
@@ -482,13 +482,13 @@ class TestPoisonSemantics:
             scrub=ScrubConfig(), nodes=1, memtier=memtier, local_pages=24
         )
         touch_pages(machine, 1, range(64))
-        engine = machine.memtier
-        assert engine.integrity is machine.integrity
+        engine = machine.backend.memtier
+        assert engine.integrity is machine.backend.integrity
         # Pick a pool-resident slot and poison it: a demote is queued.
         slot = next(iter(engine._pool_seq))
         pool_id = engine._pool_seq[slot][0]
         assert machine.cluster.nodes[pool_id].tier == TIER_POOL
-        machine.integrity.poison(slot, machine.now_us, condemned=0)
+        machine.backend.integrity.poison(slot, machine.now_us, condemned=0)
         assert ("demote", slot, pool_id) in engine._queue
         machine.flush_memtier()
         holders = machine.cluster.holders_of(slot)
@@ -496,9 +496,9 @@ class TestPoisonSemantics:
         assert machine.cluster.is_poisoned(slot)  # the mark survives moves
         # And a queued promotion of a poisoned slot is refused.
         engine._enqueue(("promote", slot, -1))
-        barred = machine.integrity.promotions_barred
+        barred = machine.backend.integrity.promotions_barred
         machine.flush_memtier()
-        assert machine.integrity.promotions_barred == barred + 1
+        assert machine.backend.integrity.promotions_barred == barred + 1
         assert machine.cluster.conserved()
         InvariantSanitizer(machine).check()
 
@@ -530,8 +530,8 @@ class TestLostSlotMemtierInteraction:
         )
         machine.now_us = 1e9 + 600.0
         machine.access(1, victim << 12)
-        assert machine.pages_zero_filled == 1
-        assert machine.repair.pages_lost > 0
+        assert machine.backend.pages_zero_filled == 1
+        assert machine.backend.repair.pages_lost > 0
         assert table.peek(victim).state == PteState.PRESENT
         assert machine.cluster.conserved()
         InvariantSanitizer(machine).check()
@@ -563,7 +563,7 @@ class TestLostSlotMemtierInteraction:
 
     def test_mid_migration_loss_abandons_the_task_cleanly(self):
         machine = self._crash_tiered_machine()
-        engine = machine.memtier
+        engine = machine.backend.memtier
         # Queue a demotion for a pool-resident slot, then lose its node
         # before the pump runs: the task must bail without a transfer.
         slot = next(iter(engine._pool_seq))

@@ -233,8 +233,8 @@ class TestMachineDerivation:
         assert machine.cluster.node_count == 3
         assert machine.cluster.node_tiers == (TIER_POOL, TIER_FAR, TIER_FAR)
         assert machine.cluster.placement.name == "tiered"
-        assert machine.memtier is not None
-        assert machine.cluster.memtier_hot == machine.memtier.is_hot
+        assert machine.backend.memtier is not None
+        assert machine.cluster.memtier_hot == machine.backend.memtier.is_hot
 
     def test_explicit_node_tiers_respected(self):
         machine = Machine(
@@ -258,7 +258,7 @@ class TestMachineDerivation:
             MachineConfig(local_memory_pages=24, fabric=quiet_fabric(),
                           watermark_slack=4)
         )
-        assert machine.memtier is None
+        assert machine.backend.memtier is None
 
 
 class TestMigration:
@@ -267,7 +267,7 @@ class TestMigration:
             _tiny_pool(pool_capacity_pages=8, promote_touches=2,
                        hot_promote=False)
         )
-        engine = machine.memtier
+        engine = machine.backend.memtier
         far_node = next(
             node for node in machine.cluster.nodes if node.tier == TIER_FAR
         )
@@ -278,7 +278,7 @@ class TestMigration:
 
     def test_note_hot_queues_promotion_of_far_resident_page(self):
         machine = _tiered_machine()
-        engine = machine.memtier
+        engine = machine.backend.memtier
         # Park a page on the far node through the real swap/cluster path.
         slot = machine.swap_space.allocate(1, 99)
         far_id = next(
@@ -301,7 +301,7 @@ class TestMigration:
 
     def test_watermark_pressure_demotes_coldest_first(self):
         machine = _tiered_machine(_tiny_pool(pool_capacity_pages=10))
-        engine = machine.memtier
+        engine = machine.backend.memtier
         pool = next(
             node for node in machine.cluster.nodes if node.tier == TIER_POOL
         )
@@ -327,7 +327,7 @@ class TestMigration:
 
     def test_pressure_beats_hotness_when_everything_is_hot(self):
         machine = _tiered_machine(_tiny_pool(pool_capacity_pages=10))
-        engine = machine.memtier
+        engine = machine.backend.memtier
         pool = next(
             node for node in machine.cluster.nodes if node.tier == TIER_POOL
         )
@@ -345,7 +345,7 @@ class TestMigration:
 
     def test_migration_bytes_track_page_copies(self):
         machine = _tiered_machine()
-        engine = machine.memtier
+        engine = machine.backend.memtier
         engine.migration_reads = 3
         engine.migration_writes = 2
         assert engine.migration_bytes == 5 * PAGE_SIZE

@@ -284,7 +284,7 @@ def _armed_machine(nodes=3, standby=1):
     machine.register_process(0)
     machine.add_vma(0, 0, 64, "heap")
     for node_id in range(nodes - standby, nodes):
-        machine.health.retire(node_id)
+        machine.backend.health.retire(node_id)
     return machine
 
 
@@ -304,7 +304,7 @@ class TestAutoscaler:
         assert scaler.observe(5.0, rnd=0) is None      # one hot round
         assert scaler.observe(5.0, rnd=1) == "scale_out"
         assert scaler.active_nodes() == [0, 1, 2]
-        assert machine.health.is_placeable(2)
+        assert machine.backend.health.is_placeable(2)
         assert scaler.events == [[1, "scale_out", 2]]
 
     def test_scale_out_without_standby_is_noop(self):
@@ -321,12 +321,12 @@ class TestAutoscaler:
             machine, AutoscalerConfig(sustain_rounds=1, cooldown_rounds=0)
         )
         assert scaler.observe(0.0, rnd=0) == "scale_in"
-        assert machine.health.state(1) is NodeState.DRAINING
+        assert machine.backend.health.state(1) is NodeState.DRAINING
         machine.flush_recovery()
         # Empty node: the drain completes instantly and parks in standby
         # instead of rejoining placement.
-        assert machine.health.is_standby(1)
-        assert not machine.health.is_placeable(1)
+        assert machine.backend.health.is_standby(1)
+        assert not machine.backend.health.is_placeable(1)
         assert scaler.active_nodes() == [0]
 
     def test_min_active_floor_counts_only_undraining_nodes(self):

@@ -317,9 +317,9 @@ class TestMachineRecovery:
         )
         machine.now_us = 1e9 + 600.0
         machine.access(1, victim << 12)
-        assert machine.health.node_crashes == 1
-        assert machine.pages_zero_filled == 1
-        assert machine.repair.pages_lost > 0
+        assert machine.backend.health.node_crashes == 1
+        assert machine.backend.pages_zero_filled == 1
+        assert machine.backend.repair.pages_lost > 0
         assert table.peek(victim).state == PteState.PRESENT
         assert machine.cluster.conserved()
         InvariantSanitizer(machine).check()
@@ -329,11 +329,11 @@ class TestMachineRecovery:
         machine = _machine(nodes=2, replication=1, plan=FaultPlan())
         touch_pages(machine, 1, range(64))
         assert machine.cluster.nodes[0].remote.pages_stored > 0
-        machine.drain_node(0)
+        machine.backend.drain_node(0, machine.now_us)
         machine.flush_recovery()
         assert machine.cluster.nodes[0].remote.pages_stored == 0
-        assert machine.repair.pages_drained > 0
-        assert machine.health.state(0) is NodeState.UP
+        assert machine.backend.repair.pages_drained > 0
+        assert machine.backend.health.state(0) is NodeState.UP
         for slot in machine.cluster.slots_in_directory():
             assert 0 not in machine.cluster.holders_of(slot)
         assert machine.cluster.conserved()
@@ -342,7 +342,7 @@ class TestMachineRecovery:
     def test_drain_requires_armed_recovery(self):
         machine = _machine(nodes=2, plan=None)
         with pytest.raises(RuntimeError, match="not armed"):
-            machine.drain_node(0)
+            machine.backend.drain_node(0, machine.now_us)
 
     def test_writeback_dead_end_falls_back_to_backoff_retry(self):
         # Replication spans every node, so a writeback that finds its
@@ -351,7 +351,7 @@ class TestMachineRecovery:
         plan = FaultPlan(seed=1, remote_restart=((0.0, 2_000.0),))
         machine = _machine(nodes=2, replication=2, plan=plan)
         touch_pages(machine, 1, range(64))
-        assert machine.retries > 0
+        assert machine.backend.retries > 0
         assert machine.cluster.writeback_reroutes == 0
         assert machine.cluster.conserved()
         # Pages written back during the window still reached both nodes.
@@ -365,11 +365,11 @@ class TestMachineRecovery:
 class TestCrashAcceptance:
     def test_replicated_cluster_loses_nothing(self):
         machine = _crash_machine(replication=2)
-        assert machine.health.node_crashes == 1
-        assert machine.repair.pages_lost == 0
-        assert machine.pages_zero_filled == 0
-        assert machine.repair.pages_repaired > 0
-        assert machine.repair.repair_bytes > 0
+        assert machine.backend.health.node_crashes == 1
+        assert machine.backend.repair.pages_lost == 0
+        assert machine.backend.pages_zero_filled == 0
+        assert machine.backend.repair.pages_repaired > 0
+        assert machine.backend.repair.repair_bytes > 0
         assert machine.cluster.conserved()
         # Full replication restored for every directory slot, with no
         # copy left on (or credited to) the dead node.
@@ -384,18 +384,18 @@ class TestCrashAcceptance:
 
     def test_unreplicated_cluster_accounts_for_every_loss(self):
         machine = _crash_machine(replication=1)
-        assert machine.health.node_crashes == 1
-        assert machine.repair.pages_lost > 0
-        assert machine.pages_zero_filled > 0
+        assert machine.backend.health.node_crashes == 1
+        assert machine.backend.repair.pages_lost > 0
+        assert machine.backend.pages_zero_filled > 0
         assert machine.cluster.conserved()
         assert machine.sanitizer.checks_run > 0
 
     def test_rejoined_node_is_readmitted(self):
         machine = _crash_machine(replication=2, rejoin=True)
-        assert machine.health.node_crashes == 1
-        assert machine.health.node_rejoins == 1
-        assert machine.health.state(0) is NodeState.UP
-        assert machine.repair.pages_lost == 0
+        assert machine.backend.health.node_crashes == 1
+        assert machine.backend.health.node_rejoins == 1
+        assert machine.backend.health.state(0) is NodeState.UP
+        assert machine.backend.repair.pages_lost == 0
         assert machine.cluster.conserved()
 
     def test_recovery_is_deterministic(self):
@@ -461,6 +461,19 @@ class TestSanitizer:
             env=RunEnv(check_invariants=True),
         )
         assert result.invariant_checks > 0
+
+    @pytest.mark.parametrize("plan", [None, FaultPlan()],
+                             ids=["no-plan", "empty-plan"])
+    def test_end_state_is_swept_with_or_without_a_plan(self, plan):
+        # 1,024 accesses never reach the first epoch sweep: only the
+        # run's final sweep checks them, recovery armed or not.
+        workload = build("stream-simple", seed=7, npages=64, passes=2)
+        result = runner.run(
+            workload, "hopp", 0.5, quiet_fabric(7),
+            env=RunEnv(fault_plan=plan, check_invariants=True),
+        )
+        assert result.accesses == 1024
+        assert result.invariant_checks == 1
 
 
 # -- fault-plan crash primitives (round-trip is in test_failure_injection) -------------
