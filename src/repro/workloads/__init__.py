@@ -1,6 +1,6 @@
 """Workload suite: the 15 Table-IV applications plus microbenchmarks."""
 
-from repro.workloads.base import Access, ProcessSpec, Workload
+from repro.workloads.base import Access, ProcessSpec, Visit, Workload
 from repro.workloads.registry import (
     ALL_APPS,
     NON_JVM_APPS,
@@ -13,6 +13,7 @@ from repro.workloads.registry import (
 __all__ = [
     "Access",
     "ProcessSpec",
+    "Visit",
     "Workload",
     "ALL_APPS",
     "NON_JVM_APPS",

@@ -6,10 +6,12 @@ Traces are generated lazily and deterministically from a seed so every
 system under comparison replays the identical access sequence.
 
 The unit of a trace is a cacheline READ that missed the LLC, expressed
-as ``(pid, virtual_byte_address)``.  Generators emit a configurable
-number of cacheline touches per page visit (``blocks_per_page``); with
-the HPD threshold at its default of 8, a fully visited page is extracted
-as hot exactly once per visit.
+as ``(pid, virtual_byte_address)``.  Generators work one page visit at a
+time: :meth:`Workload.visits` yields ``(pid, vpn, first_block,
+end_block)`` keys, each a run of consecutive cacheline touches
+(``blocks_per_page`` for a whole visit; with the HPD threshold at its
+default of 8, a fully visited page is extracted as hot exactly once per
+visit), and :meth:`Workload.trace` expands them into accesses.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ from dataclasses import dataclass, field
 from typing import Iterator, List, Tuple
 
 from repro.common.constants import PAGE_SHIFT
-
-#: One trace item: (pid, virtual byte address).
-Access = Tuple[int, int]
+from repro.workloads import traclib
+from repro.workloads.traclib import Access, Visit
 
 
 @dataclass(frozen=True)
@@ -60,9 +61,17 @@ class Workload(abc.ABC):
     def processes(self) -> List[ProcessSpec]:
         ...
 
-    @abc.abstractmethod
+    def visits(self) -> Iterator[Visit]:
+        """Yield the LLC-miss reference stream as page visits."""
+        raise NotImplementedError(
+            f"{type(self).__name__} implements neither visits() nor trace()"
+        )
+
     def trace(self) -> Iterator[Access]:
-        """Yield the LLC-miss reference stream."""
+        """Yield the LLC-miss reference stream, one ``(pid, vaddr)`` per
+        access.  A subclass implements :meth:`visits`, or overrides this
+        method to emit accesses itself."""
+        return traclib.accesses(self.visits())
 
     # -- helpers ---------------------------------------------------------------
 

@@ -15,7 +15,7 @@ import random
 from typing import Iterator, List
 
 from repro.workloads import jvmlib, traclib
-from repro.workloads.base import Access, ProcessSpec, Workload
+from repro.workloads.base import ProcessSpec, Visit, Workload
 
 EDGE_BASE = 1 << 20
 VERTEX_BASE = 1 << 23
@@ -70,7 +70,7 @@ class _GraphxBase(Workload):
             )
         ]
 
-    def trace(self) -> Iterator[Access]:
+    def visits(self) -> Iterator[Visit]:
         rng = random.Random(self.seed)
         nsegs = len(self._segments)
         for part in range(1, self.parts + 1):
@@ -80,7 +80,7 @@ class _GraphxBase(Workload):
             # End-of-part GC: sweep the live heap.
             yield from jvmlib.gc_pass(1, live)
 
-    def _iteration(self, rng: random.Random, live) -> Iterator[Access]:
+    def _iteration(self, rng: random.Random, live) -> Iterator[Visit]:
         edge_visits = jvmlib.total_pages(live)
         gathers = traclib.random_gather(
             1,
@@ -98,7 +98,7 @@ class _GraphxBase(Workload):
             blocks_per_page=self.blocks_per_page,
         )
 
-    def _edge_stream(self, rng: random.Random, live) -> Iterator[Access]:
+    def _edge_stream(self, rng: random.Random, live) -> Iterator[Visit]:
         if self.run_pages is None:
             yield from jvmlib.segmented_scan(
                 1, live, self.blocks_per_page, parallelism=6, rng=rng

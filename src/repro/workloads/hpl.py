@@ -15,7 +15,7 @@ import random
 from typing import Iterator, List
 
 from repro.workloads import traclib
-from repro.workloads.base import Access, ProcessSpec, Workload
+from repro.workloads.base import ProcessSpec, Visit, Workload
 
 MATRIX_BASE = 1 << 20
 PANEL_BASE = 1 << 22
@@ -60,7 +60,7 @@ class Hpl(Workload):
             )
         ]
 
-    def trace(self) -> Iterator[Access]:
+    def visits(self) -> Iterator[Visit]:
         rng = random.Random(self.seed)
         ladder_span = max(TREAD_OFFSETS) + 1
         for step in range(self.steps):

@@ -20,7 +20,7 @@ import random
 from typing import Iterator, List, Sequence, Tuple
 
 from repro.workloads import traclib
-from repro.workloads.base import Access
+from repro.workloads.base import Visit
 
 #: A heap segment: (start_vpn, npages).
 Segment = Tuple[int, int]
@@ -55,7 +55,7 @@ def segmented_scan(
     blocks_per_page: int = 8,
     parallelism: int = 1,
     rng: random.Random = None,
-) -> Iterator[Access]:
+) -> Iterator[Visit]:
     """Stream the segments (one short stream each).
 
     ``parallelism`` > 1 interleaves that many concurrent segment scans —
@@ -88,7 +88,7 @@ def gc_pass(
     pid: int,
     segments: Sequence[Segment],
     blocks_per_page: int = 8,
-) -> Iterator[Access]:
+) -> Iterator[Visit]:
     """A mark-phase sweep over the live heap.
 
     Object headers are dense on JVM heap pages, so a mark pass touches

@@ -13,7 +13,7 @@ import random
 from typing import Iterator, List
 
 from repro.workloads import traclib
-from repro.workloads.base import Access, ProcessSpec, Workload
+from repro.workloads.base import ProcessSpec, Visit, Workload
 
 DATA_BASE = 1 << 20
 CENTROID_BASE = 1 << 22
@@ -56,7 +56,7 @@ class OmpKmeans(Workload):
             )
         ]
 
-    def trace(self) -> Iterator[Access]:
+    def visits(self) -> Iterator[Visit]:
         rng = random.Random(self.seed)
         chunk = self.data_pages // self.threads
         for _ in range(self.iterations):

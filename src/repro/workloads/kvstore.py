@@ -17,7 +17,7 @@ import random
 from typing import Iterator, List
 
 from repro.workloads import traclib
-from repro.workloads.base import Access, ProcessSpec, Workload
+from repro.workloads.base import ProcessSpec, Visit, Workload
 
 INDEX_BASE = 1 << 20
 VALUE_BASE = 1 << 22
@@ -80,16 +80,16 @@ class KvCache(Workload):
         index = int(self.objects * u ** self.zipf_exponent)
         return min(index, self.objects - 1)
 
-    def trace(self) -> Iterator[Access]:
+    def visits(self) -> Iterator[Visit]:
         rng = random.Random(self.seed)
         for _ in range(self.operations):
             obj = self._pick_object(rng)
             # Hash-index probe: one or two buckets.
             bucket = INDEX_BASE + (hash((obj, 0x9E37)) % self.index_pages)
-            yield from traclib.visit_page(1, bucket, blocks_per_page=2)
+            yield traclib.visit_page(1, bucket, blocks_per_page=2)
             # Value read (or rewrite): every page of the object.
             for offset in range(self._sizes[obj]):
-                yield from traclib.visit_page(
+                yield traclib.visit_page(
                     1, self._starts[obj] + offset,
                     blocks_per_page=self.blocks_per_page,
                 )

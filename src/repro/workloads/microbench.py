@@ -14,7 +14,7 @@ import random
 from typing import Iterator, List
 
 from repro.workloads import traclib
-from repro.workloads.base import Access, ProcessSpec, Workload
+from repro.workloads.base import ProcessSpec, Visit, Workload
 
 BASE_A = 1 << 20
 BASE_B = 1 << 22
@@ -42,7 +42,7 @@ class SimpleStream(Workload):
     def processes(self) -> List[ProcessSpec]:
         return [ProcessSpec(pid=1, vmas=((BASE_A, self.footprint_pages + 1, "arr"),))]
 
-    def trace(self) -> Iterator[Access]:
+    def visits(self) -> Iterator[Visit]:
         for _ in range(self.passes):
             yield from traclib.scan(
                 1, BASE_A, self.npages, stride=self.stride,
@@ -72,7 +72,7 @@ class LadderStream(Workload):
     def processes(self) -> List[ProcessSpec]:
         return [ProcessSpec(pid=1, vmas=((BASE_A, self.footprint_pages, "arr"),))]
 
-    def trace(self) -> Iterator[Access]:
+    def visits(self) -> Iterator[Visit]:
         for _ in range(self.passes):
             yield from traclib.ladder(
                 1, BASE_A, self.OFFSETS, self.steps, self.rise,
@@ -100,7 +100,7 @@ class RippleStream(Workload):
     def processes(self) -> List[ProcessSpec]:
         return [ProcessSpec(pid=1, vmas=((BASE_A, self.footprint_pages, "arr"),))]
 
-    def trace(self) -> Iterator[Access]:
+    def visits(self) -> Iterator[Visit]:
         rng = random.Random(self.seed)
         for _ in range(self.passes):
             yield from traclib.ripple(
@@ -138,7 +138,7 @@ class InterleavedStreams(Workload):
             )
         ]
 
-    def trace(self) -> Iterator[Access]:
+    def visits(self) -> Iterator[Visit]:
         rng = random.Random(self.seed)
         for _ in range(self.passes):
             a = traclib.scan(1, BASE_A, self.npages, stride=2,
@@ -182,7 +182,7 @@ class AdderBenchmark(Workload):
         )
         return [ProcessSpec(pid=1, vmas=vmas)]
 
-    def trace(self) -> Iterator[Access]:
+    def visits(self) -> Iterator[Visit]:
         rng = random.Random(self.seed)
         for _ in range(self.passes):
             scans = [
@@ -237,7 +237,7 @@ class ScanWithWorkingSet(Workload):
             )
         ]
 
-    def trace(self) -> Iterator[Access]:
+    def visits(self) -> Iterator[Visit]:
         rng = random.Random(self.seed)
         for _ in range(self.passes):
             scan = traclib.scan(

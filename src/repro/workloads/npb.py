@@ -21,7 +21,7 @@ import random
 from typing import Iterator, List
 
 from repro.workloads import traclib
-from repro.workloads.base import Access, ProcessSpec, Workload
+from repro.workloads.base import ProcessSpec, Visit, Workload
 
 REGION_A = 1 << 20   # main data (matrix / grid / keys)
 REGION_B = 1 << 22   # secondary data (vectors / buckets / scratch)
@@ -65,7 +65,7 @@ class _NpbKernel(Workload):
 class NpbCG(_NpbKernel):
     name = "npb-cg"
 
-    def trace(self) -> Iterator[Access]:
+    def visits(self) -> Iterator[Visit]:
         rng = random.Random(self.seed)
         for _ in range(self.iterations):
             matrix = traclib.scan(
@@ -85,7 +85,7 @@ class NpbCG(_NpbKernel):
 class NpbFT(_NpbKernel):
     name = "npb-ft"
 
-    def trace(self) -> Iterator[Access]:
+    def visits(self) -> Iterator[Visit]:
         strides = (1, 8, 1, 16)
         for _ in range(self.iterations):
             for stride in strides:
@@ -103,7 +103,7 @@ class NpbFT(_NpbKernel):
 class NpbLU(_NpbKernel):
     name = "npb-lu"
 
-    def trace(self) -> Iterator[Access]:
+    def visits(self) -> Iterator[Visit]:
         rng = random.Random(self.seed)
         for _ in range(self.iterations):
             # SSOR: a forward wavefront sweep (ripple) followed by the
@@ -124,7 +124,7 @@ class NpbMG(_NpbKernel):
     #: Tread offsets of the 3-D stencil's plane touches (non-uniform).
     STENCIL_OFFSETS = (0, 11, 26)
 
-    def trace(self) -> Iterator[Access]:
+    def visits(self) -> Iterator[Visit]:
         rng = random.Random(self.seed)
         span = max(self.STENCIL_OFFSETS) + 1
         for _ in range(self.iterations):
@@ -165,7 +165,7 @@ class NpbMG(_NpbKernel):
 class NpbIS(_NpbKernel):
     name = "npb-is"
 
-    def trace(self) -> Iterator[Access]:
+    def visits(self) -> Iterator[Visit]:
         rng = random.Random(self.seed)
         for _ in range(self.iterations):
             keys = traclib.scan(

@@ -17,7 +17,7 @@ import random
 from typing import Iterator, List
 
 from repro.workloads import traclib
-from repro.workloads.base import Access, ProcessSpec, Workload
+from repro.workloads.base import ProcessSpec, Visit, Workload
 
 ARRAY_BASE = 1 << 20
 
@@ -49,11 +49,11 @@ class Quicksort(Workload):
             ProcessSpec(pid=1, vmas=((ARRAY_BASE, self.array_pages, "array"),))
         ]
 
-    def trace(self) -> Iterator[Access]:
+    def visits(self) -> Iterator[Visit]:
         rng = random.Random(self.seed)
         yield from self._sort(rng, ARRAY_BASE, self.array_pages)
 
-    def _sort(self, rng: random.Random, lo_vpn: int, npages: int) -> Iterator[Access]:
+    def _sort(self, rng: random.Random, lo_vpn: int, npages: int) -> Iterator[Visit]:
         if npages <= self.leaf_pages:
             # Insertion-sort leaf: one tight pass.
             yield from traclib.scan(1, lo_vpn, npages, blocks_per_page=self.blocks_per_page)
@@ -64,7 +64,7 @@ class Quicksort(Workload):
         yield from self._sort(rng, lo_vpn, left)
         yield from self._sort(rng, lo_vpn + left, npages - left)
 
-    def _partition(self, rng: random.Random, lo_vpn: int, npages: int) -> Iterator[Access]:
+    def _partition(self, rng: random.Random, lo_vpn: int, npages: int) -> Iterator[Visit]:
         """Two converging pointer streams, interleaved chunk-wise."""
         half = npages // 2
         ascending = traclib.scan(

@@ -12,7 +12,7 @@ import random
 from typing import Iterator, List
 
 from repro.workloads import jvmlib, traclib
-from repro.workloads.base import Access, ProcessSpec, Workload
+from repro.workloads.base import ProcessSpec, Visit, Workload
 
 HEAP_BASE = 1 << 20
 BROADCAST_BASE = 1 << 24
@@ -60,7 +60,7 @@ class SparkKmeans(Workload):
             )
         ]
 
-    def trace(self) -> Iterator[Access]:
+    def visits(self) -> Iterator[Visit]:
         rng = random.Random(self.seed)
         per_stage = max(1, len(self._segments) // self.stages)
         for stage in range(self.stages):
@@ -129,7 +129,7 @@ class SparkBayes(Workload):
             )
         ]
 
-    def trace(self) -> Iterator[Access]:
+    def visits(self) -> Iterator[Visit]:
         rng = random.Random(self.seed)
         per_stage = max(1, len(self._segments) // self.stages)
         for stage in range(self.stages):
