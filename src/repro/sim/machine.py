@@ -531,6 +531,10 @@ class Machine:
             # _ensure_headroom's own test, made here: most targets fit.
             if self._resident[cgroup.name] + 1 > cgroup.limit_pages:
                 self._ensure_headroom(pid)
+                # The reclaim's writebacks can declare a node DOWN, and
+                # its repair can lose this very slot.
+                if slot in cluster.lost_slots or slot in cluster.poisoned_slots:
+                    return None
             cgroup.charge(1, prefetch=True)
         self._resident[cgroup.name] += 1
         self._resident_total += 1

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -42,6 +44,20 @@ class TestRun:
         assert "node crashes / rejoins" in out
         assert "pages repaired" in out
         assert "invariant checks passed" in out
+
+    def test_unreplicated_crash_detected_in_prefetch_reclaim(self, capsys):
+        # The crash is detected by a writeback inside a prefetch's own
+        # reclaim, and repair loses the slot that prefetch then reads.
+        code = main([
+            "run", "-w", "npb-is", "-s", "hopp", "-f", "0.5",
+            "--fault-plan", "crash", "--remote-nodes", "3",
+            "--replication", "1", "--check-invariants", "--no-cache", "--json",
+        ])
+        assert code == 0
+        recovery = json.loads(capsys.readouterr().out)["recovery"]
+        assert recovery["node_crashes"] == 1
+        assert recovery["pages_lost"] > 0
+        assert recovery["invariant_checks"] > 0
 
     def test_bad_crash_seed_fails(self, capsys):
         assert main([

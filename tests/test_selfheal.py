@@ -408,6 +408,47 @@ class TestCrashAcceptance:
         assert results[0] == results[1]
 
 
+#: Unreplicated crashes (3 nodes, seed 7, fraction 0.5) that a prefetch's
+#: own reclaim detects: its writeback times out, the node is declared
+#: DOWN, and repair loses the very slot the prefetch was about to read.
+PREFETCH_SLOT_LOST_IN_RECLAIM = [("npb-cg", "fastswap", 30_150.0)] + [
+    ("omp-kmeans", "hopp", at_us)
+    for at_us in (30_100.0, 30_150.0, 30_250.0, 30_300.0, 30_350.0)
+]
+
+
+class TestPrefetchSlotLostInItsReclaim:
+    @pytest.mark.parametrize(
+        "workload_name,system,at_us", PREFETCH_SLOT_LOST_IN_RECLAIM,
+        ids=[f"{w}/{s}@{int(t)}" for w, s, t in PREFETCH_SLOT_LOST_IN_RECLAIM],
+    )
+    def test_run_finishes_and_matches_oracle(self, workload_name, system, at_us):
+        from repro.net.rdma import FabricConfig
+
+        workload = build(workload_name, seed=7)
+        trace = list(workload.trace())
+        env = RunEnv(
+            fault_plan=FaultPlan.crash(7, at_us=at_us),
+            cluster=ClusterConfig(nodes=3, replication=1),
+            check_invariants=True,
+        )
+        results = []
+        for fast in (True, False):
+            machine = runner.make_machine(
+                workload, system, 0.5, FabricConfig(seed=7), env=env
+            )
+            machine.run(trace, use_fast_path=fast)
+            machine.flush_recovery()
+            InvariantSanitizer(machine).check()
+            results.append(
+                runner.collect(machine, system, workload_name).to_dict(full=True)
+            )
+        assert results[0] == results[1]
+        assert machine.backend.health.node_crashes == 1
+        assert machine.backend.repair.pages_lost > 0
+        assert machine.cluster.conserved()
+
+
 # -- the invariant sanitizer -----------------------------------------------------------
 
 
