@@ -601,6 +601,9 @@ def resident_runs(lengths, first=FIRST_RESIDENT_VPN):
 #: Run lengths that put scheduled arrivals at run starts, mid-run and
 #: on a run's last access.
 RUN_LENGTHS = (3, 1, 4, 2, 5, 1, 2, 6, 1, 3, 2, 4, 1, 1, 5, 3, 2, 2, 4, 1)
+#: Runs starting at accesses 0, 6, 15, 17, 29, 34, 42, 43, 53, 60, 63
+#: and 74: long enough for arrivals due mid-run.
+MID_RUN_LENGTHS = (6, 9, 2, 12, 5, 8, 1, 10, 7, 3, 11, 4)
 
 
 class TestKernelLandsArrivals:
@@ -657,6 +660,30 @@ class TestKernelLandsArrivals:
         assert result["prefetch_hit_dram" if inject
                       else "prefetch_hit_swapcache"] == 1
         assert landings and landings[0][0] == landings[0][1]
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    @pytest.mark.parametrize("case", ["hopp", "fastswap", "hopp-telemetry"])
+    def test_arrivals_due_mid_run(self, case, chunk, monkeypatch):
+        # Runs of up to 12 accesses, with arrivals due mid-run, at a
+        # run's last access and at the next run's first access.  The
+        # kernel retires each run whole, lands what was due by the
+        # start of its last access and touches the run's page again.
+        # Hopp's extractions fire on the longer runs, after the landing.
+        from repro.telemetry import TelemetryConfig
+
+        system = "fastswap" if case == "fastswap" else "hopp"
+        env = RunEnv(telemetry=TelemetryConfig()) if case.endswith(
+            "telemetry") else None
+        trace = resident_runs(MID_RUN_LENGTHS)
+        schedule = [(vpn, index, copies) for vpn, index, copies in zip(
+            range(0, 32, 3),
+            (2, 5, 6, 9, 14, 20, 28, 29, 31, 46, 53),
+            (0, 1, 0, 2, 0, 0, 1, 0, 0, 1, 0),
+        )]
+        fast, slow, landings = replay_scheduled(
+            system, trace, schedule, chunk, monkeypatch, gbps=1e4, env=env)
+        assert fast == slow
+        assert len(landings) >= len(schedule)
 
 
 class DemotingDepthN(DepthNPrefetcher):
