@@ -171,7 +171,8 @@ class TraceCache:
     A sweep re-runs the same (workload, seed, kwargs) trace under many
     systems and fractions; generating it per point is pure waste.  The
     cache holds the few most recent traces as immutable lists (bounded —
-    a trace is hundreds of thousands of tuples)."""
+    a trace holds hundreds of thousands of entries, one per access,
+    though the visits to one page share their access tuples)."""
 
     def __init__(self, capacity: int = 4) -> None:
         if capacity < 1:
