@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Sequence
 
 
@@ -85,12 +86,10 @@ class Histogram:
         self.stat = RunningStat()
 
     def add(self, value: float) -> None:
+        """Count ``value`` in the first bucket whose bound is >= it; past
+        the last bound it lands in the overflow bucket."""
         self.stat.add(value)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[i] += 1
-                return
-        self.counts[-1] += 1
+        self.counts[bisect_left(self.bounds, value)] += 1
 
     @property
     def total(self) -> int:

@@ -67,15 +67,18 @@ class StreamObservation:
     ``stride_history`` the corresponding L-1 strides, exactly the inputs of
     Algorithms 1 and 2 in the paper.
 
-    An observation from :meth:`StreamTrainingTable.feed` is a *live
-    view*: ``vpns`` and ``strides`` are the stream's own history windows
-    and ``stride_counts`` its incrementally maintained non-zero-stride
-    histogram, all valid until that stream's next hot page.  The tuple
-    histories are copied out of the windows on first access only, so the
-    SSP path, which needs just the histogram and the newest VPN, copies
-    nothing.  Call :meth:`detach` to keep an observation past the
-    stream's next hot page.  ``stride_counts`` None means "not provided":
-    consumers recount from the strides.
+    An observation from :meth:`StreamTrainingTable.feed` is its stream's
+    one *live view*: the table keeps a single observation per stream and
+    every feed that completes the stream's history refreshes ``vpn``,
+    ``stride`` and ``timestamp_us`` in place.  ``vpns`` and ``strides``
+    are the stream's own history windows and ``stride_counts`` its
+    incrementally maintained non-zero-stride histogram, so the whole
+    view is valid until that stream's next hot page.  The tuple
+    histories are copied out of the windows on first access after a
+    refresh only, so the SSP path, which needs just the histogram and
+    the newest VPN, copies nothing.  Call :meth:`detach` for a snapshot
+    that outlives the stream's next hot page.  ``stride_counts`` None
+    means "not provided": consumers recount from the strides.
     """
 
     __slots__ = (
@@ -128,13 +131,20 @@ class StreamObservation:
         return history
 
     def detach(self) -> "StreamObservation":
-        """Copy the live windows so the observation outlives the stream's
-        next hot page; returns self."""
-        self.vpns = self.vpn_history
-        self.strides = self.stride_history
-        if self.stride_counts is not None:
-            self.stride_counts = dict(self.stride_counts)
-        return self
+        """An independent snapshot of this observation: equal fields,
+        tuple histories and its own copy of the histogram, unaffected
+        by the stream's later hot pages."""
+        counts = self.stride_counts
+        return StreamObservation(
+            self.pid,
+            self.vpn,
+            self.stride,
+            self.vpn_history,
+            self.stride_history,
+            self.stream_id,
+            self.timestamp_us,
+            None if counts is None else dict(counts),
+        )
 
     def __repr__(self) -> str:
         return (

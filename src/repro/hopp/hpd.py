@@ -6,6 +6,8 @@ LLC READ misses into a stream of hot physical pages.  Organized as a
 pages); the lowest 2 bits of the PPN pick the set.  Each entry records
 the PPN, the READ-access count, and a *send bit* marking that the page
 was already extracted (further accesses are dropped until eviction).
+The count stops at the threshold N, the moment the page is extracted,
+so the send bit is exactly ``count >= N``: a set maps PPN -> count.
 
 WRITEs are ignored (Section III-B): a write miss first appears as a READ,
 and RDMA-fetched pages arrive via DMA writes that would pollute the trace.
@@ -16,7 +18,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.common.assoc import SetAssociativeTable
-from repro.common.compat import slotted_dataclass
 from repro.common.constants import (
     BLOCK_SIZE,
     BLOCKS_PER_PAGE,
@@ -26,14 +27,6 @@ from repro.common.constants import (
     HPD_WAYS,
     PAGE_SHIFT,
 )
-
-
-@slotted_dataclass()
-class HpdEntry:
-    """One HPD table row (Figure 5; the LRU bit lives in the table)."""
-
-    count: int = 0
-    sent: bool = False
 
 
 class HotPageDetector:
@@ -54,7 +47,9 @@ class HotPageDetector:
                 f"threshold must be in [1, {BLOCKS_PER_PAGE}] (cachelines/page)"
             )
         self.threshold = threshold
-        self._table: SetAssociativeTable[HpdEntry] = SetAssociativeTable(nsets, nways)
+        #: Each set maps PPN -> READ count (Figure 5's row; the LRU bit
+        #: lives in the table).  ``count >= threshold`` is the send bit.
+        self._table: SetAssociativeTable[int] = SetAssociativeTable(nsets, nways)
         self.accesses = 0
         self.writes_ignored = 0
         self.dropped_after_send = 0
@@ -78,25 +73,26 @@ class HotPageDetector:
         ppn = paddr >> PAGE_SHIFT
         table = self._table
         target = table._sets[ppn % table.nsets]
-        entry = target.get(ppn)
-        if entry is None:
+        count = target.get(ppn)
+        if count is None:
             table.misses += 1
-            entry = HpdEntry(count=1, sent=False)
             if len(target) >= table.nways:
                 target.popitem(last=False)
                 table.evictions += 1
-            target[ppn] = entry
+            target[ppn] = 1
             if self.threshold == 1:
-                return self._extract(ppn, entry)
+                return self._extract(ppn)
             return None
         table.hits += 1
         target.move_to_end(ppn)
-        if entry.sent:
+        threshold = self.threshold
+        if count >= threshold:
             self.dropped_after_send += 1
             return None
-        entry.count += 1
-        if entry.count >= self.threshold:
-            return self._extract(ppn, entry)
+        count += 1
+        target[ppn] = count
+        if count >= threshold:
+            return self._extract(ppn)
         return None
 
     def process_run(self, ppn: int, reads: int) -> tuple:
@@ -116,44 +112,43 @@ class HotPageDetector:
             return 0, False
         table = self._table
         target = table._sets[ppn % table.nsets]
-        entry = target.get(ppn)
+        count = target.get(ppn)
+        threshold = self.threshold
         used = 0
-        if entry is None:
+        if count is None:
             table.misses += 1
-            entry = HpdEntry(count=1, sent=False)
             if len(target) >= table.nways:
                 target.popitem(last=False)
                 table.evictions += 1
-            target[ppn] = entry
+            target[ppn] = count = 1
             self.accesses += 1
             used = 1
-            if self.threshold == 1:
-                self._extract(ppn, entry)
+            if threshold == 1:
+                self._extract(ppn)
                 return 1, True
             if used == reads:
                 return 1, False
         rest = reads - used
         target.move_to_end(ppn)
-        if entry.sent:
+        need = threshold - count
+        if need <= 0:
+            # Sent: every further READ is dropped until eviction.
             table.hits += rest
             self.accesses += rest
             self.dropped_after_send += rest
             return reads, False
-        need = self.threshold - entry.count
         if rest < need:
             table.hits += rest
             self.accesses += rest
-            entry.count += rest
+            target[ppn] = count + rest
             return reads, False
         table.hits += need
         self.accesses += need
-        entry.count += need
-        self._extract(ppn, entry)
+        target[ppn] = threshold
+        self._extract(ppn)
         return used + need, True
 
-    def _extract(self, ppn: int, entry: Optional[HpdEntry]) -> int:
-        if entry is not None:
-            entry.sent = True
+    def _extract(self, ppn: int) -> int:
         self.hot_pages += 1
         if ppn in self._ever_sent:
             # The page was extracted, evicted from the table, and became

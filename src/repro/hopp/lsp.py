@@ -20,7 +20,6 @@ continued, then jump ``i`` whole repetitions ahead.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import List, Optional, Sequence
 
 from repro.common.constants import LSP_PATTERN_LEN
@@ -31,8 +30,22 @@ TIER_NAME = "lsp"
 
 def _majority(values: Sequence[int]) -> int:
     """The most common value (ties break to the most recent, which is
-    listed first because the scan walks newest-to-oldest)."""
-    return Counter(values).most_common(1)[0][0]
+    listed first because the scan walks newest-to-oldest).
+
+    ``Counter.most_common(1)``'s answer (first-inserted among the top
+    counts), hand-rolled: LSP runs on every observation SSP passes up,
+    and a Counter per call costs more than the whole scan.
+    """
+    counts: dict = {}
+    for value in values:
+        counts[value] = counts.get(value, 0) + 1
+    best = values[0]
+    top = 0
+    for value, count in counts.items():
+        if count > top:
+            best = value
+            top = count
+    return best
 
 
 def train(

@@ -41,12 +41,31 @@ class PolicyConfig:
     intensity: int = POLICY_DEFAULT_INTENSITY
     alpha: float = POLICY_ALPHA
     initial_offset: float = 1.0
-    offset_max: float = POLICY_OFFSET_MAX
+    #: A float like the other offsets, so ``variant`` and the tuner's
+    #: float dimension accept any value for it.
+    offset_max: float = float(POLICY_OFFSET_MAX)
     t_min_us: float = POLICY_T_MIN_US
     t_max_us: float = POLICY_T_MAX_US
     #: When False the offset never adapts (the fixed-offset arms of
     #: Figure 22).
     adaptive: bool = True
+
+    def __post_init__(self) -> None:
+        if self.intensity < 1:
+            raise ValueError(f"intensity must be >= 1, got {self.intensity!r}")
+        if not 0.0 <= self.alpha < 1.0:
+            raise ValueError(f"alpha must be in [0, 1), got {self.alpha!r}")
+        if not 1.0 <= self.initial_offset <= self.offset_max:
+            raise ValueError(
+                "initial_offset must be in [1, offset_max], got "
+                f"initial_offset={self.initial_offset!r}, "
+                f"offset_max={self.offset_max!r}"
+            )
+        if not 0.0 <= self.t_min_us < self.t_max_us:
+            raise ValueError(
+                "t_min_us must be in [0, t_max_us), got "
+                f"t_min_us={self.t_min_us!r}, t_max_us={self.t_max_us!r}"
+            )
 
 
 @dataclass
@@ -214,8 +233,6 @@ class PolicyEngine:
 
     def __init__(self, config: PolicyConfig = None) -> None:
         self.config = config or PolicyConfig()
-        if self.config.intensity < 1:
-            raise ValueError("intensity must be >= 1")
         #: Per-stream adaptive offset (float internally; applied rounded).
         self._offsets: Dict[int, float] = {}
         #: When each stream's offset was last adjusted: further reports
@@ -238,16 +255,29 @@ class PolicyEngine:
         target VPNs for :meth:`ExecutionEngine.submit`.
 
         Emits ``intensity`` consecutive targets starting at the stream's
-        current offset.  Targets with negative VPNs (streams walking down
-        past zero) are dropped.
+        current offset: ``decision.target_vpn(i)`` for ``i`` in
+        ``offset .. offset + intensity - 1``, an arithmetic progression
+        with the decision's per-offset stride.  Targets with negative
+        VPNs (streams walking down past zero) are dropped.
         """
-        offset = max(1, round(self.offset_of(observation.stream_id)))
+        offset = self._offsets.get(observation.stream_id)
+        if offset is None:
+            offset = self.config.initial_offset
+        offset = max(1, round(offset))
+        stride = decision.per_offset_stride
+        vpn = decision.base_vpn + decision.fixed_delta + offset * stride
         intensity = self.config.intensity
-        targets = tuple(
-            vpn
-            for vpn in map(decision.target_vpn, range(offset, offset + intensity))
-            if vpn >= 0
-        )
+        if intensity == 1:
+            if vpn < 0:
+                return ()
+            self.requests_out += 1
+            return (vpn,)
+        if stride:
+            targets = tuple(range(vpn, vpn + intensity * stride, stride))
+        else:
+            targets = (vpn,) * intensity
+        if vpn < 0 or targets[-1] < 0:
+            targets = tuple([target for target in targets if target >= 0])
         self.requests_out += len(targets)
         return targets
 
@@ -267,20 +297,24 @@ class PolicyEngine:
         keeps multiplying before its own effect is observable and
         overshoots wildly past the end of the stream.
         """
-        if not self.config.adaptive:
+        config = self.config
+        if not config.adaptive:
             return
         if issued_us < self._adjusted_at.get(stream_id, -1.0):
             return
-        current = self.offset_of(stream_id)
-        if t_us < self.config.t_min_us:
-            current *= 1.0 + self.config.alpha
+        if t_us < config.t_min_us:
+            factor = 1.0 + config.alpha
             self.offset_increases += 1
-        elif t_us > self.config.t_max_us:
-            current *= 1.0 - self.config.alpha
+        elif t_us > config.t_max_us:
+            factor = 1.0 - config.alpha
             self.offset_decreases += 1
         else:
             return
-        self._offsets[stream_id] = min(max(current, 1.0), self.config.offset_max)
+        offsets = self._offsets
+        current = offsets.get(stream_id)
+        if current is None:
+            current = config.initial_offset
+        offsets[stream_id] = min(max(current * factor, 1.0), config.offset_max)
         self._adjusted_at[stream_id] = now_us if now_us is not None else issued_us
 
     def forget_stream(self, stream_id: int) -> None:

@@ -19,9 +19,8 @@ def dominant_stride(strides, min_count: int) -> Optional[int]:
 
     Zero strides never dominate: a self-stride carries no direction.
     Ties go to the stride seen first, matching ``Counter.most_common``
-    (insertion-ordered counts, stable selection) — this runs once per
-    stream observation, so it is hand-rolled instead of building a
-    Counter per call.
+    (insertion-ordered counts, stable selection), hand-rolled instead of
+    building a Counter per call.
     """
     counts: dict = {}
     for s in strides:
@@ -36,40 +35,19 @@ def dominant_stride(strides, min_count: int) -> Optional[int]:
     return best if best_count >= min_count else None
 
 
-def dominant_stride_from_counts(counts, strides, min_count: int) -> Optional[int]:
-    """``dominant_stride`` on a precomputed non-zero-stride histogram.
-
-    Picks the same winner: the stride with the highest count, ties going
-    to the one seen first in ``strides``.  One pass over the histogram
-    finds the top count and whether it is tied; only a tie re-scans the
-    window, because the histogram's insertion order is re-insertion
-    order, not first-occurrence order.  (With the paper's L = 16 a tie
-    never clears ``min_count``: two strides of 8 need 16 of 15 slots.)
-    """
-    best = None
-    best_count = 0
-    tied = False
-    for s, c in counts.items():
-        if c > best_count:
-            best = s
-            best_count = c
-            tied = False
-        elif c == best_count:
-            tied = True
-    if best_count < min_count:
-        return None
-    if tied:
-        for s in strides:
-            if counts.get(s) == best_count:
-                return s
-    return best
-
-
 def train(observation: StreamObservation) -> Optional[PrefetchDecision]:
     """Identify a simple stream; None hands over to LSP.
 
-    Reads the observation's live windows, never its tuple histories, so
-    an SSP decision copies no history.
+    Decides from the stream's non-zero-stride histogram in this one
+    call, reading the observation's live windows and never its tuple
+    histories, so an SSP decision copies no history.  The winner is the
+    one :func:`dominant_stride` picks: the top count, ties going to the
+    stride seen first in the window.  One pass over the histogram finds
+    the top count and whether it is tied; only a tie re-scans the
+    window, because the histogram's insertion order is re-insertion
+    order, not first-occurrence order.  (With the paper's L = 16 a tie
+    never clears ``min_count``: two strides of 8 need 16 of 15 slots.)
+    Observations without a histogram recount from the strides.
     """
     vpns = observation.vpns
     min_count = len(vpns) // 2
@@ -77,7 +55,23 @@ def train(observation: StreamObservation) -> Optional[PrefetchDecision]:
     if counts is None:
         stride = dominant_stride(observation.strides, min_count)
     else:
-        stride = dominant_stride_from_counts(counts, observation.strides, min_count)
+        stride = None
+        top = 0
+        tied = False
+        for s, c in counts.items():
+            if c > top:
+                stride = s
+                top = c
+                tied = False
+            elif c == top:
+                tied = True
+        if top < min_count:
+            return None
+        if tied:
+            for s in observation.strides:
+                if counts.get(s) == top:
+                    stride = s
+                    break
     if stride is None:
         return None
     return PrefetchDecision(TIER_NAME, vpns[-1], stride)

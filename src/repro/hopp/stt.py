@@ -8,7 +8,8 @@ its VPN is within Delta_stream pages of the stream's most recent VPN
 is allocated, evicting the LRU one.
 
 Once an entry's history is full, every further hot page appended to it
-yields a :class:`StreamObservation` for the tier algorithms.
+yields the entry's :class:`StreamObservation`, one live view per stream
+that each such feed refreshes in place, for the tier algorithms.
 """
 
 from __future__ import annotations
@@ -41,6 +42,9 @@ class SttEntry:
     #: Recency stamp from the table's clock (larger = more recently
     #: used); breaks equal-distance ties in the stream match.
     stamp: int = 0
+    #: The stream's one observation: a view over ``vpns``, ``strides``
+    #: and ``stride_counts`` that ``feed`` refreshes and hands out.
+    view: Optional[StreamObservation] = None
 
     @property
     def last_vpn(self) -> int:
@@ -82,11 +86,12 @@ class StreamTrainingTable:
     # -- feeding hot pages ---------------------------------------------------------
 
     def feed(self, pid: int, vpn: int, now_us: float = 0.0) -> Optional[StreamObservation]:
-        """Insert one hot page; returns an observation when the matched
-        stream's history is full (training can run), else None.
+        """Insert one hot page; returns the matched stream's observation
+        when its history is full (training can run), else None.
 
-        The observation is a live view of the stream (see
-        :class:`StreamObservation`), valid until its next hot page.
+        The observation is the stream's one live view (see
+        :class:`StreamObservation`), refreshed by this call and valid
+        until the stream's next hot page.
         """
         self.hot_pages_in += 1
         index = self._index.get(pid)
@@ -128,9 +133,13 @@ class StreamTrainingTable:
         if len(entry.vpns) < self.history_len:
             return None
         self.observations_out += 1
-        return StreamObservation(
-            pid, vpn, stride, entry.vpns, strides, entry.stream_id, now_us, counts
-        )
+        view = entry.view
+        view.vpn = vpn
+        view.stride = stride
+        view.timestamp_us = now_us
+        # The windows moved: drop the tuple copies of the last refresh.
+        view._vpn_history = view._stride_history = None
+        return view
 
     # -- internals -------------------------------------------------------------------
 
@@ -174,14 +183,19 @@ class StreamTrainingTable:
             del streams[i]
             self.streams_evicted += 1
         self._clock += 1
+        stream_id = self._next_stream_id
+        vpns = deque([vpn], maxlen=self.history_len)
+        strides: Deque[int] = deque(maxlen=self.history_len - 1)
+        counts: Dict[int, int] = {}
         entry = SttEntry(
-            stream_id=self._next_stream_id,
+            stream_id=stream_id,
             pid=pid,
-            vpns=deque([vpn], maxlen=self.history_len),
-            strides=deque(maxlen=self.history_len - 1),
-            stride_counts={},
+            vpns=vpns,
+            strides=strides,
+            stride_counts=counts,
             last=vpn,
             stamp=self._clock,
+            view=StreamObservation(pid, vpn, 0, vpns, strides, stream_id, 0.0, counts),
         )
         self._next_stream_id += 1
         self.streams_created += 1

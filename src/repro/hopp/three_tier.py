@@ -14,7 +14,7 @@ to the *memory* tiers of :mod:`repro.memtier` (local DRAM / pooled CXL
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.common.types import PrefetchDecision, StreamObservation
@@ -45,19 +45,26 @@ class ThreeTierTrainer:
 
     def __init__(self, config: Optional[TierConfig] = None) -> None:
         self.config = config or TierConfig()
+        cfg = self.config
+        #: The enabled tiers' ``train`` functions in priority order,
+        #: bound once: the first decision wins.
+        self._cascade = tuple(
+            tier.train
+            for tier, enabled in (
+                (ssp, cfg.enable_ssp),
+                (lsp, cfg.enable_lsp),
+                (rsp, cfg.enable_rsp),
+            )
+            if enabled
+        )
         self.decisions_by_tier: Dict[str, int] = {"ssp": 0, "lsp": 0, "rsp": 0}
         self.no_decision = 0
 
     def train(self, observation: StreamObservation) -> Optional[PrefetchDecision]:
-        decision: Optional[PrefetchDecision] = None
-        if self.config.enable_ssp:
-            decision = ssp.train(observation)
-        if decision is None and self.config.enable_lsp:
-            decision = lsp.train(observation)
-        if decision is None and self.config.enable_rsp:
-            decision = rsp.train(observation)
-        if decision is None:
-            self.no_decision += 1
-        else:
-            self.decisions_by_tier[decision.tier] += 1
-        return decision
+        for tier in self._cascade:
+            decision = tier(observation)
+            if decision is not None:
+                self.decisions_by_tier[decision.tier] += 1
+                return decision
+        self.no_decision += 1
+        return None

@@ -99,6 +99,23 @@ class TestHistogram:
         assert hist.counts == [1, 1, 1, 1]
         assert hist.total == 4
 
+    def test_bucket_edges(self):
+        hist = Histogram(bounds=[1.0, 10.0, 100.0])
+        # A value equal to a bound lands in that bound's bucket.
+        for value in (1.0, 10.0, 100.0):
+            hist.add(value)
+        assert hist.counts == [1, 1, 1, 0]
+        # Just above a bound is the next bucket; above the last bound is
+        # the overflow bucket.
+        hist.add(10.000001)
+        hist.add(100.000001)
+        assert hist.counts == [1, 1, 2, 1]
+        default = Histogram()
+        for bound in default.bounds:
+            default.add(bound)
+        default.add(default.bounds[-1] * 2)
+        assert default.counts == [1] * (len(default.bounds) + 1)
+
     def test_quantile_monotone(self):
         hist = Histogram()
         for value in range(1, 1001):

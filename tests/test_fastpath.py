@@ -27,7 +27,7 @@ from repro.sim.machine import Machine, MachineConfig, RunEnv
 from repro.sim.runner import collect, make_machine
 from repro.sim.sanitizer import SANITIZER_INTERVAL_ACCESSES
 from repro.workloads import build
-from tests.conftest import quiet_fabric
+from tests.conftest import quiet_fabric, ssp_histogram_stride
 
 SYSTEMS = ["noprefetch", "fastswap", "leap", "hopp", "hopp-evict"]
 
@@ -356,8 +356,8 @@ class TestBatchPrimitives:
                 if s:
                     counts[s] = counts.get(s, 0) + 1
             for min_count in (1, 2, len(strides) // 2):
-                assert ssp.dominant_stride_from_counts(
-                    counts, strides, min_count
+                assert ssp_histogram_stride(
+                    strides, counts, min_count
                 ) == ssp.dominant_stride(strides, min_count)
 
 

@@ -1,5 +1,8 @@
 """Tests for the Hot Page Detection table (Section III-B)."""
 
+import random
+from collections import OrderedDict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -114,3 +117,93 @@ class TestHotPageDetector:
             hpd.process(block_addr(ppn, block))
         assert hpd.hot_pages <= len(accesses) // threshold
         assert hpd.accesses == len(accesses)
+
+
+class _ReferenceHpd:
+    """Figure 5's flow one READ at a time, with an explicit send bit per
+    row: insert with count 1; a sent row drops the access; otherwise
+    count up and extract (setting the send bit) at count >= N."""
+
+    def __init__(self, threshold, nsets, nways):
+        self.threshold = threshold
+        self.nways = nways
+        #: ppn -> [count, sent], LRU first.
+        self.sets = [OrderedDict() for _ in range(nsets)]
+        self.accesses = self.hits = self.misses = self.evictions = 0
+        self.dropped_after_send = self.repeated_detections = 0
+        self.hot = []
+
+    def read(self, ppn):
+        self.accesses += 1
+        rows = self.sets[ppn % len(self.sets)]
+        row = rows.get(ppn)
+        if row is None:
+            self.misses += 1
+            if len(rows) >= self.nways:
+                rows.popitem(last=False)
+                self.evictions += 1
+            row = rows[ppn] = [0, False]
+        else:
+            self.hits += 1
+            rows.move_to_end(ppn)
+            if row[1]:
+                self.dropped_after_send += 1
+                return
+        row[0] += 1
+        if row[0] >= self.threshold:
+            row[1] = True
+            if ppn in self.hot:
+                self.repeated_detections += 1
+            self.hot.append(ppn)
+
+    def state(self):
+        return [[(ppn, row[0]) for ppn, row in rows.items()] for rows in self.sets]
+
+
+def _random_runs(rng, count):
+    """Same-page READ runs over few enough pages to hit, evict and
+    re-detect."""
+    return [(rng.randrange(40), rng.choice([1, 1, 2, 3, 7, 8, 9, 64]))
+            for _ in range(count)]
+
+
+class TestReadCountsDifferential:
+    """HPD's int read counts (send bit == count >= N) against the
+    per-access reference table, fed per access and as same-page runs."""
+
+    def _compare(self, hpd, hot, ref):
+        assert hot == ref.hot
+        table = hpd._table
+        assert (hpd.accesses, table.hits, table.misses, table.evictions,
+                hpd.dropped_after_send, hpd.hot_pages,
+                hpd.repeated_detections) == (
+            ref.accesses, ref.hits, ref.misses, ref.evictions,
+            ref.dropped_after_send, len(ref.hot), ref.repeated_detections)
+        assert [list(rows.items()) for rows in table._sets] == ref.state()
+
+    @pytest.mark.parametrize("threshold", [1, 2, 8])
+    @pytest.mark.parametrize("geometry", [(4, 16), (2, 3)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_process_and_process_run(self, threshold, geometry, seed):
+        rng = random.Random(seed * 31 + threshold)
+        nsets, nways = geometry
+        ref = _ReferenceHpd(threshold, nsets, nways)
+        per_access = HotPageDetector(threshold, nsets, nways)
+        batched = HotPageDetector(threshold, nsets, nways)
+        hot_access, hot_runs = [], []
+        for ppn, reads in _random_runs(rng, 400):
+            for block in range(reads):
+                ref.read(ppn)
+                hit = per_access.process(block_addr(ppn, block % 64))
+                if hit is not None:
+                    hot_access.append(hit)
+            left = reads
+            while left:
+                # The batch kernel re-enters after every extraction.
+                used, fired = batched.process_run(ppn, left)
+                assert 1 <= used <= left
+                if fired:
+                    hot_runs.append(ppn)
+                left -= used
+            self._compare(per_access, hot_access, ref)
+            self._compare(batched, hot_runs, ref)

@@ -1,10 +1,16 @@
 """Tests for the prefetch policy engine (Section III-E)."""
 
+import random
+from itertools import product
+
 import pytest
 
 from repro.common.types import PrefetchDecision
 from repro.hopp.policy import PolicyConfig, PolicyEngine
-from tests.conftest import make_observation
+from repro.sim import systems
+from repro.sim.machine import MachineConfig
+from repro.tune import build_space, space_names
+from tests.conftest import make_observation, quiet_fabric
 
 
 def decision(stride=1, base=100, delta=0, tier="ssp"):
@@ -115,3 +121,85 @@ class TestOffsetAdaptation:
         engine.report_timeliness(3, t_us=1.0, issued_us=0.0, now_us=1.0)
         engine.forget_stream(3)
         assert engine.offset_of(3) == 1.0
+
+
+class TestFinalizeAgainstTargetVpn:
+    """``finalize``'s arithmetic against ``decision.target_vpn(i)`` for
+    ``i`` over the stream's rounded offset and the next intensity - 1."""
+
+    @pytest.mark.parametrize("intensity", [1, 2, 3, 4])
+    def test_random_decisions_and_adapted_offsets(self, intensity):
+        rng = random.Random(intensity)
+        engine = PolicyEngine(PolicyConfig(intensity=intensity, alpha=0.3))
+        observations = [obs(stream_id) for stream_id in range(5)]
+        now = 0.0
+        negatives = adapted = 0
+        for _ in range(3000):
+            stream_id = rng.randrange(5)
+            now += 1.0
+            if rng.random() < 0.3:
+                # Late and early pages move the stream's offset.
+                t_us = rng.choice([1.0, 10.0, 1e5])
+                engine.report_timeliness(stream_id, t_us, now, now)
+            decision = PrefetchDecision(
+                tier=rng.choice(["ssp", "lsp", "rsp"]),
+                base_vpn=rng.randrange(0, 300),
+                per_offset_stride=rng.choice([-64, -9, -1, 0, 1, 2, 7, 64]),
+                fixed_delta=rng.randint(-20, 20),
+            )
+            offset = max(1, round(engine.offset_of(stream_id)))
+            adapted += offset > 1
+            every = [decision.target_vpn(i)
+                     for i in range(offset, offset + intensity)]
+            want = tuple(vpn for vpn in every if vpn >= 0)
+            negatives += len(want) < len(every)
+            before = engine.requests_out
+            assert engine.finalize(decision, observations[stream_id]) == want
+            assert engine.requests_out - before == len(want)
+        assert negatives > 0 and adapted > 0
+
+
+class TestPolicyConfigValidation:
+    @pytest.mark.parametrize(
+        "kwargs, knob",
+        [
+            ({"intensity": 0}, "intensity"),
+            ({"intensity": -1}, "intensity"),
+            ({"alpha": -0.1}, "alpha"),
+            ({"alpha": 1.0}, "alpha"),
+            ({"initial_offset": 0.5}, "initial_offset"),
+            ({"initial_offset": 8.0, "offset_max": 4.0}, "initial_offset"),
+            ({"t_min_us": -1.0}, "t_min_us"),
+            ({"t_min_us": 100.0, "t_max_us": 100.0}, "t_min_us"),
+            ({"t_min_us": 6000.0}, "t_min_us"),
+        ],
+    )
+    def test_rejects(self, kwargs, knob):
+        with pytest.raises(ValueError, match=knob):
+            PolicyConfig(**kwargs)
+
+    def test_accepts_the_edges(self):
+        PolicyConfig(intensity=1, alpha=0.0, initial_offset=1.0,
+                     offset_max=1.0, t_min_us=0.0, t_max_us=0.5)
+
+    def test_variant_rejects_t_min_above_default_t_max(self):
+        with pytest.raises(ValueError, match="t_min_us"):
+            systems.variant("hopp", {"policy.t_min_us": 6000.0})
+
+    def test_every_registered_system_builds(self):
+        for name in systems.names():
+            machine = systems.build(name).build(
+                MachineConfig(local_memory_pages=64, fabric=quiet_fabric())
+            )
+            if machine.hopp is not None:
+                assert machine.hopp.policy.config.intensity >= 1
+
+    def test_every_tuner_space_corner_builds(self):
+        for space in map(build_space, space_names()):
+            knobs = [param for param in space
+                     if param.name.startswith("system.policy.")]
+            for corner in product(*[(param.lo, param.hi) for param in knobs]):
+                systems.variant("hopp", {
+                    param.name[len("system."):]: value
+                    for param, value in zip(knobs, corner)
+                })

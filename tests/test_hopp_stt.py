@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.hopp import ssp
 from repro.hopp.stt import StreamTrainingTable
 from repro.hopp.three_tier import ThreeTierTrainer
+from tests.conftest import ssp_histogram_stride
 
 
 class TestStreamMatching:
@@ -340,6 +341,74 @@ class TestLiveObservation:
         assert kept.stride_counts == {1: 3}
 
 
+def _fields(obs):
+    return (obs.pid, obs.vpn, obs.stride, obs.vpn_history, obs.stride_history,
+            obs.stream_id, obs.timestamp_us, dict(obs.stride_counts))
+
+
+class TestObservationView:
+    """One observation per stream, refreshed in place by each feed."""
+
+    def test_one_view_per_stream_refreshed_by_each_feed(self):
+        stt = StreamTrainingTable(history_len=4, stream_delta=8)
+        views = {}
+        rng = random.Random(5)
+        # Two pids, two streams each, walking in small random steps.
+        heads = {(1, 0): 1000, (1, 1): 5000, (2, 0): 1000, (2, 1): 9000}
+        ref = _LinearScanStt(64, 4, 8)
+        for step in range(600):
+            (pid, lane), vpn = rng.choice(sorted(heads.items()))
+            vpn += rng.choice([1, 1, 2, -1, 3])
+            heads[(pid, lane)] = vpn
+            now = float(step)
+            obs = stt.feed(pid, vpn, now)
+            expected = ref.feed(pid, vpn)
+            if obs is None:
+                assert expected is None
+                continue
+            # The stream's one view, now describing this feed.
+            assert views.setdefault(obs.stream_id, obs) is obs
+            assert (obs.pid, obs.vpn, obs.stride, obs.vpn_history,
+                    obs.stride_history, obs.stream_id,
+                    dict(obs.stride_counts)) == expected
+            assert obs.timestamp_us == now
+        assert len(views) == 4
+        assert len({id(view) for view in views.values()}) == 4
+
+    def test_detach_is_an_equal_independent_snapshot(self):
+        stt = StreamTrainingTable(history_len=4)
+        for vpn in (100, 101, 102):
+            stt.feed(1, vpn, float(vpn))
+        view = stt.feed(1, 104, 7.0)
+        snapshot = view.detach()
+        assert snapshot is not view
+        assert _fields(snapshot) == _fields(view)
+        assert snapshot.stride_counts is not view.stride_counts
+        before = _fields(snapshot)
+        assert stt.feed(1, 105, 8.0) is view
+        assert stt.feed(1, 107, 9.0) is view
+        # The view moved on; the snapshot did not.
+        assert (view.vpn, view.stride, view.timestamp_us) == (107, 2, 9.0)
+        assert view.vpn_history == (102, 104, 105, 107)
+        assert dict(view.stride_counts) == {2: 2, 1: 1}
+        assert _fields(snapshot) == before
+        assert snapshot.vpn_history == (100, 101, 102, 104)
+        assert snapshot.stride_counts == {1: 2, 2: 1}
+        # A snapshot of a snapshot is equal too.
+        assert _fields(snapshot.detach()) == before
+
+    def test_tuple_histories_follow_the_refresh(self):
+        stt = StreamTrainingTable(history_len=4)
+        for vpn in (10, 11, 12):
+            stt.feed(1, vpn)
+        view = stt.feed(1, 13)
+        assert view.vpn_history == (10, 11, 12, 13)
+        stt.feed(1, 15)
+        # Copied again after the refresh, not the stale tuple.
+        assert view.vpn_history == (11, 12, 13, 15)
+        assert view.stride_history == (1, 1, 2)
+
+
 def _sliding_counts(strides, window):
     """The STT's incremental histogram after sliding ``strides`` through
     a ``window``-stride window: a stride that leaves and comes back is
@@ -360,6 +429,9 @@ def _sliding_counts(strides, window):
 
 
 class TestDominantStrideFromCounts:
+    """SSP deciding from the STT's incremental histogram against a
+    recount of the window."""
+
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_recount_with_ties(self, seed):
         rng = random.Random(seed)
@@ -371,6 +443,6 @@ class TestDominantStrideFromCounts:
                 window,
             )
             for min_count in (0, 1, 2, len(strides) // 2):
-                assert ssp.dominant_stride_from_counts(
-                    counts, strides, min_count
+                assert ssp_histogram_stride(
+                    strides, counts, min_count
                 ) == ssp.dominant_stride(strides, min_count), (strides, counts)

@@ -1,13 +1,19 @@
 """Tests for SSP, LSP (Algorithm 1), RSP (Algorithm 2) and the adaptive
 three-tier cascade — including the paper's Figure 2/3 worked examples."""
 
+import random
+from collections import Counter
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.types import StreamObservation
 from repro.hopp import lsp, rsp, ssp
 from repro.hopp.ssp import dominant_stride
 from repro.hopp.rsp import ripple_score
+from repro.hopp.stt import StreamTrainingTable
 from repro.hopp.three_tier import ThreeTierTrainer, TierConfig
 from tests.conftest import make_observation
 
@@ -125,6 +131,14 @@ class TestLSP:
         if decision is not None:
             assert decision.per_offset_stride != 0
 
+    def test_majority_matches_counter_with_ties(self):
+        rng = random.Random(8)
+        for _ in range(3000):
+            values = [rng.choice([-4, 1, 2, 3, 9])
+                      for _ in range(rng.randrange(1, 9))]
+            assert lsp._majority(values) == \
+                Counter(values).most_common(1)[0][0], values
+
 
 class TestRSPFigure3Example:
     def test_pure_stride_one_is_ripple(self):
@@ -225,3 +239,77 @@ class TestThreeTier:
         decision = trainer.train(obs)
         if decision is not None:
             assert decision.tier in ("ssp", "lsp", "rsp")
+
+
+#: Every ``TierConfig.only`` combination, the empty one included.
+TIER_SETS = [
+    names for size in range(4) for names in combinations(("ssp", "lsp", "rsp"), size)
+]
+
+#: Stride alphabets: simple, tied, ladder- and ripple-shaped.
+STRIDE_ALPHABETS = (
+    [1], [1, 2], [1, -1], [2, -2, 0], [1, 1, 1, 20], [1, -1, 2, 1, -2],
+    [3, 3, -7, 30], [0, 1],
+)
+
+
+def _cascade(observation, tiers):
+    """The module-level cascade ``ssp.train`` -> ``lsp.train`` ->
+    ``rsp.train`` over the enabled tiers, on a copy without the STT's
+    histogram so SSP recounts the window."""
+    plain = StreamObservation(
+        observation.pid, observation.vpn, observation.stride,
+        observation.vpn_history, observation.stride_history,
+        observation.stream_id, observation.timestamp_us,
+    )
+    for name, tier in (("ssp", ssp), ("lsp", lsp), ("rsp", rsp)):
+        if name in tiers:
+            decision = tier.train(plain)
+            if decision is not None:
+                return decision
+    return None
+
+
+class TestTrainerAgainstCascade:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_histories_every_tier_set(self, seed):
+        rng = random.Random(seed)
+        history_len = rng.choice([4, 5, 7, 16])
+        stt = StreamTrainingTable(entries=8, history_len=history_len,
+                                  stream_delta=64)
+        trainers = {tiers: ThreeTierTrainer(TierConfig.only(*tiers))
+                    for tiers in TIER_SETS}
+        expected = {tiers: ({"ssp": 0, "lsp": 0, "rsp": 0}, [0])
+                    for tiers in TIER_SETS}
+        heads = {pid: 10_000 * pid for pid in (1, 2, 3)}
+        ties = 0
+        for _ in range(1500):
+            pid = rng.choice((1, 2, 3))
+            alphabet = STRIDE_ALPHABETS[(pid + seed) % len(STRIDE_ALPHABETS)]
+            if rng.random() < 0.1:
+                alphabet = STRIDE_ALPHABETS[rng.randrange(len(STRIDE_ALPHABETS))]
+            heads[pid] += rng.choice(alphabet)
+            observation = stt.feed(pid, heads[pid])
+            if observation is None:
+                continue
+            counts = observation.stride_counts
+            if counts:
+                top = max(counts.values())
+                if (top >= len(observation.vpns) // 2
+                        and list(counts.values()).count(top) > 1):
+                    ties += 1
+            for tiers, trainer in trainers.items():
+                want = _cascade(observation, tiers)
+                assert trainer.train(observation) == want, (tiers, observation)
+                by_tier, none = expected[tiers]
+                if want is None:
+                    none[0] += 1
+                else:
+                    by_tier[want.tier] += 1
+        for tiers, trainer in trainers.items():
+            by_tier, none = expected[tiers]
+            assert trainer.decisions_by_tier == by_tier
+            assert trainer.no_decision == none[0]
+        if history_len % 2:
+            # Odd windows let two strides tie at the dominance threshold.
+            assert ties > 0
