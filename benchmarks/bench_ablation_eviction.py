@@ -8,35 +8,21 @@ recency list and push out the reusable working set; hinting the scan's
 protect-window sweep shows the knob's safe range.
 """
 
-import pytest
-
 from repro.analysis.report import print_artifact, render_table
-from repro.net.rdma import FabricConfig
-from repro.sim import runner
-from repro.workloads import build
 
-from common import SEED, time_one
+from common import get_result, local_ct
 
-FABRIC = FabricConfig(seed=SEED)
+WORKLOAD = "scan-with-workingset"
 FRACTION = 0.33
 
 
-def run(system: str):
-    workload = build("scan-with-workingset", seed=SEED)
-    return runner.run(workload, system, FRACTION, FABRIC)
-
-
-@pytest.mark.benchmark(group="ablation-eviction")
-def test_ablation_stream_aware_eviction(benchmark):
-    time_one(benchmark, lambda: run("hopp-evict"))
-
-    workload = build("scan-with-workingset", seed=SEED)
-    ct_local = runner.local_completion_time(workload, FABRIC)
+def test_ablation_stream_aware_eviction():
+    ct_local = local_ct(WORKLOAD)
 
     rows = []
     results = {}
     for system in ("fastswap", "hopp", "hopp-evict"):
-        result = run(system)
+        result = get_result(WORKLOAD, system, FRACTION)
         results[system] = result
         rows.append(
             [

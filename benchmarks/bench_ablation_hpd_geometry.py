@@ -9,14 +9,12 @@ yield on these workloads.
 
 import itertools
 
-import pytest
-
 from repro.analysis.report import print_artifact, render_table
 from repro.hopp.hardware_model import HPD_ENTRY_BITS, SramModel
 from repro.hopp.hpd import HotPageDetector
 from repro.workloads import build
 
-from common import SEED, param_grid, time_one
+from common import SEED, param_grid
 
 GEOMETRIES = list(param_grid(nsets=[1, 4, 16, 64], nways=[16]))
 MAX_ACCESSES = 300_000
@@ -32,10 +30,7 @@ def churn_metrics(nsets: int, nways: int):
     return hpd
 
 
-@pytest.mark.benchmark(group="ablation-hpd")
-def test_ablation_hpd_geometry(benchmark):
-    time_one(benchmark, lambda: churn_metrics(4, 16))
-
+def test_ablation_hpd_geometry():
     model = SramModel()
     rows = []
     repeats_by_capacity = {}

@@ -11,32 +11,22 @@ bursts self-evict (the same pollution dynamic that hurts Depth-N), so
 the mechanism must stay gated on stream length *and* headroom.
 """
 
-import pytest
-
 from repro.analysis.report import print_artifact, render_table
-from repro.net.rdma import FabricConfig
-from repro.sim import runner
-from repro.workloads import build
 
-from common import SEED, time_one
+from common import get_result
 
-FABRIC = FabricConfig(seed=SEED)
+WORKLOAD_KWARGS = {"npages": 3000, "passes": 2}
 
 
-def run(system: str, fraction: float):
-    workload = build("stream-simple", seed=SEED, npages=3000, passes=2)
-    return runner.run(workload, system, fraction, FABRIC)
-
-
-@pytest.mark.benchmark(group="ablation-hugepage")
-def test_ablation_hugepage_batching(benchmark):
-    time_one(benchmark, lambda: run("hopp-huge", 0.75))
-
+def test_ablation_hugepage_batching():
     rows = []
     results = {}
     for fraction in (0.5, 0.75):
         for system in ("hopp", "hopp-huge"):
-            result = run(system, fraction)
+            result = get_result(
+                "stream-simple", system, fraction,
+                workload_kwargs=WORKLOAD_KWARGS,
+            )
             results[(system, fraction)] = result
             batch_pages = result.issued_by_tier.get("huge", 0)
             single_pages = sum(

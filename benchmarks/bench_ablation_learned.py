@@ -10,36 +10,21 @@ accuracy — the full trace, not the specific algorithm, is what makes
 both viable.
 """
 
-import pytest
-
 from repro.analysis.report import print_artifact, render_table
-from repro.net.rdma import FabricConfig
-from repro.sim import runner
-from repro.workloads import build
 
-from common import SEED, time_one
+from common import get_result, local_ct
 
-FABRIC = FabricConfig(seed=SEED)
 WORKLOADS = ["stream-simple", "stream-ladder", "stream-ripple", "npb-mg", "hpl"]
 
 
-def run(workload_name: str, system: str):
-    workload = build(workload_name, seed=SEED)
-    return runner.run(workload, system, 0.5, FABRIC)
-
-
-@pytest.mark.benchmark(group="ablation-learned")
-def test_ablation_learned_vs_three_tier(benchmark):
-    time_one(benchmark, lambda: run("stream-simple", "hopp-learned"))
-
+def test_ablation_learned_vs_three_tier():
     rows = []
     results = {}
     for name in WORKLOADS:
-        workload = build(name, seed=SEED)
-        ct_local = runner.local_completion_time(workload, FABRIC)
+        ct_local = local_ct(name)
         row = [name]
         for system in ("hopp", "hopp-learned"):
-            result = run(name, system)
+            result = get_result(name, system, 0.5)
             results[(name, system)] = result
             row.extend(
                 [result.normalized_performance(ct_local), result.accuracy]

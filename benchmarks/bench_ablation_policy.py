@@ -8,19 +8,10 @@ simply picks 0.2).  Also sweeps prefetch intensity on a congested
 fabric, where fetching >1 page per hot page rides out bandwidth dips.
 """
 
-import pytest
-
 from repro.analysis.report import print_artifact, render_table
-from repro.baselines.fastswap import FastswapPrefetcher
-from repro.hopp.policy import PolicyConfig
-from repro.hopp.system import HoppConfig, HoppDataPlane
 from repro.net.rdma import FabricConfig
-from repro.sim.machine import Machine, MachineConfig
-from repro.sim.runner import collect, make_machine
-from repro.sim.systems import SystemSpec
-from repro.workloads import build
 
-from common import SEED, param_grid, time_one
+from common import SEED, get_result, param_grid
 
 #: A deliberately nasty fabric: heavy jitter, frequent big spikes.
 VOLATILE = FabricConfig(
@@ -28,38 +19,23 @@ VOLATILE = FabricConfig(
 )
 
 
-def hopp_with_policy(policy: PolicyConfig) -> SystemSpec:
-    def builder(config: MachineConfig) -> Machine:
-        machine = Machine(config, fault_prefetcher=FastswapPrefetcher())
-        plane = HoppDataPlane(machine, HoppConfig(policy=policy))
-        machine.hopp = plane
-        machine.controller.add_tap(plane.on_mc_access)
-        return machine
-
-    return SystemSpec(name="hopp-policy-variant", builder=builder)
+def run_policy(overrides: dict, fabric: FabricConfig):
+    return get_result(
+        "adder", "hopp", 0.25, system_kwargs=overrides, fabric=fabric
+    )
 
 
-def run_policy(policy: PolicyConfig, label: str):
-    workload = build("adder", seed=SEED)
-    machine = make_machine(workload, hopp_with_policy(policy), 0.25, VOLATILE)
-    machine.run(workload.trace())
-    return collect(machine, label, workload.name)
-
-
-@pytest.mark.benchmark(group="ablation-policy")
-def test_ablation_alpha_sweep(benchmark):
-    time_one(benchmark, lambda: run_policy(PolicyConfig(alpha=0.2), "a0.2"))
-
+def test_ablation_alpha_sweep():
     rows = []
     completion = {}
     for point in param_grid(alpha=[0.0, 0.05, 0.2, 0.5]):
         alpha = point["alpha"]
-        config = (
-            PolicyConfig(adaptive=False)
+        overrides = (
+            {"policy.adaptive": False}
             if alpha == 0.0
-            else PolicyConfig(alpha=alpha)
+            else {"policy.alpha": alpha}
         )
-        result = run_policy(config, f"alpha={alpha}")
+        result = run_policy(overrides, VOLATILE)
         completion[alpha] = result.completion_time_us
         rows.append(
             [f"alpha={alpha}", result.completion_time_us, result.coverage,
@@ -79,28 +55,14 @@ def test_ablation_alpha_sweep(benchmark):
     assert completion[0.2] <= best * 1.1
 
 
-@pytest.mark.benchmark(group="ablation-policy")
-def test_ablation_intensity_on_congested_fabric(benchmark):
+def test_ablation_intensity_on_congested_fabric():
     congested = FabricConfig(gbps=6.0, jitter_us=1.0, seed=SEED)
-
-    def run_intensity(intensity: int):
-        workload = build("adder", seed=SEED)
-        machine = make_machine(
-            workload,
-            hopp_with_policy(PolicyConfig(intensity=intensity)),
-            0.25,
-            congested,
-        )
-        machine.run(workload.trace())
-        return collect(machine, f"i{intensity}", workload.name)
-
-    time_one(benchmark, lambda: run_intensity(1))
 
     rows = []
     results = {}
     for point in param_grid(intensity=[1, 2, 4]):
         intensity = point["intensity"]
-        result = run_intensity(intensity)
+        result = run_policy({"policy.intensity": intensity}, congested)
         results[intensity] = result
         rows.append(
             [f"intensity={intensity}", result.completion_time_us,

@@ -8,51 +8,23 @@ short streams); a tiny Delta splinters streams, a huge Delta merges
 unrelated ones.
 """
 
-import pytest
-
 from repro.analysis.report import print_artifact, render_table
-from repro.baselines.fastswap import FastswapPrefetcher
-from repro.hopp.system import HoppConfig, HoppDataPlane
-from repro.net.rdma import FabricConfig
-from repro.sim.machine import Machine, MachineConfig
-from repro.sim.runner import collect, make_machine
-from repro.sim.systems import SystemSpec
-from repro.workloads import build
 
-from common import SEED, time_one
+from common import get_result
 
 
-def hopp_with_stt(history_len: int, delta: int) -> SystemSpec:
-    def builder(config: MachineConfig) -> Machine:
-        machine = Machine(config, fault_prefetcher=FastswapPrefetcher())
-        plane = HoppDataPlane(
-            machine,
-            HoppConfig(stt_history_len=history_len, stt_stream_delta=delta),
-        )
-        machine.hopp = plane
-        machine.controller.add_tap(plane.on_mc_access)
-        return machine
-
-    return SystemSpec(name=f"hopp-L{history_len}-d{delta}", builder=builder)
-
-
-def run_variant(workload_name: str, history_len: int, delta: int, **wl_kwargs):
-    workload = build(workload_name, seed=SEED, **wl_kwargs)
-    machine = make_machine(
-        workload, hopp_with_stt(history_len, delta), 0.5, FabricConfig(seed=SEED)
+def run_variant(history_len: int, delta: int):
+    return get_result(
+        "stream-interleaved", "hopp", 0.5,
+        system_kwargs={"stt_history_len": history_len, "stt_stream_delta": delta},
     )
-    machine.run(workload.trace())
-    return collect(machine, f"L{history_len}-d{delta}", workload_name)
 
 
-@pytest.mark.benchmark(group="ablation-stt")
-def test_ablation_stt_history_length(benchmark):
-    time_one(benchmark, lambda: run_variant("stream-interleaved", 16, 64))
-
+def test_ablation_stt_history_length():
     rows = []
     coverage = {}
     for history_len in (6, 16, 48):
-        result = run_variant("stream-interleaved", history_len, 64)
+        result = run_variant(history_len, 64)
         coverage[history_len] = result.coverage
         rows.append([f"L={history_len}", result.accuracy, result.coverage])
     print_artifact(
@@ -63,14 +35,11 @@ def test_ablation_stt_history_length(benchmark):
     assert coverage[16] >= max(coverage[6], coverage[48]) - 0.05
 
 
-@pytest.mark.benchmark(group="ablation-stt")
-def test_ablation_stt_stream_delta(benchmark):
-    time_one(benchmark, lambda: run_variant("stream-interleaved", 16, 4))
-
+def test_ablation_stt_stream_delta():
     rows = []
     coverage = {}
     for delta in (4, 64, 1024):
-        result = run_variant("stream-interleaved", 16, delta)
+        result = run_variant(16, delta)
         coverage[delta] = result.coverage
         rows.append([f"delta={delta}", result.accuracy, result.coverage])
     print_artifact(

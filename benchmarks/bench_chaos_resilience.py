@@ -15,28 +15,20 @@ this stresses the reproduction's robustness):
 * HoPP stays ahead of Fastswap even while the fabric is hostile.
 """
 
-import pytest
-
 from repro.analysis.report import print_artifact, render_table
 from repro.net.faults import FaultPlan
-from repro.sim import runner
 from repro.sim.machine import RunEnv
-from repro.workloads import build
 
-from common import SEED, _FABRIC, time_one
+from common import SEED, get_result
 
 SYSTEMS = ("fastswap", "depth-16", "hopp")
 
 
 def _run(system, plan):
-    workload = build("stream-simple", seed=SEED)
-    return runner.run(workload, system, 0.5, _FABRIC, env=RunEnv(fault_plan=plan))
+    return get_result("stream-simple", system, 0.5, env=RunEnv(fault_plan=plan))
 
 
-@pytest.mark.benchmark(group="chaos")
-def test_chaos_resilience(benchmark):
-    time_one(benchmark, lambda: _run("hopp", FaultPlan.chaos(SEED)))
-
+def test_chaos_resilience():
     rows = []
     clean, chaos = {}, {}
     for system in SYSTEMS:

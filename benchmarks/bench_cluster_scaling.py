@@ -23,31 +23,25 @@ this stresses the reproduction's growth axis):
   page or two, never systematically).
 """
 
-import pytest
-
 from repro.analysis.report import print_artifact, render_table
 from repro.cluster import ClusterConfig
 from repro.net.faults import FaultPlan
-from repro.sim import runner
 from repro.sim.machine import RunEnv
-from repro.workloads import build
 
-from common import SEED, _FABRIC, time_one
+from common import SEED, get_result
 
 NODE_COUNTS = (1, 2, 4, 8)
 PLACEMENTS = ("interleave", "hash", "affinity")
 
 
-def _run(nodes=1, placement="interleave", replication=1, plan=None,
-         system="hopp"):
-    workload = build("stream-simple", seed=SEED)
+def _run(nodes=1, placement="interleave", replication=1, plan=None):
     env = RunEnv(
         fault_plan=plan,
         cluster=ClusterConfig(
             nodes=nodes, placement=placement, replication=replication
         ),
     )
-    return runner.run(workload, system, 0.5, _FABRIC, env=env)
+    return get_result("stream-simple", "hopp", 0.5, env=env)
 
 
 def _imbalance(result):
@@ -59,10 +53,7 @@ def _imbalance(result):
     return max(totals) / mean if mean else 1.0
 
 
-@pytest.mark.benchmark(group="cluster")
-def test_cluster_scaling(benchmark):
-    time_one(benchmark, lambda: _run(nodes=4))
-
+def test_cluster_scaling():
     rows = []
     results = {}
     for placement in PLACEMENTS:
@@ -112,10 +103,7 @@ def test_cluster_scaling(benchmark):
     assert _imbalance(results[("affinity", 4)]) > 2.0
 
 
-@pytest.mark.benchmark(group="cluster")
-def test_cluster_replication_tax(benchmark):
-    time_one(benchmark, lambda: _run(nodes=3, replication=2))
-
+def test_cluster_replication_tax():
     single = _run(nodes=3, replication=1)
     mirrored = _run(nodes=3, replication=2)
     print_artifact(
@@ -139,13 +127,8 @@ def test_cluster_replication_tax(benchmark):
     ) <= max(2, single.remote_demand_reads // 10)
 
 
-@pytest.mark.benchmark(group="cluster")
-def test_cluster_failover_under_chaos(benchmark):
-    plan = FaultPlan.chaos(SEED)
-    result = time_one(
-        benchmark,
-        lambda: _run(nodes=3, replication=2, plan=plan, system="hopp"),
-    )
+def test_cluster_failover_under_chaos():
+    result = _run(nodes=3, replication=2, plan=FaultPlan.chaos(SEED))
     print_artifact(
         "3-node chaos run (replication 2)",
         render_table(

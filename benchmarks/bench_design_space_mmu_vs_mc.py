@@ -14,13 +14,11 @@ the reduction factor through a 3-level hierarchy.
 
 import itertools
 
-import pytest
-
 from repro.analysis.report import print_artifact, render_table
 from repro.sim.detailed import mmu_vs_mc_volumes
 from repro.workloads import build
 
-from common import SEED, time_one
+from common import SEED
 
 WORKLOADS = [
     ("graphx-bfs", dict(edge_pages=600, vertex_pages=100)),
@@ -40,10 +38,7 @@ def measure(name: str, kwargs: dict):
     return mmu_vs_mc_volumes(trace, repeats=REPEATS)
 
 
-@pytest.mark.benchmark(group="design-space")
-def test_mmu_vs_mc_reference_volumes(benchmark):
-    time_one(benchmark, lambda: measure(*WORKLOADS[1]))
-
+def test_mmu_vs_mc_reference_volumes():
     rows = []
     factors = {}
     for name, kwargs in WORKLOADS:

@@ -15,15 +15,13 @@ whole.
 
 import itertools
 
-import pytest
-
 from repro.analysis.report import print_artifact, render_table
 from repro.hopp.hpd import HotPageDetector
 from repro.hopp.stt import StreamTrainingTable
 from repro.hopp.three_tier import ThreeTierTrainer
 from repro.workloads import build
 
-from common import SEED, time_one
+from common import SEED
 
 MAX_ACCESSES = 150_000
 
@@ -54,10 +52,7 @@ def decisions_with_observers(ncores: int, quantum_accesses: int = 512) -> int:
     )
 
 
-@pytest.mark.benchmark(group="design-space")
-def test_per_core_vs_mc_stream_identification(benchmark):
-    time_one(benchmark, lambda: decisions_with_observers(4))
-
+def test_per_core_vs_mc_stream_identification():
     rows = []
     decisions = {}
     for ncores in (1, 2, 4, 8):

@@ -5,20 +5,15 @@ prefetch from HoPP is correct"); the average improvement over Fastswap
 is ~18%.
 """
 
-import pytest
-
 from repro.analysis.report import print_artifact, render_table
 from repro.workloads import NON_JVM_APPS
 
-from common import get_result, time_one
+from common import get_result
 
 FRACTION = 0.5
 
 
-@pytest.mark.benchmark(group="fig10")
-def test_fig10_accuracy_nojvm(benchmark):
-    time_one(benchmark, lambda: get_result("quicksort", "hopp", FRACTION))
-
+def test_fig10_accuracy_nojvm():
     rows = []
     fast_values, hopp_values = [], []
     for app in NON_JVM_APPS:

@@ -8,21 +8,16 @@ Paper shapes: HoPP coverage > 90% (QuickSort and K-means > 99%, "no
 page fault observed"); Fastswap's bar is swapcache-hits only.
 """
 
-import pytest
-
 from repro.analysis.report import print_artifact, render_table
 from repro.common.stats import safe_ratio
 from repro.workloads import NON_JVM_APPS
 
-from common import get_result, time_one
+from common import get_result
 
 FRACTION = 0.5
 
 
-@pytest.mark.benchmark(group="fig11")
-def test_fig11_coverage_nojvm(benchmark):
-    time_one(benchmark, lambda: get_result("npb-cg", "hopp", FRACTION))
-
+def test_fig11_coverage_nojvm():
     rows = []
     hopp_total = []
     fast_total = []

@@ -8,21 +8,13 @@ land well below their non-JVM normalized performance because the JVM
 fragments streams.
 """
 
-import pytest
-
 from repro.analysis.report import print_artifact, render_table
 from repro.workloads import SPARK_APPS
 
-from common import get_result, normperf, paper_fraction, time_one
+from common import normperf, paper_fraction
 
 
-@pytest.mark.benchmark(group="fig12")
-def test_fig12_normalized_performance_spark(benchmark):
-    time_one(
-        benchmark,
-        lambda: get_result("spark-kmeans", "hopp", paper_fraction("spark-kmeans")),
-    )
-
+def test_fig12_normalized_performance_spark():
     rows = []
     fast_values, hopp_values, wins = [], [], []
     for app in SPARK_APPS:

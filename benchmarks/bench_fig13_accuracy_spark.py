@@ -5,21 +5,13 @@ though the JVM's fragmented allocation gives everyone fewer trainable
 streams than the OMP/C variants.
 """
 
-import pytest
-
 from repro.analysis.report import print_artifact, render_table
 from repro.workloads import SPARK_APPS
 
-from common import get_result, paper_fraction, time_one
+from common import get_result, paper_fraction
 
 
-@pytest.mark.benchmark(group="fig13")
-def test_fig13_accuracy_spark(benchmark):
-    time_one(
-        benchmark,
-        lambda: get_result("graphx-pr", "fastswap", paper_fraction("graphx-pr")),
-    )
-
+def test_fig13_accuracy_spark():
     rows, fast_values, hopp_values = [], [], []
     for app in SPARK_APPS:
         fraction = paper_fraction(app)

@@ -7,22 +7,14 @@ HoPP bar keeps a visible swapcache-hit share (the fault-path prefetches
 it runs on top of).
 """
 
-import pytest
-
 from repro.analysis.report import print_artifact, render_table
 from repro.common.stats import safe_ratio
 from repro.workloads import SPARK_APPS
 
-from common import get_result, paper_fraction, time_one
+from common import get_result, paper_fraction
 
 
-@pytest.mark.benchmark(group="fig14")
-def test_fig14_coverage_spark(benchmark):
-    time_one(
-        benchmark,
-        lambda: get_result("spark-bayes", "hopp", paper_fraction("spark-bayes")),
-    )
-
+def test_fig14_coverage_spark():
     rows, fast_values, hopp_values = [], [], []
     for app in SPARK_APPS:
         fraction = paper_fraction(app)

@@ -6,11 +6,9 @@ because the hot-page trace carries application semantics (the PID), so
 streams from different applications never alias in the trainer.
 """
 
-import pytest
-
 from repro.analysis.report import print_artifact, render_table
 
-from common import corun_result, time_one
+from common import corun_result
 
 PAIRS = [
     ("omp-kmeans", "quicksort"),
@@ -22,10 +20,7 @@ PAIRS = [
 FRACTION = 0.5
 
 
-@pytest.mark.benchmark(group="fig15")
-def test_fig15_multi_application_speedup(benchmark):
-    time_one(benchmark, lambda: corun_result(PAIRS[0], "hopp", FRACTION))
-
+def test_fig15_multi_application_speedup():
     rows = []
     speedups = []
     for pair in PAIRS:

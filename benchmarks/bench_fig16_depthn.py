@@ -7,21 +7,16 @@ best of four" — early PTE injection without feedback misfires where
 access patterns aren't contiguous-forward.
 """
 
-import pytest
-
 from repro.analysis.report import print_artifact, render_table
 
-from common import get_result, normperf, time_one
+from common import normperf
 
 APPS = ["npb-cg", "npb-ft", "npb-lu", "npb-mg", "npb-is"]
 SYSTEMS = ["depth-16", "depth-32", "fastswap", "hopp"]
 FRACTION = 0.5
 
 
-@pytest.mark.benchmark(group="fig16")
-def test_fig16_depth_n_comparison(benchmark):
-    time_one(benchmark, lambda: get_result("npb-mg", "depth-32", FRACTION))
-
+def test_fig16_depth_n_comparison():
     table = {}
     rows = []
     for app in APPS:

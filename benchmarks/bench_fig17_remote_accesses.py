@@ -7,23 +7,18 @@ the maximum reduction, it has the best performance (Figure 16) thanks
 to early PTE injection *with* feedback.
 """
 
-import pytest
-
 from repro.analysis.report import print_artifact, render_table
+from repro.sim.machine import RunEnv
+from repro.telemetry import TelemetryConfig
 
-from common import get_result, get_telemetry_result, paper_fraction, time_one
+from common import get_result, paper_fraction
 
 APPS = ["graphx-bfs", "omp-kmeans", "graphx-cc", "npb-mg"]
 SYSTEMS = ["depth-16", "depth-32", "fastswap", "hopp"]
+TELEMETRY = RunEnv(telemetry=TelemetryConfig(epoch_us=1000.0))
 
 
-@pytest.mark.benchmark(group="fig17")
-def test_fig17_normalized_remote_accesses(benchmark):
-    time_one(
-        benchmark,
-        lambda: get_result("graphx-bfs", "noprefetch", paper_fraction("graphx-bfs")),
-    )
-
+def test_fig17_normalized_remote_accesses():
     rows = []
     ratios = {}
     for app in APPS:
@@ -51,8 +46,7 @@ def test_fig17_normalized_remote_accesses(benchmark):
         )
 
 
-@pytest.mark.benchmark(group="fig17")
-def test_fig17_remote_accesses_over_time(benchmark):
+def test_fig17_remote_accesses_over_time():
     """The time-resolved companion: per-epoch remote reads from the
     telemetry time-series, the series Figure 17 aggregates away.
 
@@ -62,13 +56,9 @@ def test_fig17_remote_accesses_over_time(benchmark):
     """
     app = "graphx-bfs"
     fraction = paper_fraction(app)
-    time_one(
-        benchmark, lambda: get_telemetry_result(app, "fastswap", fraction)
-    )
-
     rows = []
     for system in ("fastswap", "hopp"):
-        result = get_telemetry_result(app, system, fraction)
+        result = get_result(app, system, fraction, env=TELEMETRY)
         series = result.telemetry["timeseries"]["series"]
         reads = series["remote_reads"]
         assert sum(reads) == result.fabric_reads, system

@@ -7,21 +7,16 @@ NPB-MG are the showcase apps (their ladders/ripples are invisible to
 SSP).
 """
 
-import pytest
-
 from repro.analysis.report import print_artifact, render_table
 
-from common import get_result, speedup, time_one
+from common import speedup
 
 APPS = ["hpl", "npb-mg", "npb-lu", "omp-kmeans"]
 TIER_SYSTEMS = ["hopp-ssp", "hopp-ssp-lsp", "hopp"]
 FRACTION = 0.5
 
 
-@pytest.mark.benchmark(group="fig18")
-def test_fig18_speedup_by_tier(benchmark):
-    time_one(benchmark, lambda: get_result("hpl", "hopp-ssp", FRACTION))
-
+def test_fig18_speedup_by_tier():
     rows = []
     gains = {}
     for app in APPS:

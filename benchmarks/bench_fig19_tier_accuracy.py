@@ -5,21 +5,16 @@ Paper shape: "the accuracy of each algorithm is high (over 90%), as
 combining them together does not reduce the accuracy."
 """
 
-import pytest
-
 from repro.analysis.report import print_artifact, render_table
 
-from common import get_result, time_one
+from common import get_result
 
 APPS = ["hpl", "npb-mg", "npb-lu", "omp-kmeans", "quicksort"]
 FRACTION = 0.5
 TIERS = ("ssp", "lsp", "rsp")
 
 
-@pytest.mark.benchmark(group="fig19")
-def test_fig19_per_tier_accuracy(benchmark):
-    time_one(benchmark, lambda: get_result("npb-lu", "hopp", FRACTION))
-
+def test_fig19_per_tier_accuracy():
     rows = []
     for app in APPS:
         result = get_result(app, "hopp", FRACTION)

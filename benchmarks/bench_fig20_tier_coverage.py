@@ -7,21 +7,16 @@ LSP offers an additional 9.1% coverage, and RSP can provide an
 additional 10%."
 """
 
-import pytest
-
 from repro.analysis.report import print_artifact, render_table
 
-from common import get_result, time_one
+from common import get_result
 
 APPS = ["hpl", "npb-mg", "npb-lu", "omp-kmeans", "quicksort"]
 FRACTION = 0.5
 TIERS = ("ssp", "lsp", "rsp")
 
 
-@pytest.mark.benchmark(group="fig20")
-def test_fig20_per_tier_coverage(benchmark):
-    time_one(benchmark, lambda: get_result("quicksort", "hopp", FRACTION))
-
+def test_fig20_per_tier_coverage():
     rows = []
     for app in APPS:
         result = get_result(app, "hopp", FRACTION)

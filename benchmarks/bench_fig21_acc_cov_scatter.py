@@ -9,20 +9,15 @@ the 2.3 us prefetch-hit fault.  Note: HoPP's coverage here counts only
 DRAM hits, as in the paper's figure.
 """
 
-import pytest
-
 from repro.analysis.report import print_artifact, render_table
 from repro.workloads import NON_JVM_APPS
 
-from common import get_result, local_ct, time_one
+from common import get_result, local_ct
 
 FRACTION = 0.5
 
 
-@pytest.mark.benchmark(group="fig21")
-def test_fig21_accuracy_coverage_scatter(benchmark):
-    time_one(benchmark, lambda: get_result("npb-is", "hopp", FRACTION))
-
+def test_fig21_accuracy_coverage_scatter():
     rows = []
     points = {}
     for app in NON_JVM_APPS:

@@ -12,11 +12,9 @@ Paper shapes (Fastswap = baseline):
 * fixed offsets lose: offset=1 prefetches too late, offset=20K too far.
 """
 
-import pytest
-
 from repro.analysis.report import print_artifact, render_table
 
-from common import get_result, local_ct, normperf, time_one
+from common import get_result, normperf
 
 WORKLOAD = "adder"
 FRACTION = 0.25
@@ -31,10 +29,7 @@ SYSTEMS = [
 ]
 
 
-@pytest.mark.benchmark(group="fig22")
-def test_fig22_design_sensitivity(benchmark):
-    time_one(benchmark, lambda: get_result(WORKLOAD, "hopp", FRACTION))
-
+def test_fig22_design_sensitivity():
     values = {system: normperf(WORKLOAD, system, FRACTION) for system in SYSTEMS}
     fastswap_ct = get_result(WORKLOAD, "fastswap", FRACTION).completion_time_us
     rows = []

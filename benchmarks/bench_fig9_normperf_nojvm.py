@@ -7,19 +7,14 @@ K-means: 3.5% slowdown at least); the average HoPP-over-Fastswap
 improvement is ~25% at 50% and ~32% at 25%.
 """
 
-import pytest
-
 from repro.analysis.report import print_artifact, render_table
 from repro.common.stats import geometric_mean
 from repro.workloads import NON_JVM_APPS
 
-from common import get_result, normperf, time_one
+from common import normperf
 
 
-@pytest.mark.benchmark(group="fig9")
-def test_fig9_normalized_performance_nojvm(benchmark):
-    time_one(benchmark, lambda: get_result("omp-kmeans", "hopp", 0.5))
-
+def test_fig9_normalized_performance_nojvm():
     rows = []
     series = {"fastswap": {0.5: [], 0.25: []}, "hopp": {0.5: [], 0.25: []}}
     for app in NON_JVM_APPS:

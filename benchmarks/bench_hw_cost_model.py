@@ -11,12 +11,9 @@ import pytest
 from repro.analysis.report import print_artifact, render_table
 from repro.hopp.hardware_model import SramModel
 
-from common import time_one
 
-
-@pytest.mark.benchmark(group="hwcost")
-def test_hw_cost_model(benchmark):
-    model = time_one(benchmark, SramModel)
+def test_hw_cost_model():
+    model = SramModel()
 
     hpd = model.hpd_table()
     rpt64 = model.rpt_cache(64)

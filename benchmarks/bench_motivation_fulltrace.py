@@ -7,22 +7,14 @@ accuracy and coverage by 10.6% and by 13.9%, respectively" — before the
 three-tier design adds the ladder/ripple coverage on top.
 """
 
-import pytest
-
 from repro.analysis.report import print_artifact, render_table
 
-from common import get_result, paper_fraction, time_one
+from common import get_result, paper_fraction
 
 APPS = ["stream-interleaved", "omp-kmeans", "quicksort", "npb-cg"]
 
 
-@pytest.mark.benchmark(group="motivation")
-def test_motivation_full_trace_majority(benchmark):
-    time_one(
-        benchmark,
-        lambda: get_result("stream-interleaved", "majority-full", 0.5),
-    )
-
+def test_motivation_full_trace_majority():
     rows = []
     acc_gain, cov_gain = [], []
     for app in APPS:

@@ -9,8 +9,6 @@ coverage degrades through lag and trace loss — quantifying how much
 slack the prototype methodology actually had.
 """
 
-import pytest
-
 from repro.analysis.report import print_artifact, render_table
 from repro.baselines.fastswap import FastswapPrefetcher
 from repro.hopp.prototype import PrototypeDataPlane
@@ -21,7 +19,7 @@ from repro.sim.runner import collect, make_machine
 from repro.sim.systems import SystemSpec
 from repro.workloads import build
 
-from common import SEED, get_result, time_one
+from common import SEED, get_result
 
 
 def prototype_system(rate: float) -> SystemSpec:
@@ -50,10 +48,7 @@ def run_prototype(rate: float):
     return result
 
 
-@pytest.mark.benchmark(group="prototype")
-def test_prototype_vs_design(benchmark):
-    time_one(benchmark, lambda: run_prototype(100.0))
-
+def test_prototype_vs_design():
     design = get_result("omp-kmeans", "hopp", 0.5)
     rows = [
         ["in-MC design", design.completion_time_us, design.coverage,

@@ -20,8 +20,6 @@ conservation identity ``written == stored + overwritten + released +
 lost`` must hold on every node throughout.
 """
 
-import pytest
-
 from repro.analysis.report import print_artifact, render_table
 from repro.cluster import ClusterConfig, RepairConfig
 from repro.net.faults import FaultPlan
@@ -29,43 +27,58 @@ from repro.sim import runner
 from repro.sim.machine import RunEnv
 from repro.workloads import build
 
-from common import SEED, _FABRIC, time_one
+from common import FABRIC, SEED, get_result
 
 WORKLOAD = "quicksort"
 FRACTION = 0.5
 NODES = 3
 
 
-def _run(replication, plan, repair_interval_us=None):
+def _env(replication, plan):
+    return RunEnv(
+        fault_plan=plan,
+        cluster=ClusterConfig(nodes=NODES, replication=replication),
+    )
+
+
+def _run(replication, plan):
+    return get_result(WORKLOAD, "hopp", FRACTION, env=_env(replication, plan))
+
+
+def _run_rate_limited(repair_interval_us):
+    """A replication-2 crash run whose repair engine pumps every
+    ``repair_interval_us``.  The interval is set on the built machine,
+    so this run does not go through :func:`get_result`."""
     workload = build(WORKLOAD, seed=SEED)
     machine = runner.make_machine(
-        workload,
-        "hopp",
-        FRACTION,
-        _FABRIC,
-        env=RunEnv(
-            fault_plan=plan,
-            cluster=ClusterConfig(nodes=NODES, replication=replication),
-        ),
+        workload, "hopp", FRACTION, FABRIC, env=_env(2, FaultPlan.crash(SEED))
     )
-    if repair_interval_us is not None:
-        machine.backend.repair.config = RepairConfig(
-            repair_interval_us=repair_interval_us
-        )
+    machine.backend.repair.config = RepairConfig(
+        repair_interval_us=repair_interval_us
+    )
     machine.run(workload.trace())
     machine.flush_recovery()
-    return runner.collect(machine, "hopp", WORKLOAD), machine
+    return runner.collect(machine, "hopp", WORKLOAD)
 
 
-@pytest.mark.benchmark(group="repair")
-def test_repair_cost(benchmark):
-    time_one(benchmark, lambda: _run(2, FaultPlan.crash(SEED)))
+def _assert_conserved(result):
+    """The 4-term identity on every node's end-of-run snapshot."""
+    for stats in result.node_stats:
+        remote = stats["remote"]
+        assert remote["pages_written"] == (
+            remote["pages_stored"]
+            + remote["pages_overwritten"]
+            + remote["pages_released"]
+            + remote["pages_lost"]
+        ), f"node {stats['node']} leaked slots"
 
-    clean, _ = _run(2, None)
+
+def test_repair_cost():
+    clean = _run(2, None)
     rows = []
     crashed = {}
     for replication in (1, 2):
-        result, machine = _run(replication, FaultPlan.crash(SEED))
+        result = _run(replication, FaultPlan.crash(SEED))
         crashed[replication] = result
         slowdown = result.completion_time_us / clean.completion_time_us
         rows.append(
@@ -80,8 +93,7 @@ def test_repair_cost(benchmark):
             ]
         )
         # Conservation survives the crash on every node.
-        for node in machine.cluster.nodes:
-            assert node.remote.conserved, f"node {node.node_id} leaked slots"
+        _assert_conserved(result)
     print_artifact(
         f"Repair cost: mid-run node crash ({WORKLOAD} @{FRACTION:.0%}, "
         f"{NODES} nodes)",
@@ -109,9 +121,7 @@ def test_repair_cost(benchmark):
     # with it the foreground interference), but never loses a page.
     sweep_rows = []
     for interval in (1.0, 10.0, 100.0):
-        result, machine = _run(
-            2, FaultPlan.crash(SEED), repair_interval_us=interval
-        )
+        result = _run_rate_limited(interval)
         sweep_rows.append(
             [
                 f"{interval:.0f}",
@@ -122,8 +132,7 @@ def test_repair_cost(benchmark):
         )
         assert result.pages_lost == 0
         assert result.pages_repaired > 0
-        for node in machine.cluster.nodes:
-            assert node.remote.conserved
+        _assert_conserved(result)
     print_artifact(
         "Repair rate limit sweep (replication=2, crash preset)",
         render_table(

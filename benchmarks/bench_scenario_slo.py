@@ -11,8 +11,6 @@ the execution engine (they are multi-round driven loops, not RunSpecs),
 so the sweep is sized to run fresh in seconds.
 """
 
-import pytest
-
 from repro.analysis.report import print_artifact, render_table
 from repro.net.faults import FaultPlan
 from repro.net.rdma import FabricConfig
@@ -24,7 +22,7 @@ from repro.scenario import (
 )
 from repro.scenario.traffic import TIER_GUARANTEED
 
-from common import SEED, time_one
+from common import SEED
 
 #: Narrow link: demand traffic saturates the priority QP as load rises.
 GBPS = 1.0
@@ -74,10 +72,7 @@ def _tier_attainment(config: ScenarioConfig, section) -> dict:
     }
 
 
-@pytest.mark.benchmark(group="scenario-slo")
-def test_scenario_slo_attainment(benchmark):
-    time_one(benchmark, lambda: run_scenario(_config(LOADS[0], chaos=False)))
-
+def test_scenario_slo_attainment():
     rows = []
     saturated = []
     for chaos in (False, True):

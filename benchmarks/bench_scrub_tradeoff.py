@@ -23,17 +23,13 @@ this stresses the reproduction's end-to-end integrity story):
   in the sweep stretches completion by well under 2x.
 """
 
-import pytest
-
 from repro.analysis.report import print_artifact, render_table
 from repro.integrity import ScrubConfig
 from repro.net.faults import FaultPlan
 from repro.cluster import ClusterConfig
-from repro.sim import runner
 from repro.sim.machine import RunEnv
-from repro.workloads import build
 
-from common import SEED, _FABRIC, time_one
+from common import SEED, get_result
 
 WORKLOAD = "quicksort"
 FRACTION = 0.5
@@ -42,13 +38,11 @@ RATES = (None, 500.0, 2_000.0, 5_000.0, 20_000.0)
 
 
 def _run(rate):
-    workload = build(WORKLOAD, seed=SEED)
     scrub = None if rate is None else ScrubConfig(rate_pages_per_s=rate)
-    return runner.run(
-        workload,
+    return get_result(
+        WORKLOAD,
         "hopp",
         FRACTION,
-        _FABRIC,
         env=RunEnv(
             fault_plan=FaultPlan.corruption(SEED),
             cluster=ClusterConfig(nodes=NODES, replication=2),
@@ -57,10 +51,7 @@ def _run(rate):
     )
 
 
-@pytest.mark.benchmark(group="integrity")
-def test_scrub_tradeoff(benchmark):
-    time_one(benchmark, lambda: _run(5_000.0))
-
+def test_scrub_tradeoff():
     results = {rate: _run(rate) for rate in RATES}
     baseline_ct = results[None].completion_time_us
 

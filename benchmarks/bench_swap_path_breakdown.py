@@ -17,8 +17,6 @@ from repro.common import constants
 from repro.sim.machine import Machine, MachineConfig
 from repro.net.rdma import FabricConfig
 
-from common import time_one
-
 
 def quiet_machine(limit=8):
     machine = Machine(
@@ -49,9 +47,8 @@ def measure_paths():
     return remote_fault, prefetch_hit, dram_hit
 
 
-@pytest.mark.benchmark(group="swap-path")
-def test_swap_path_breakdown(benchmark):
-    remote_fault, prefetch_hit, dram_hit = time_one(benchmark, measure_paths)
+def test_swap_path_breakdown():
+    remote_fault, prefetch_hit, dram_hit = measure_paths()
 
     rows = [
         ["(1) context switch", constants.T_CONTEXT_SWITCH_US, "0.3"],

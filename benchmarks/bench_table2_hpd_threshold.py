@@ -13,13 +13,11 @@ the ratios share the paper's units.
 
 import itertools
 
-import pytest
-
 from repro.analysis.report import print_artifact, render_table
 from repro.hopp.hpd import HotPageDetector
 from repro.workloads import build
 
-from common import SEED, time_one
+from common import SEED
 
 THRESHOLDS = (2, 4, 8, 16, 32)
 
@@ -43,10 +41,7 @@ def hot_ratio(name: str, kwargs: dict, threshold: int) -> float:
     return hpd.hot_page_ratio
 
 
-@pytest.mark.benchmark(group="table2")
-def test_table2_hpd_threshold(benchmark):
-    time_one(benchmark, lambda: hot_ratio("omp-kmeans", WORKLOADS["K-means"][1], 8))
-
+def test_table2_hpd_threshold():
     rows = []
     trends_ok = True
     for label, (name, kwargs) in WORKLOADS.items():

@@ -9,18 +9,9 @@ Method: run the full HoPP machine (hooks, swapping, prefetching) with
 the RPT cache size under test and read the lookup-path hit rate.
 """
 
-import pytest
-
 from repro.analysis.report import print_artifact, render_table
-from repro.hopp.system import HoppConfig, HoppDataPlane
-from repro.baselines.fastswap import FastswapPrefetcher
-from repro.net.rdma import FabricConfig
-from repro.sim.machine import Machine, MachineConfig
-from repro.sim.runner import make_machine
-from repro.sim.systems import SystemSpec
-from repro.workloads import build
 
-from common import SEED, time_one
+from common import get_result
 
 SIZES_KB = (1, 2, 4, 8, 16, 32, 64)
 
@@ -30,30 +21,15 @@ WORKLOADS = {
 }
 
 
-def hopp_with_rpt_cache(size_kb: int) -> SystemSpec:
-    def builder(config: MachineConfig) -> Machine:
-        machine = Machine(config, fault_prefetcher=FastswapPrefetcher())
-        plane = HoppDataPlane(machine, HoppConfig(rpt_cache_kb=size_kb))
-        machine.hopp = plane
-        machine.controller.add_tap(plane.on_mc_access)
-        return machine
-
-    return SystemSpec(name=f"hopp-rpt{size_kb}k", builder=builder)
-
-
 def rpt_hit_rate(name: str, kwargs: dict, size_kb: int) -> float:
-    workload = build(name, seed=SEED, **kwargs)
-    machine = make_machine(
-        workload, hopp_with_rpt_cache(size_kb), 0.5, FabricConfig(seed=SEED)
+    result = get_result(
+        name, "hopp", 0.5,
+        workload_kwargs=kwargs, system_kwargs={"rpt_cache_kb": size_kb},
     )
-    machine.run(workload.trace())
-    return machine.hopp.rpt_cache.hit_rate
+    return result.extra["rpt_cache_hit_rate"]
 
 
-@pytest.mark.benchmark(group="table3")
-def test_table3_rpt_cache_size(benchmark):
-    time_one(benchmark, lambda: rpt_hit_rate("omp-kmeans", WORKLOADS["K-means"][1], 64))
-
+def test_table3_rpt_cache_size():
     rows = []
     for label, (name, kwargs) in WORKLOADS.items():
         rates = [rpt_hit_rate(name, kwargs, kb) for kb in SIZES_KB]

@@ -10,15 +10,13 @@ page visits, the paper's units) through HPD + RPT cache per workload.
 
 import itertools
 
-import pytest
-
 from repro.analysis.report import print_artifact, render_table
 from repro.common.types import RptEntry
 from repro.hopp.hpd import HotPageDetector
 from repro.hopp.rpt import ReversePageTable, RptCache, rpt_bandwidth_overhead
 from repro.workloads import build
 
-from common import SEED, time_one
+from common import SEED
 
 #: Table V's 14 programs, scaled down with full page visits.
 PROGRAMS = [
@@ -57,10 +55,7 @@ def overheads(name: str, kwargs: dict):
     return hpd.bandwidth_overhead, rpt_bandwidth_overhead(cache, hpd.accesses)
 
 
-@pytest.mark.benchmark(group="table5")
-def test_table5_bandwidth_overheads(benchmark):
-    time_one(benchmark, lambda: overheads("omp-kmeans", PROGRAMS[0][2]))
-
+def test_table5_bandwidth_overheads():
     hpd_row = ["HPD"]
     rpt_row = ["RPT"]
     hpd_values = []

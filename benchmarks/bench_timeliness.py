@@ -8,21 +8,18 @@ prints the distribution HoPP actually achieves per application and
 asserts the controller keeps the bulk of hits inside the target window.
 """
 
-import pytest
-
 from repro.analysis.report import print_artifact, render_table
 from repro.common.constants import POLICY_T_MAX_US, POLICY_T_MIN_US
+from repro.sim.machine import RunEnv
+from repro.telemetry import TelemetryConfig
 
-from common import get_result, get_telemetry_result, time_one
+from common import get_result
 
 APPS = ["omp-kmeans", "quicksort", "hpl", "npb-mg", "npb-is"]
 FRACTION = 0.5
 
 
-@pytest.mark.benchmark(group="timeliness")
-def test_timeliness_distribution(benchmark):
-    time_one(benchmark, lambda: get_result("omp-kmeans", "hopp", FRACTION))
-
+def test_timeliness_distribution():
     rows = []
     in_window_fractions = []
     for app in APPS:
@@ -58,16 +55,16 @@ def test_timeliness_distribution(benchmark):
     assert sum(in_window_fractions) / len(in_window_fractions) > 0.4
 
 
-@pytest.mark.benchmark(group="timeliness")
-def test_timeliness_over_time(benchmark):
+def test_timeliness_over_time():
     """Per-epoch timeliness from the telemetry time-series: does the
     policy engine's control loop *hold* T inside the window as the run
     progresses, or only on average?  Epoch sample counts must
     reconcile exactly with the aggregate timeliness histogram."""
     app = "omp-kmeans"
-    time_one(benchmark, lambda: get_telemetry_result(app, "hopp", FRACTION))
-
-    result = get_telemetry_result(app, "hopp", FRACTION)
+    result = get_result(
+        app, "hopp", FRACTION,
+        env=RunEnv(telemetry=TelemetryConfig(epoch_us=1000.0)),
+    )
     block = result.telemetry["timeseries"]["timeliness_us"]
     assert sum(block["count"]) == result.timeliness.stat.count
     sampled = [i for i, count in enumerate(block["count"]) if count]

@@ -13,15 +13,9 @@ compete from scratch at the same budget.  Every evaluation rides the
 exec engine's cache, so reruns of this bench are nearly free.
 """
 
-import os
-
-import pytest
-
 from repro.analysis.report import print_artifact, render_table
-from repro.exec.cache import ResultCache
 from repro.exec.pool import execute, local_ct_spec
 from repro.exec.spec import RunSpec
-from repro.net.rdma import FabricConfig
 from repro.tune import (
     Evolutionary,
     FidelitySpec,
@@ -35,14 +29,11 @@ from repro.tune import (
     to_run_spec,
 )
 
-from common import SEED, paper_fraction, time_one
+from common import CACHE, FABRIC, SEED, paper_fraction
 
 WORKLOAD = "stream-simple"
 SPACE = "hpd"
 BUDGET = 9  # identical for all three strategies
-
-_FABRIC = FabricConfig(seed=SEED)
-_CACHE = None if os.environ.get("REPRO_NO_CACHE") else ResultCache()
 
 
 def _base_spec() -> RunSpec:
@@ -51,7 +42,7 @@ def _base_spec() -> RunSpec:
         system="hopp",
         fraction=paper_fraction(WORKLOAD),
         seed=SEED,
-        fabric=_FABRIC,
+        fabric=FABRIC,
     )
 
 
@@ -60,8 +51,8 @@ def _paper_score(base: RunSpec, space, objective: Objective) -> float:
     pipeline the search uses (same yardstick, same scalarization)."""
     paper_point = default_config(space, base)
     spec = to_run_spec(base, paper_point)
-    ct_spec = local_ct_spec(WORKLOAD, SEED, _FABRIC, base.workload_kwargs)
-    ct_result, result = execute([ct_spec, spec], cache=_CACHE)
+    ct_spec = local_ct_spec(WORKLOAD, SEED, FABRIC, base.workload_kwargs)
+    ct_result, result = execute([ct_spec, spec], cache=CACHE)
     return objective.score(
         extract_metrics(result, ct_result.completion_time_us)
     )
@@ -86,19 +77,16 @@ def _search(strategy_name: str, base: RunSpec, space, objective: Objective):
         )
     tuner = Tuner(
         space, strategy, base, budget=BUDGET, objective=objective,
-        fidelity=fidelity, cache=_CACHE,
+        fidelity=fidelity, cache=CACHE,
     )
     return tuner.run()
 
 
-@pytest.mark.benchmark(group="tune")
-def test_tune_vs_paper(benchmark):
+def test_tune_vs_paper():
     space = build_space(SPACE)
     objective = Objective()
     base = _base_spec()
     paper = _paper_score(base, space, objective)
-
-    time_one(benchmark, lambda: _search("random", base, space, objective))
 
     rows = []
     best_by_strategy = {}

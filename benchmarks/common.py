@@ -1,14 +1,17 @@
-"""Shared infrastructure for the benchmark harness.
+"""Shared infrastructure for the figure suite.
 
 Every bench module regenerates one of the paper's tables or figures and
-prints the same rows/series the paper reports.  Simulation runs go
-through the execution engine's persistent on-disk cache (keyed by
-workload config, system, fraction, fabric and the code-schema version —
-see ``repro.exec.cache``) layered under a process-wide memo, so benches
-that share runs (e.g. Figures 9-11) do not recompute them within a
-session *or* across sessions.  Set ``REPRO_NO_CACHE=1`` to force fresh
-runs, or ``REPRO_CACHE_DIR`` to relocate the store; the pytest-benchmark
-timing wraps exactly one representative uncached simulation per bench.
+prints the same rows/series the paper reports.  Every run that a
+:class:`~repro.exec.spec.RunSpec` expresses goes through
+:func:`get_result`: the execution engine's persistent on-disk cache,
+layered under a process-wide memo, both keyed by
+:func:`repro.exec.cache.cache_key` (workload config, system and its
+HoppConfig overrides, fraction, fabric, run environment and the
+code-schema version).  Benches that share runs (e.g. Figures 9-11) do
+not recompute them within a session *or* across sessions.  Set
+``REPRO_NO_CACHE=1`` to force fresh runs, or ``REPRO_CACHE_DIR`` to
+relocate the store.  The suite times nothing itself; wall-clock
+measurement lives in ``benchmarks/perf``.
 
 Absolute numbers are simulator artifacts; the *shapes* — who wins, by
 roughly what factor, where the knees fall — are the reproduction targets
@@ -21,14 +24,13 @@ import itertools
 import os
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
-from repro.exec.cache import ResultCache, TraceCache
+from repro.exec.cache import ResultCache, TraceCache, cache_key
 from repro.exec.pool import execute, local_ct_spec
 from repro.exec.spec import RunSpec
 from repro.net.rdma import FabricConfig
 from repro.sim.machine import RunEnv
 from repro.sim.metrics import RunResult
 from repro.sim.multiprogram import run_corun
-from repro.telemetry import TelemetryConfig
 from repro.workloads import build
 
 SEED = 7
@@ -44,60 +46,53 @@ def paper_fraction(workload_name: str) -> float:
     return 0.5
 
 
-_FABRIC = FabricConfig(seed=SEED)
-_MEMO: Dict[Tuple[str, str, float], RunResult] = {}
-_LOCAL_CT: Dict[str, float] = {}
-_TRACES = TraceCache()
-_CACHE: Optional[ResultCache] = (
+FABRIC = FabricConfig(seed=SEED)
+CACHE: Optional[ResultCache] = (
     None if os.environ.get("REPRO_NO_CACHE") else ResultCache()
 )
+_MEMO: Dict[str, RunResult] = {}
+_CORUNS: Dict[Tuple[str, str, float], RunResult] = {}
+_TRACES = TraceCache()
 
 
-def _run_one(spec: RunSpec) -> RunResult:
-    return execute([spec], cache=_CACHE, trace_cache=_TRACES)[0]
-
-
-def get_result(workload_name: str, system: str, fraction: float) -> RunResult:
-    key = (workload_name, system, fraction)
+def _memoized(spec: RunSpec) -> RunResult:
+    key = cache_key(spec)
     if key not in _MEMO:
-        _MEMO[key] = _run_one(
-            RunSpec(
-                workload=workload_name,
-                system=system,
-                fraction=fraction,
-                seed=SEED,
-                fabric=_FABRIC,
-            )
-        )
+        _MEMO[key] = execute([spec], cache=CACHE, trace_cache=_TRACES)[0]
     return _MEMO[key]
 
 
-def get_telemetry_result(
-    workload_name: str, system: str, fraction: float, epoch_us: float = 1000.0
+def get_result(
+    workload_name: str,
+    system: str,
+    fraction: float,
+    *,
+    workload_kwargs: Optional[Dict[str, object]] = None,
+    system_kwargs: Optional[Dict[str, object]] = None,
+    fabric: Optional[FabricConfig] = None,
+    env: Optional[RunEnv] = None,
 ) -> RunResult:
-    """Like :func:`get_result` but with windowed time-series telemetry
-    armed; keyed separately (an instrumented result is a different
-    cached artifact, see ``RunSpec.key_dict``)."""
-    key = (workload_name, system, fraction, "telemetry", epoch_us)
-    if key not in _MEMO:
-        _MEMO[key] = _run_one(
-            RunSpec(
-                workload=workload_name,
-                system=system,
-                fraction=fraction,
-                seed=SEED,
-                fabric=_FABRIC,
-                env=RunEnv(telemetry=TelemetryConfig(epoch_us=epoch_us)),
-            )
+    """One run at the suite's seed, through the memo and the result
+    cache.  ``system_kwargs`` are HoppConfig knob overrides (dotted
+    paths, see :func:`repro.sim.systems.variant`); ``fabric`` defaults
+    to :data:`FABRIC` and ``env`` to the paper's fault-free single
+    node."""
+    return _memoized(
+        RunSpec(
+            workload=workload_name,
+            system=system,
+            fraction=fraction,
+            seed=SEED,
+            workload_kwargs=dict(workload_kwargs or {}),
+            system_kwargs=dict(system_kwargs or {}),
+            fabric=FABRIC if fabric is None else fabric,
+            env=RunEnv() if env is None else env,
         )
-    return _MEMO[key]
+    )
 
 
 def local_ct(workload_name: str) -> float:
-    if workload_name not in _LOCAL_CT:
-        result = _run_one(local_ct_spec(workload_name, SEED, _FABRIC))
-        _LOCAL_CT[workload_name] = result.completion_time_us
-    return _LOCAL_CT[workload_name]
+    return _memoized(local_ct_spec(workload_name, SEED, FABRIC)).completion_time_us
 
 
 def normperf(workload_name: str, system: str, fraction: float) -> float:
@@ -117,10 +112,10 @@ def corun_result(names: Iterable[str], system: str, fraction: float = 0.5) -> Ru
     # Co-runs mix several seeded workloads; they stay memo-only because
     # run_corun is not expressible as a single RunSpec.
     key = ("+".join(names), system, fraction)
-    if key not in _MEMO:
+    if key not in _CORUNS:
         workloads = [build(name, seed=SEED + i) for i, name in enumerate(names)]
-        _MEMO[key] = run_corun(workloads, system, fraction, _FABRIC, seed=SEED)
-    return _MEMO[key]
+        _CORUNS[key] = run_corun(workloads, system, fraction, FABRIC, seed=SEED)
+    return _CORUNS[key]
 
 
 def param_grid(**axes: Iterable[object]) -> Iterator[Dict[str, object]]:
@@ -134,8 +129,3 @@ def param_grid(**axes: Iterable[object]) -> Iterator[Dict[str, object]]:
     names = list(axes)
     for values in itertools.product(*(list(axes[name]) for name in names)):
         yield dict(zip(names, values))
-
-
-def time_one(benchmark, fn):
-    """Time exactly one execution of ``fn`` under pytest-benchmark."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1)

@@ -9,9 +9,14 @@ from random import Random
 
 import pytest
 
+from repro.baselines.fastswap import FastswapPrefetcher
 from repro.exec.cache import ResultCache, cache_key
 from repro.exec.spec import RunSpec
+from repro.hopp.policy import PolicyConfig
+from repro.hopp.system import HoppConfig, HoppDataPlane
+from repro.sim import runner
 from repro.sim import systems as systems_mod
+from repro.sim.machine import Machine, MachineConfig
 from repro.tune import (
     CatParam,
     Constraint,
@@ -36,6 +41,7 @@ from repro.tune import (
     strategy_names,
     to_run_spec,
 )
+from repro.workloads import build as build_workload
 from tests.conftest import quiet_fabric
 
 
@@ -507,6 +513,20 @@ class TestTuner:
 # systems.variant (the plumbing the system.* dimensions ride)
 
 
+def _hand_built_hopp(config: HoppConfig) -> systems_mod.SystemSpec:
+    """HoPP wired by hand: Fastswap's fault path plus a data plane with
+    ``config`` on the memory-controller tap."""
+
+    def builder(machine_config: MachineConfig) -> Machine:
+        machine = Machine(machine_config, fault_prefetcher=FastswapPrefetcher())
+        plane = HoppDataPlane(machine, config)
+        machine.hopp = plane
+        machine.controller.add_tap(plane.on_mc_access)
+        return machine
+
+    return systems_mod.SystemSpec(name="hopp", builder=builder)
+
+
 class TestVariant:
     def test_overrides_are_validated_up_front(self):
         with pytest.raises(ValueError, match="unknown HoPP knob"):
@@ -530,3 +550,35 @@ class TestVariant:
     def test_knob_values_cover_every_knob(self):
         values = systems_mod.hopp_knob_values("hopp")
         assert set(values) == set(systems_mod.hopp_knobs())
+
+    @pytest.mark.parametrize(
+        "overrides, config",
+        [
+            ({"rpt_cache_kb": 4}, HoppConfig(rpt_cache_kb=4)),
+            ({"policy.adaptive": False},
+             HoppConfig(policy=PolicyConfig(adaptive=False))),
+            ({"policy.intensity": 2},
+             HoppConfig(policy=PolicyConfig(intensity=2))),
+            ({"stt_history_len": 6, "stt_stream_delta": 4},
+             HoppConfig(stt_history_len=6, stt_stream_delta=4)),
+            ({"mc_channels": 2}, HoppConfig(mc_channels=2)),
+        ],
+        ids=["rpt_cache_kb", "policy.adaptive", "policy.intensity", "stt",
+             "mc_channels"],
+    )
+    def test_variant_matches_hand_built_config(self, overrides, config):
+        # Every override moves this workload's result, so the equality
+        # cannot hold by the variant ignoring its overrides.
+        workload = build_workload(
+            "omp-kmeans", seed=3, data_pages=600, iterations=2
+        )
+        fabric = quiet_fabric(3)
+        variant = runner.run(
+            workload, systems_mod.variant("hopp", overrides), 0.5, fabric
+        ).to_dict(full=True)
+        hand_built = runner.run(
+            workload, _hand_built_hopp(config), 0.5, fabric
+        ).to_dict(full=True)
+        plain = runner.run(workload, "hopp", 0.5, fabric).to_dict(full=True)
+        assert variant == hand_built
+        assert variant != plain
