@@ -312,10 +312,9 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
             }
         )
 
-    # Converge recovery, then measure.
+    # Converge recovery (ending with the sanitizer's final sweep), then
+    # measure.
     machine.flush_recovery()
-    if machine.sanitizer is not None:
-        machine.sanitizer.check()
     result = collect(machine, f"scenario-{config.system}", config.name)
     result.scenario = {
         "name": config.name,

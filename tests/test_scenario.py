@@ -397,6 +397,22 @@ class TestEngine:
         assert len(section["series"]) == 4
         assert section["slo"]["events"] > 0
 
+    def test_one_sweep_after_the_last_round(self, monkeypatch):
+        # The end-of-run flush gives the sanitizer its final sweep;
+        # nothing sweeps again before the result is collected.
+        checks_at_flush = []
+        flush_recovery = Machine.flush_recovery
+
+        def counting_flush(machine):
+            checks_at_flush.append(machine.sanitizer.checks_run)
+            flush_recovery(machine)
+
+        monkeypatch.setattr(Machine, "flush_recovery", counting_flush)
+        section = run_scenario(_quiet()).scenario
+        assert len(checks_at_flush) == 1
+        final = section["conservation"]["invariant_checks"]
+        assert final - checks_at_flush[0] == 1
+
     def test_scenario_section_round_trips(self):
         import json
 
