@@ -1,7 +1,7 @@
 """Shared primitives: constants, value types, LRU structures, statistics."""
 
 from repro.common import constants
-from repro.common.assoc import LruDict, SetAssociativeTable
+from repro.common.assoc import SetAssociativeTable
 from repro.common.stats import CounterSet, Histogram, RunningStat, safe_ratio
 from repro.common.types import (
     FaultBreakdown,
@@ -17,7 +17,6 @@ from repro.common.types import (
 
 __all__ = [
     "constants",
-    "LruDict",
     "SetAssociativeTable",
     "CounterSet",
     "Histogram",

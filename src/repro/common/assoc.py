@@ -9,7 +9,7 @@ recently used), which keeps every operation O(1).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable, Generic, Iterator, List, Optional, Tuple, TypeVar
+from typing import Callable, Generic, Iterator, List, Optional, Tuple, TypeVar
 
 V = TypeVar("V")
 
@@ -131,49 +131,3 @@ class SetAssociativeTable(Generic[V]):
         for target in self._sets:
             target.clear()
         self.reset_stats()
-
-
-class LruDict(Generic[V]):
-    """A capacity-bounded LRU mapping (a 1-set associative table with a
-    friendlier mapping interface), used for fully-associative structures
-    such as the kernel's page LRU lists and the executor's dedup window."""
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._data: "OrderedDict[Any, V]" = OrderedDict()
-
-    def get(self, key: Any, default: Optional[V] = None) -> Optional[V]:
-        if key in self._data:
-            self._data.move_to_end(key)
-            return self._data[key]
-        return default
-
-    def put(self, key: Any, value: V) -> Optional[Tuple[Any, V]]:
-        """Insert as MRU; returns the evicted pair when over capacity."""
-        if key in self._data:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            return None
-        victim = None
-        if len(self._data) >= self.capacity:
-            victim = self._data.popitem(last=False)
-        self._data[key] = value
-        return victim
-
-    def pop(self, key: Any, default: Optional[V] = None) -> Optional[V]:
-        return self._data.pop(key, default)
-
-    def lru_key(self) -> Any:
-        """The least-recently-used key, or None when empty."""
-        return next(iter(self._data), None)
-
-    def __contains__(self, key: Any) -> bool:
-        return key in self._data
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __iter__(self) -> Iterator[Any]:
-        return iter(self._data)

@@ -8,7 +8,7 @@ reproduces that difference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 
@@ -69,12 +69,6 @@ class MemoryCgroup:
             self.prefetch_uncharged = max(0, self.prefetch_uncharged - npages)
             return self.charge(npages)
         return False
-
-    def would_exceed(self, npages: int = 1) -> bool:
-        """Whether charging ``npages`` more would cross the limit — the
-        pre-flight check batch prefetch uses to trim a request to budget
-        instead of unwinding it page by page."""
-        return self.charged + npages > self.limit_pages
 
     @property
     def over_limit(self) -> bool:

@@ -30,10 +30,10 @@ typed admission error, and every shed action is counted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Set, Tuple
 
-from repro.hopp.policy import BreakerConfig, BreakerState, CircuitBreaker
+from repro.hopp.policy import BreakerConfig, CircuitBreaker
 from repro.scenario.traffic import TIER_BEST_EFFORT, TenantSpec
 
 #: Ladder rungs, in shedding order.
@@ -194,12 +194,6 @@ class AdmissionController:
         if index in self._degraded:
             return self.config.degrade_slice_factor
         return 1.0
-
-    def is_throttled(self, index: int, now_us: float) -> bool:
-        breaker = self._breakers.get(index)
-        if breaker is None:
-            return False
-        return breaker.state != BreakerState.CLOSED
 
     def attach_pid_stride(self, stride: int) -> None:
         self._stride = stride

@@ -150,11 +150,12 @@ class Machine:
         self,
         config: MachineConfig,
         fault_prefetcher: Optional[FaultTimePrefetcher] = None,
-        hopp: Optional[HoppDataPlane] = None,
     ) -> None:
         self.config = config
         self.fault_prefetcher = fault_prefetcher
-        self.hopp = hopp
+        #: The HoPP data plane, wired after construction because it
+        #: needs the built machine as its backend (``systems._hopp``).
+        self.hopp: Optional[HoppDataPlane] = None
         self.now_us = 0.0
 
         env = config.env
@@ -240,9 +241,6 @@ class Machine:
         #: Evictions abandoned because the writeback could not complete;
         #: the page stayed resident (``absorb_fatal_faults``).
         self.writebacks_abandoned = 0
-
-        if hopp is not None:
-            self.controller.add_tap(hopp.on_mc_access)
 
     @property
     def fabric(self) -> RdmaFabric:

@@ -142,8 +142,3 @@ def run_corun(
     machine.run(interleave_traces(traces, rng, slice_accesses))
     names = "+".join(w.name for w in workloads)
     return collect(machine, spec.name, names)
-
-
-#: Backwards-compatible aliases (pre-scenario private names).
-_interleave_traces = interleave_traces
-_shift_pids = shift_pids

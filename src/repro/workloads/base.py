@@ -17,10 +17,9 @@ visit), and :meth:`Workload.trace` expands them into accesses.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
-from repro.common.constants import PAGE_SHIFT
 from repro.workloads import traclib
 from repro.workloads.traclib import Access, Visit
 
@@ -72,12 +71,6 @@ class Workload(abc.ABC):
         access.  A subclass implements :meth:`visits`, or overrides this
         method to emit accesses itself."""
         return traclib.accesses(self.visits())
-
-    # -- helpers ---------------------------------------------------------------
-
-    @staticmethod
-    def page_addr(vpn: int, block: int = 0) -> int:
-        return (vpn << PAGE_SHIFT) | (block << 6)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} name={self.name!r} seed={self.seed}>"

@@ -1,10 +1,10 @@
-"""Unit + property tests for the set-associative table and LRU dict."""
+"""Unit + property tests for the set-associative table."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.assoc import LruDict, SetAssociativeTable
+from repro.common.assoc import SetAssociativeTable
 
 
 class TestSetAssociativeTable:
@@ -140,50 +140,3 @@ class TestSetAssociativeTable:
         for key in keys:
             table.insert(key, None)
             assert len(table) <= table.capacity
-
-
-class TestLruDict:
-    def test_put_get(self):
-        lru = LruDict(capacity=2)
-        lru.put("a", 1)
-        assert lru.get("a") == 1
-        assert lru.get("missing") is None
-        assert lru.get("missing", 42) == 42
-
-    def test_eviction_order(self):
-        lru = LruDict(capacity=2)
-        lru.put("a", 1)
-        lru.put("b", 2)
-        lru.get("a")
-        victim = lru.put("c", 3)
-        assert victim == ("b", 2)
-
-    def test_update_existing_no_eviction(self):
-        lru = LruDict(capacity=1)
-        lru.put("a", 1)
-        assert lru.put("a", 2) is None
-        assert lru.get("a") == 2
-
-    def test_pop_and_lru_key(self):
-        lru = LruDict(capacity=3)
-        lru.put("a", 1)
-        lru.put("b", 2)
-        assert lru.lru_key() == "a"
-        assert lru.pop("a") == 1
-        assert lru.lru_key() == "b"
-        assert lru.pop("zz") is None
-
-    def test_empty_lru_key_is_none(self):
-        assert LruDict(capacity=1).lru_key() is None
-
-    def test_zero_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            LruDict(capacity=0)
-
-    @given(st.lists(st.tuples(st.integers(0, 20), st.integers()), max_size=200))
-    @settings(max_examples=40, deadline=None)
-    def test_capacity_invariant(self, items):
-        lru = LruDict(capacity=5)
-        for key, value in items:
-            lru.put(key, value)
-            assert len(lru) <= 5

@@ -3,7 +3,7 @@ and cgroup-limit independence."""
 
 import pytest
 
-from repro.sim.multiprogram import PID_STRIDE, _interleave_traces, _shift_pids, run_corun
+from repro.sim.multiprogram import PID_STRIDE, interleave_traces, run_corun, shift_pids
 from repro.workloads import build
 from tests.conftest import quiet_fabric
 import random
@@ -12,21 +12,21 @@ import random
 class TestHelpers:
     def test_shift_pids(self):
         trace = [(1, 100), (2, 200)]
-        shifted = list(_shift_pids(iter(trace), 100))
+        shifted = list(shift_pids(iter(trace), 100))
         assert shifted == [(101, 100), (102, 200)]
 
     def test_interleave_preserves_everything(self):
         rng = random.Random(1)
         a = iter([(1, i) for i in range(100)])
         b = iter([(2, i) for i in range(57)])
-        merged = list(_interleave_traces([a, b], rng, slice_accesses=8))
+        merged = list(interleave_traces([a, b], rng, slice_accesses=8))
         assert len(merged) == 157
         assert [v for p, v in merged if p == 1] == list(range(100))
         assert [v for p, v in merged if p == 2] == list(range(57))
 
     def test_interleave_single_source(self):
         rng = random.Random(1)
-        merged = list(_interleave_traces([iter([(1, 0)] * 10)], rng))
+        merged = list(interleave_traces([iter([(1, 0)] * 10)], rng))
         assert len(merged) == 10
 
 
