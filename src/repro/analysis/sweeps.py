@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.exec.cache import ResultCache, TraceCache
 from repro.exec.pool import execute, local_ct_spec
@@ -22,22 +22,9 @@ from repro.exec.spec import RunSpec
 from repro.net.rdma import FabricConfig
 from repro.sim import runner
 from repro.sim import systems as systems_mod
-from repro.sim.metrics import RunResult
+from repro.sim.metrics import METRICS, RunResult
 from repro.sim.systems import SystemSpec
 from repro.workloads import build as build_workload
-
-#: A metric extractor: RunResult -> float.
-Metric = Callable[[RunResult], float]
-
-METRICS: Dict[str, Metric] = {
-    "accuracy": lambda r: r.accuracy,
-    "coverage": lambda r: r.coverage,
-    "completion_time_us": lambda r: r.completion_time_us,
-    "page_faults": lambda r: float(r.page_faults),
-    "remote_accesses": lambda r: float(r.remote_accesses),
-    "prefetch_wasted": lambda r: float(r.prefetch_wasted),
-}
-
 
 @dataclass(frozen=True)
 class SweepPoint:
@@ -54,11 +41,10 @@ class SweepResult:
     ct_local: Dict[Tuple[str, int], float]
 
     def metric(self, point: SweepPoint, name: str) -> float:
-        if name == "normalized_performance":
-            return self.results[point].normalized_performance(
-                self.ct_local[(point.workload, point.seed)]
-            )
-        return METRICS[name](self.results[point])
+        """``name``'s value at ``point`` (a key of
+        :data:`repro.sim.metrics.METRICS`)."""
+        ct_local = self.ct_local[(point.workload, point.seed)]
+        return METRICS[name](self.results[point], ct_local)
 
     def series(
         self,

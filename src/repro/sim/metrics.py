@@ -9,16 +9,39 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from copy import copy
+from dataclasses import dataclass, field, fields
+from typing import Callable, Dict, Optional
 
 from repro.common.stats import Histogram, safe_ratio
 from repro.common.types import FaultBreakdown
 
 
+#: The sections of :meth:`RunResult.to_dict` a field can be tagged
+#: with (an untagged field is written at the top level); ``machine`` is
+#: written only by ``to_dict(full=True)``.
+CLUSTER, RECOVERY, MACHINE = "cluster", "recovery", "machine"
+
+
+def _at(section: str, default: object = 0, key: Optional[str] = None):
+    """A field written to ``to_dict()[section][key]`` (``key`` defaults
+    to the field's name); a callable ``default`` is a default factory."""
+    meta = {"section": section, "key": key}
+    if callable(default):
+        return field(default_factory=default, metadata=meta)
+    return field(default=default, metadata=meta)
+
+
 @dataclass
 class RunResult:
-    """Everything measured in one simulated run of one workload."""
+    """Everything measured in one simulated run of one workload.
+
+    The fields declare the wire format too: :meth:`to_dict` writes each
+    one under its name (or its tag's ``key``), in the section its
+    :func:`_at` tag names or at the top level if untagged, and
+    :meth:`from_dict` reads it back from there, so a new counter is one
+    field line.  ``breakdown`` and ``timeliness`` have their own
+    encodings, and a field holding None is not written."""
 
     system: str
     workload: str
@@ -37,7 +60,10 @@ class RunResult:
     prefetch_wasted: int = 0
     issued_by_tier: Dict[str, int] = field(default_factory=dict)
     hits_by_tier: Dict[str, int] = field(default_factory=dict)
+    #: Written as ``breakdown_us``, keys without their ``_us`` suffix.
     breakdown: FaultBreakdown = field(default_factory=FaultBreakdown)
+    #: Written as the ``timeliness_us`` summary when it has samples, and
+    #: as its exact state (``timeliness_hist``) under ``full=True``.
     timeliness: Optional[Histogram] = None
     fabric_reads: int = 0
     fabric_writes: int = 0
@@ -59,84 +85,72 @@ class RunResult:
     #: Prefetch requests suppressed at the breaker gate while degraded.
     prefetch_suppressed: int = 0
     #: Remote-pool topology (1/interleave/1 = the single-node model).
-    remote_nodes: int = 1
-    placement: str = "interleave"
-    replication: int = 1
+    remote_nodes: int = _at(CLUSTER, 1)
+    placement: str = _at(CLUSTER, "interleave")
+    replication: int = _at(CLUSTER, 1)
     #: Demand reads answered by a replica after the primary was found
     #: restarting (requires replication > 1).
-    demand_failovers: int = 0
+    demand_failovers: int = _at(CLUSTER)
     #: Reclaim writebacks re-routed to a live node mid-retry.
-    writeback_reroutes: int = 0
+    writeback_reroutes: int = _at(CLUSTER)
     #: Extra WRITEs spent keeping replicas (0 when replication == 1).
-    replica_writes: int = 0
+    replica_writes: int = _at(CLUSTER)
     #: Per-node fabric/remote counter snapshots (one dict per node).
-    node_stats: list = field(default_factory=list)
+    node_stats: list = _at(CLUSTER, list, key="per_node")
     #: Self-healing / recovery observability (all exactly 0 without node
     #: crashes, drains, or ``--check-invariants``).
     #: Permanent node crashes detected by the health monitor.
-    node_crashes: int = 0
+    node_crashes: int = _at(RECOVERY)
     #: Nodes re-admitted after a crash (``node_rejoin``) or a drain.
-    node_rejoins: int = 0
+    node_rejoins: int = _at(RECOVERY)
     #: Under-replicated pages copied onto a live node by the repair engine.
-    pages_repaired: int = 0
+    pages_repaired: int = _at(RECOVERY)
     #: Pages whose every replica died with its node (unrecoverable).
-    pages_lost: int = 0
+    pages_lost: int = _at(RECOVERY)
     #: Demand faults on lost pages resolved by mapping a zeroed frame.
-    pages_zero_filled: int = 0
+    pages_zero_filled: int = _at(RECOVERY)
     #: Swapcache pages re-written back because their remote copy was lost.
-    pages_salvaged: int = 0
+    pages_salvaged: int = _at(RECOVERY)
     #: Pages evacuated off DRAINING nodes.
-    pages_drained: int = 0
+    pages_drained: int = _at(RECOVERY)
     #: Background repair traffic (bulk READs + WRITEs, and their bytes).
-    repair_reads: int = 0
-    repair_writes: int = 0
-    repair_bytes: int = 0
+    repair_reads: int = _at(RECOVERY)
+    repair_writes: int = _at(RECOVERY)
+    repair_bytes: int = _at(RECOVERY)
     #: Repair tasks re-queued after their transfer timed out.
-    repair_retries: int = 0
+    repair_retries: int = _at(RECOVERY)
     #: Directory lookups of slots with no entry (typed error path).
-    directory_misses: int = 0
+    directory_misses: int = _at(RECOVERY)
     #: Cross-layer sanitizer sweeps that ran (and passed) this run.
-    invariant_checks: int = 0
-    #: Accumulated-but-previously-unreported machine counters, surfaced
-    #: only under ``to_dict(full=True)`` (adding default keys would
-    #: break the golden byte-identity contract).
+    invariant_checks: int = _at(RECOVERY)
+    #: Machine counters surfaced only under ``to_dict(full=True)``, so
+    #: the short form (the goldens) keeps its keys.
     #: Application compute time overlapped with memory stalls.
-    compute_us: float = 0.0
+    compute_us: float = _at(MACHINE, 0.0)
     #: Memory-controller write accesses and total bytes moved.
-    mc_writes: int = 0
-    mc_bytes: int = 0
+    mc_writes: int = _at(MACHINE)
+    mc_bytes: int = _at(MACHINE)
     #: Reclaimer detail beyond ``reclaim_pages``.
-    reclaim_batches: int = 0
-    reclaim_clean_drops: int = 0
-    reclaim_writebacks: int = 0
-    reclaim_background_us: float = 0.0
+    reclaim_batches: int = _at(MACHINE)
+    reclaim_clean_drops: int = _at(MACHINE)
+    reclaim_writebacks: int = _at(MACHINE)
+    reclaim_background_us: float = _at(MACHINE, 0.0)
     #: Swapcache traffic (inserts/hits/drops of prefetched pages).
-    swapcache_inserts: int = 0
-    swapcache_hits: int = 0
-    swapcache_drops: int = 0
-    #: HoPP-side occurrences with no RunResult home until now.
-    hopp_hot_pages_unresolved: int = 0
-    prefetch_duplicates: int = 0
-    prefetch_rejected: int = 0
-    fabric_drop_signals: int = 0
-    #: Telemetry export (None when telemetry was disabled — the key is
-    #: then absent from to_dict output, keeping goldens byte-identical).
+    swapcache_inserts: int = _at(MACHINE)
+    swapcache_hits: int = _at(MACHINE)
+    swapcache_drops: int = _at(MACHINE)
+    #: HoPP-side occurrences with no other RunResult home.
+    hopp_hot_pages_unresolved: int = _at(MACHINE)
+    prefetch_duplicates: int = _at(MACHINE)
+    prefetch_rejected: int = _at(MACHINE)
+    fabric_drop_signals: int = _at(MACHINE)
+    #: Optional sections, None (and then not written) unless their
+    #: subsystem was armed: telemetry export, the tenant-scale scenario
+    #: (:mod:`repro.scenario`), the memory tiers (:mod:`repro.memtier`)
+    #: and end-to-end integrity (:mod:`repro.integrity`).
     telemetry: Optional[Dict[str, object]] = None
-    #: Tenant-scale scenario section (admission ladder, SLO attainment,
-    #: autoscaler timeline) attached by :mod:`repro.scenario`; None for
-    #: every non-scenario run — the key is then absent from to_dict
-    #: output, keeping goldens byte-identical.
     scenario: Optional[Dict[str, object]] = None
-    #: Memory-tier section (per-tier read/writeback counters, promotion
-    #: and demotion totals, migration traffic) attached by
-    #: :mod:`repro.memtier`; None whenever tiering is off — the key is
-    #: then absent from to_dict output, keeping goldens byte-identical.
     memtier: Optional[Dict[str, object]] = None
-    #: End-to-end integrity section (corruption detections/repairs,
-    #: poisoned pages, scrub traffic, detection latency) attached by
-    #: :mod:`repro.integrity`; None whenever neither corruption
-    #: injection nor the patrol scrubber was armed — the key is then
-    #: absent from to_dict output, keeping goldens byte-identical.
     integrity: Optional[Dict[str, object]] = None
     extra: Dict[str, float] = field(default_factory=dict)
 
@@ -215,120 +229,44 @@ class RunResult:
     # -- export -------------------------------------------------------------------
 
     def to_dict(self, full: bool = False) -> Dict[str, object]:
-        """A flat, JSON-serializable snapshot of the run (counters plus
-        the derived paper metrics).
+        """A JSON-serializable snapshot of the run (counters plus the
+        derived paper metrics).
 
-        ``full=True`` additionally embeds the exact timeliness-histogram
-        state so :meth:`from_dict` can rebuild a RunResult that
-        serializes byte-identically — the result-cache contract."""
-        out: Dict[str, object] = {
-            "system": self.system,
-            "workload": self.workload,
-            "completion_time_us": self.completion_time_us,
-            "accesses": self.accesses,
-            "mc_reads": self.mc_reads,
-            "minor_faults": self.minor_faults,
-            "remote_demand_reads": self.remote_demand_reads,
-            "prefetch_hit_swapcache": self.prefetch_hit_swapcache,
-            "prefetch_hit_inflight": self.prefetch_hit_inflight,
-            "prefetch_hit_dram": self.prefetch_hit_dram,
-            "prefetch_issued": self.prefetch_issued,
-            "prefetch_wasted": self.prefetch_wasted,
-            "issued_by_tier": dict(self.issued_by_tier),
-            "hits_by_tier": dict(self.hits_by_tier),
-            "fabric_reads": self.fabric_reads,
-            "fabric_writes": self.fabric_writes,
-            "reclaim_pages": self.reclaim_pages,
-            "peak_resident_pages": self.peak_resident_pages,
-            "timeouts": self.timeouts,
-            "retries": self.retries,
-            "retry_latency_us": self.retry_latency_us,
-            "dropped_prefetches": self.dropped_prefetches,
-            "dropped_by_tier": dict(self.dropped_by_tier),
-            "degraded_mode_us": self.degraded_mode_us,
-            "breaker_opens": self.breaker_opens,
-            "prefetch_suppressed": self.prefetch_suppressed,
-            "cluster": {
-                "remote_nodes": self.remote_nodes,
-                "placement": self.placement,
-                "replication": self.replication,
-                "demand_failovers": self.demand_failovers,
-                "writeback_reroutes": self.writeback_reroutes,
-                "replica_writes": self.replica_writes,
-                "per_node": list(self.node_stats),
-            },
-            "recovery": {
-                "node_crashes": self.node_crashes,
-                "node_rejoins": self.node_rejoins,
-                "pages_repaired": self.pages_repaired,
-                "pages_lost": self.pages_lost,
-                "pages_zero_filled": self.pages_zero_filled,
-                "pages_salvaged": self.pages_salvaged,
-                "pages_drained": self.pages_drained,
-                "repair_reads": self.repair_reads,
-                "repair_writes": self.repair_writes,
-                "repair_bytes": self.repair_bytes,
-                "repair_retries": self.repair_retries,
-                "directory_misses": self.directory_misses,
-                "invariant_checks": self.invariant_checks,
-            },
-            "accuracy": self.accuracy,
-            "coverage": self.coverage,
-            "page_faults": self.page_faults,
-            "breakdown_us": {
-                "dram_hit": self.breakdown.dram_hit_us,
-                "prefetch_hit": self.breakdown.prefetch_hit_us,
-                "remote_fault": self.breakdown.remote_fault_us,
-                "inflight_wait": self.breakdown.inflight_wait_us,
-                "reclaim": self.breakdown.reclaim_us,
-            },
-            "extra": dict(self.extra),
+        ``full=True`` adds the ``machine`` section and the exact
+        timeliness-histogram state, so :meth:`from_dict` can rebuild a
+        RunResult that serializes byte-identically: the result cache's
+        file format and the process pool's wire format."""
+        out: Dict[str, object] = {}
+        for name, section, key in _WIRE:
+            value = getattr(self, name)
+            if value is None or (section == MACHINE and not full):
+                continue
+            if isinstance(value, (dict, list)):
+                value = copy(value)
+            (out.setdefault(section, {}) if section else out)[key] = value
+        out["accuracy"] = self.accuracy
+        out["coverage"] = self.coverage
+        out["page_faults"] = self.page_faults
+        out["breakdown_us"] = {
+            spec.name[:-3]: getattr(self.breakdown, spec.name)
+            for spec in fields(FaultBreakdown)
         }
-        if self.timeliness is not None and self.timeliness.stat.count:
+        hist = self.timeliness
+        if hist is not None and hist.stat.count:
             out["timeliness_us"] = {
-                "mean": self.timeliness.stat.mean,
-                "p50": self.timeliness.quantile(0.5),
-                "p90": self.timeliness.quantile(0.9),
-                "count": self.timeliness.stat.count,
+                "mean": hist.stat.mean,
+                "p50": hist.quantile(0.5),
+                "p90": hist.quantile(0.9),
+                "count": hist.stat.count,
             }
-        if self.telemetry is not None:
-            out["telemetry"] = self.telemetry
-        if self.scenario is not None:
-            out["scenario"] = self.scenario
-        if self.memtier is not None:
-            out["memtier"] = self.memtier
-        if self.integrity is not None:
-            out["integrity"] = self.integrity
-        if full:
-            out["machine"] = {
-                "compute_us": self.compute_us,
-                "mc_writes": self.mc_writes,
-                "mc_bytes": self.mc_bytes,
-                "reclaim_batches": self.reclaim_batches,
-                "reclaim_clean_drops": self.reclaim_clean_drops,
-                "reclaim_writebacks": self.reclaim_writebacks,
-                "reclaim_background_us": self.reclaim_background_us,
-                "swapcache_inserts": self.swapcache_inserts,
-                "swapcache_hits": self.swapcache_hits,
-                "swapcache_drops": self.swapcache_drops,
-                "hopp_hot_pages_unresolved": self.hopp_hot_pages_unresolved,
-                "prefetch_duplicates": self.prefetch_duplicates,
-                "prefetch_rejected": self.prefetch_rejected,
-                "fabric_drop_signals": self.fabric_drop_signals,
+        if full and hist is not None:
+            out["timeliness_hist"] = {
+                "bounds": list(hist.bounds),
+                "counts": list(hist.counts),
+                "stat": {
+                    key: getattr(hist.stat, attr) for key, attr in _STAT
+                },
             }
-            if self.timeliness is not None:
-                stat = self.timeliness.stat
-                out["timeliness_hist"] = {
-                    "bounds": list(self.timeliness.bounds),
-                    "counts": list(self.timeliness.counts),
-                    "stat": {
-                        "count": stat.count,
-                        "mean": stat._mean,
-                        "m2": stat._m2,
-                        "min": stat.min,
-                        "max": stat.max,
-                    },
-                }
         return out
 
     @classmethod
@@ -336,98 +274,62 @@ class RunResult:
         """Rebuild a RunResult from :meth:`to_dict(full=True)` output.
 
         The round trip is exact: ``from_dict(r.to_dict(full=True))``
-        serializes byte-identically to ``r`` (pinned by the cache tests).
-        Derived metrics (accuracy, coverage, ...) are recomputed from the
-        restored counters, never trusted from the snapshot."""
-        breakdown_us = data.get("breakdown_us", {})
-        breakdown = FaultBreakdown(
-            dram_hit_us=breakdown_us.get("dram_hit", 0.0),
-            prefetch_hit_us=breakdown_us.get("prefetch_hit", 0.0),
-            remote_fault_us=breakdown_us.get("remote_fault", 0.0),
-            inflight_wait_us=breakdown_us.get("inflight_wait", 0.0),
-            reclaim_us=breakdown_us.get("reclaim", 0.0),
+        serializes byte-identically to ``r``.  A missing key reads back
+        as the field's default, and the derived metrics (accuracy,
+        coverage, ...) are recomputed, never read."""
+        kwargs: Dict[str, object] = {}
+        for name, section, key in _WIRE:
+            source = data.get(section, {}) if section else data
+            if key in source:
+                value = source[key]
+                if isinstance(value, (dict, list)):
+                    value = copy(value)
+                kwargs[name] = value
+        breakdown = data.get("breakdown_us", {})
+        kwargs["breakdown"] = FaultBreakdown(
+            **{f"{key}_us": value for key, value in breakdown.items()}
         )
-        timeliness = None
-        hist = data.get("timeliness_hist")
-        if hist is not None:
-            timeliness = Histogram(bounds=hist["bounds"])
-            timeliness.counts = list(hist["counts"])
-            stat = hist["stat"]
-            timeliness.stat.count = stat["count"]
-            timeliness.stat._mean = stat["mean"]
-            timeliness.stat._m2 = stat["m2"]
-            timeliness.stat.min = stat["min"]
-            timeliness.stat.max = stat["max"]
-        cluster = data.get("cluster", {})
-        recovery = data.get("recovery", {})
-        machine = data.get("machine", {})
-        result = cls(
-            system=data["system"],
-            workload=data["workload"],
-            completion_time_us=data.get("completion_time_us", 0.0),
-            accesses=data.get("accesses", 0),
-            mc_reads=data.get("mc_reads", 0),
-            minor_faults=data.get("minor_faults", 0),
-            remote_demand_reads=data.get("remote_demand_reads", 0),
-            prefetch_hit_swapcache=data.get("prefetch_hit_swapcache", 0),
-            prefetch_hit_inflight=data.get("prefetch_hit_inflight", 0),
-            prefetch_hit_dram=data.get("prefetch_hit_dram", 0),
-            prefetch_issued=data.get("prefetch_issued", 0),
-            prefetch_wasted=data.get("prefetch_wasted", 0),
-            issued_by_tier=dict(data.get("issued_by_tier", {})),
-            hits_by_tier=dict(data.get("hits_by_tier", {})),
-            breakdown=breakdown,
-            timeliness=timeliness,
-            fabric_reads=data.get("fabric_reads", 0),
-            fabric_writes=data.get("fabric_writes", 0),
-            reclaim_pages=data.get("reclaim_pages", 0),
-            peak_resident_pages=data.get("peak_resident_pages", 0),
-            timeouts=data.get("timeouts", 0),
-            retries=data.get("retries", 0),
-            retry_latency_us=data.get("retry_latency_us", 0.0),
-            dropped_prefetches=data.get("dropped_prefetches", 0),
-            dropped_by_tier=dict(data.get("dropped_by_tier", {})),
-            degraded_mode_us=data.get("degraded_mode_us", 0.0),
-            breaker_opens=data.get("breaker_opens", 0),
-            prefetch_suppressed=data.get("prefetch_suppressed", 0),
-            remote_nodes=cluster.get("remote_nodes", 1),
-            placement=cluster.get("placement", "interleave"),
-            replication=cluster.get("replication", 1),
-            demand_failovers=cluster.get("demand_failovers", 0),
-            writeback_reroutes=cluster.get("writeback_reroutes", 0),
-            replica_writes=cluster.get("replica_writes", 0),
-            node_stats=list(cluster.get("per_node", [])),
-            node_crashes=recovery.get("node_crashes", 0),
-            node_rejoins=recovery.get("node_rejoins", 0),
-            pages_repaired=recovery.get("pages_repaired", 0),
-            pages_lost=recovery.get("pages_lost", 0),
-            pages_zero_filled=recovery.get("pages_zero_filled", 0),
-            pages_salvaged=recovery.get("pages_salvaged", 0),
-            pages_drained=recovery.get("pages_drained", 0),
-            repair_reads=recovery.get("repair_reads", 0),
-            repair_writes=recovery.get("repair_writes", 0),
-            repair_bytes=recovery.get("repair_bytes", 0),
-            repair_retries=recovery.get("repair_retries", 0),
-            directory_misses=recovery.get("directory_misses", 0),
-            invariant_checks=recovery.get("invariant_checks", 0),
-            compute_us=machine.get("compute_us", 0.0),
-            mc_writes=machine.get("mc_writes", 0),
-            mc_bytes=machine.get("mc_bytes", 0),
-            reclaim_batches=machine.get("reclaim_batches", 0),
-            reclaim_clean_drops=machine.get("reclaim_clean_drops", 0),
-            reclaim_writebacks=machine.get("reclaim_writebacks", 0),
-            reclaim_background_us=machine.get("reclaim_background_us", 0.0),
-            swapcache_inserts=machine.get("swapcache_inserts", 0),
-            swapcache_hits=machine.get("swapcache_hits", 0),
-            swapcache_drops=machine.get("swapcache_drops", 0),
-            hopp_hot_pages_unresolved=machine.get("hopp_hot_pages_unresolved", 0),
-            prefetch_duplicates=machine.get("prefetch_duplicates", 0),
-            prefetch_rejected=machine.get("prefetch_rejected", 0),
-            fabric_drop_signals=machine.get("fabric_drop_signals", 0),
-            telemetry=data.get("telemetry"),
-            scenario=data.get("scenario"),
-            memtier=data.get("memtier"),
-            integrity=data.get("integrity"),
-            extra=dict(data.get("extra", {})),
-        )
-        return result
+        state = data.get("timeliness_hist")
+        if state is not None:
+            hist = kwargs["timeliness"] = Histogram(bounds=state["bounds"])
+            hist.counts = list(state["counts"])
+            for key, attr in _STAT:
+                setattr(hist.stat, attr, state["stat"][key])
+        return cls(**kwargs)
+
+
+#: (field name, section, key) for every field written by the generic
+#: path of :meth:`RunResult.to_dict`; section None is the top level.
+_WIRE = tuple(
+    (
+        spec.name,
+        spec.metadata.get("section"),
+        spec.metadata.get("key") or spec.name,
+    )
+    for spec in fields(RunResult)
+    if spec.name not in ("breakdown", "timeliness")
+)
+
+#: ``timeliness_hist["stat"]`` keys and the RunningStat attributes
+#: they hold.
+_STAT = (
+    ("count", "count"),
+    ("mean", "_mean"),
+    ("m2", "_m2"),
+    ("min", "min"),
+    ("max", "max"),
+)
+
+#: Named scalar metrics of one run, given its workload's CT_local: the
+#: columns of ``repro sweep --metrics`` and the goals and constraints
+#: of ``repro tune --objective``.
+METRICS: Dict[str, Callable[[RunResult, float], float]] = {
+    "normalized_performance": RunResult.normalized_performance,
+    "accuracy": lambda result, _ct: result.accuracy,
+    "coverage": lambda result, _ct: result.coverage,
+    "completion_time_us": lambda result, _ct: result.completion_time_us,
+    "page_faults": lambda result, _ct: float(result.page_faults),
+    "remote_accesses": lambda result, _ct: float(result.remote_accesses),
+    "prefetch_wasted": lambda result, _ct: float(result.prefetch_wasted),
+    "prefetch_issued": lambda result, _ct: float(result.prefetch_issued),
+}

@@ -17,20 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.sim.metrics import RunResult
-
-#: Metrics the objective layer can reference.  Sign conventions are
-#: handled by Objective.goal, not here.
-METRIC_NAMES = (
-    "normalized_performance",
-    "accuracy",
-    "coverage",
-    "completion_time_us",
-    "page_faults",
-    "remote_accesses",
-    "prefetch_wasted",
-    "prefetch_issued",
-)
+from repro.sim.metrics import METRICS, RunResult
 
 
 class ObjectiveError(ValueError):
@@ -39,16 +26,7 @@ class ObjectiveError(ValueError):
 
 def extract_metrics(result: RunResult, ct_local_us: float) -> Dict[str, float]:
     """The full metric vector for one evaluated design point."""
-    return {
-        "normalized_performance": result.normalized_performance(ct_local_us),
-        "accuracy": result.accuracy,
-        "coverage": result.coverage,
-        "completion_time_us": result.completion_time_us,
-        "page_faults": float(result.page_faults),
-        "remote_accesses": float(result.remote_accesses),
-        "prefetch_wasted": float(result.prefetch_wasted),
-        "prefetch_issued": float(result.prefetch_issued),
-    }
+    return {name: get(result, ct_local_us) for name, get in METRICS.items()}
 
 
 @dataclass(frozen=True)
@@ -61,10 +39,10 @@ class Constraint:
     penalty: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.metric not in METRIC_NAMES:
+        if self.metric not in METRICS:
             raise ObjectiveError(
                 f"unknown constraint metric {self.metric!r}; known: "
-                f"{', '.join(METRIC_NAMES)}"
+                f"{', '.join(METRICS)}"
             )
         if self.op not in (">=", "<="):
             raise ObjectiveError(
@@ -121,10 +99,10 @@ class Objective:
     constraints: Tuple[Constraint, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.goal not in METRIC_NAMES:
+        if self.goal not in METRICS:
             raise ObjectiveError(
                 f"unknown objective metric {self.goal!r}; known: "
-                f"{', '.join(METRIC_NAMES)}"
+                f"{', '.join(METRICS)}"
             )
         object.__setattr__(self, "constraints", tuple(self.constraints))
 
