@@ -386,19 +386,7 @@ def _cluster_config(args) -> ClusterConfig:
 
 def _memtier_config(args):
     """The MemtierConfig selected by --mem-tiers/--cxl-latency-us/
-    --pool-capacity, or None (tiering off) when --mem-tiers is 0.
-
-    Rejects non-positive overrides up front: a zero/negative link
-    latency or pool capacity is always a typo, and failing here gives a
-    one-line error instead of a deep simulator traceback."""
-    if args.cxl_latency_us is not None and args.cxl_latency_us <= 0:
-        raise ValueError(
-            f"--cxl-latency-us must be > 0, got {args.cxl_latency_us:g}"
-        )
-    if args.pool_capacity is not None and args.pool_capacity <= 0:
-        raise ValueError(
-            f"--pool-capacity must be > 0 pages, got {args.pool_capacity}"
-        )
+    --pool-capacity, or None (tiering off) when --mem-tiers is 0."""
     pool_nodes = getattr(args, "mem_tiers", 0)
     if not pool_nodes:
         return None
@@ -418,8 +406,6 @@ def _scrub_config(args):
     rate = getattr(args, "scrub_rate", None)
     if rate is None:
         return None
-    if rate <= 0:
-        raise ValueError(f"--scrub-rate must be > 0 pages/s, got {rate:g}")
     from repro.integrity import ScrubConfig
 
     return ScrubConfig(rate_pages_per_s=rate)
@@ -546,15 +532,35 @@ def _make_cache(args) -> Optional[ResultCache]:
     return ResultCache(Path(root)) if root else ResultCache()
 
 
-def _require_positive(value, flag: str, kind: str = "int") -> None:
-    """The shared numeric-flag guard: a zero or negative count/budget/
-    fraction is always a typo, and failing here gives a one-line error
-    instead of a deep traceback (or a silent no-op sweep)."""
-    if value is None:
-        return
-    if value <= 0:
-        shown = f"{value:g}" if kind == "float" else str(value)
-        raise ValueError(f"{flag} must be > 0, got {shown}")
+def _floats(text: str) -> List[float]:
+    """A comma-separated list of numbers, e.g. ``--fractions 0.25,0.5``."""
+    return [float(item) for item in text.split(",") if item.strip()]
+
+
+#: Numeric flags (argparse dests) that must be > 0; :func:`main` checks
+#: those the parsed command has before it runs.  A zero or negative
+#: count, budget, fraction, rate, latency or capacity is always a typo,
+#: and failing here gives a one-line error instead of a deep traceback
+#: (or a silent no-op sweep).
+_POSITIVE_FLAGS = (
+    "fraction",
+    "fractions",
+    "jobs",
+    "budget",
+    "scrub_rate",
+    "cxl_latency_us",
+    "pool_capacity",
+)
+
+
+def _check_positive_flags(args) -> None:
+    for dest in _POSITIVE_FLAGS:
+        value = getattr(args, dest, None)
+        for item in _floats(value) if isinstance(value, str) else [value]:
+            if item is not None and item <= 0:
+                shown = f"{item:g}" if isinstance(item, float) else item
+                flag = "--" + dest.replace("_", "-")
+                raise ValueError(f"{flag} must be > 0, got {shown}")
 
 
 def _cache_summary(cache: Optional[ResultCache]) -> str:
@@ -584,7 +590,6 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_run(args) -> int:
-    _require_positive(args.fraction, "--fraction", kind="float")
     fabric = FabricConfig(seed=args.seed)
     env = _env(args)
     cache = _make_cache(args)
@@ -688,8 +693,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    _require_positive(args.jobs, "--jobs")
-    _require_positive(args.fraction, "--fraction", kind="float")
     fabric = FabricConfig(seed=args.seed)
     env = _env(args)
     cache = _make_cache(args)
@@ -733,12 +736,9 @@ def _cmd_compare(args) -> int:
 def _cmd_sweep(args) -> int:
     from repro.analysis.sweeps import sweep
 
-    _require_positive(args.jobs, "--jobs")
     workloads = [n.strip() for n in args.workloads.split(",") if n.strip()]
     system_names = [n.strip() for n in args.systems.split(",") if n.strip()]
-    fractions = [float(f) for f in args.fractions.split(",") if f.strip()]
-    for fraction in fractions:
-        _require_positive(fraction, "--fractions", kind="float")
+    fractions = _floats(args.fractions)
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
     cache = _make_cache(args)
     result = sweep(
@@ -806,9 +806,6 @@ def _cmd_tune(args) -> int:
         write_report,
     )
 
-    _require_positive(args.budget, "--budget")
-    _require_positive(args.jobs, "--jobs")
-    _require_positive(args.fraction, "--fraction", kind="float")
     if args.resume and args.journal is None:
         raise ValueError("--resume needs --journal (the file to replay)")
     space = build_space(args.space)
@@ -1043,6 +1040,7 @@ _COMMANDS = {
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_positive_flags(args)
         return _COMMANDS[args.command](args)
     except (KeyError, ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
