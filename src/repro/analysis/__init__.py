@@ -7,7 +7,7 @@ from repro.analysis.patterns import (
     classify_window,
     page_sequence,
 )
-from repro.analysis.report import print_artifact, render_series, render_table
+from repro.analysis.report import print_artifact, render_table
 from repro.analysis.sweeps import SweepPoint, SweepResult, sweep
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "classify_window",
     "page_sequence",
     "print_artifact",
-    "render_series",
     "render_table",
     "SweepPoint",
     "SweepResult",

@@ -9,7 +9,6 @@ coverage SSP alone leaves on the table.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
 

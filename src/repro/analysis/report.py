@@ -6,7 +6,7 @@ helpers here keep that output consistent and diffable.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Union
+from typing import Iterable, List, Sequence, Union
 
 Cell = Union[str, int, float]
 
@@ -39,12 +39,6 @@ def render_table(
     for row in text_rows:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def render_series(name: str, points: Dict[str, float], precision: int = 3) -> str:
-    """One figure series as 'name: key=value key=value ...'."""
-    body = " ".join(f"{k}={v:.{precision}f}" for k, v in points.items())
-    return f"{name}: {body}"
 
 
 def print_artifact(artifact_id: str, body: str) -> None:

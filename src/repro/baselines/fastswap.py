@@ -15,7 +15,7 @@ after productive batches and halves after wasted ones, bounded by
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.baselines.base import FaultTimePrefetcher
 

@@ -62,7 +62,6 @@ class NodeState(enum.Enum):
 #: Health events emitted to the repair engine: (event, node_id).
 EVENT_DOWN = "down"
 EVENT_REJOIN = "rejoin"
-EVENT_DRAIN_DONE = "drain_done"
 
 HealthEvent = Tuple[str, int]
 

@@ -2,11 +2,9 @@
 
 from repro.common import constants
 from repro.common.assoc import SetAssociativeTable
-from repro.common.stats import CounterSet, Histogram, RunningStat, safe_ratio
+from repro.common.stats import Histogram, RunningStat, safe_ratio
 from repro.common.types import (
     FaultBreakdown,
-    HotPage,
-    MemoryAccess,
     PageKind,
     PrefetchDecision,
     RptEntry,
@@ -18,13 +16,10 @@ from repro.common.types import (
 __all__ = [
     "constants",
     "SetAssociativeTable",
-    "CounterSet",
     "Histogram",
     "RunningStat",
     "safe_ratio",
     "FaultBreakdown",
-    "HotPage",
-    "MemoryAccess",
     "PageKind",
     "PrefetchDecision",
     "RptEntry",

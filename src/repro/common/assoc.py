@@ -1,7 +1,7 @@
 """Set-associative table with LRU replacement.
 
-This is the shared hardware primitive behind the LLC model, the TLB and
-the HPD table (Section III-B).  Each set is an ordered
+This is the shared hardware primitive behind the LLC model and the HPD
+table (Section III-B).  Each set is an ordered
 dict from tag to payload; ordering encodes recency (last item = most
 recently used), which keeps every operation O(1).
 """

@@ -22,10 +22,6 @@ BLOCK_SIZE = 1 << BLOCK_SHIFT
 #: hot-page threshold N to [1, 64] (Section III-B).
 BLOCKS_PER_PAGE = PAGE_SIZE // BLOCK_SIZE
 
-#: Huge page sizes supported by the reverse page table (Section III-C).
-HUGE_PAGE_2M_SHIFT = 21
-HUGE_PAGE_1G_SHIFT = 30
-
 # ---------------------------------------------------------------------------
 # Swap-path latencies, Section II-A, in microseconds.
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 
 class RunningStat:
@@ -120,25 +120,6 @@ class Histogram:
                     return self.bounds[i]
                 return self.stat.max or self.bounds[-1]
         return self.stat.max or self.bounds[-1]
-
-
-class CounterSet:
-    """A named bag of integer counters with dict export."""
-
-    def __init__(self) -> None:
-        self._counts: Dict[str, int] = {}
-
-    def bump(self, name: str, amount: int = 1) -> None:
-        self._counts[name] = self._counts.get(name, 0) + amount
-
-    def get(self, name: str) -> int:
-        return self._counts.get(name, 0)
-
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self._counts)
-
-    def __getitem__(self, name: str) -> int:
-        return self.get(name)
 
 
 def safe_ratio(numerator: float, denominator: float) -> float:

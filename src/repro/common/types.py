@@ -7,11 +7,11 @@ dataclasses define the public-facing records at module boundaries.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from repro.common.compat import slotted_dataclass
-from repro.common.constants import BLOCK_SHIFT, PAGE_SHIFT
+from repro.common.constants import PAGE_SHIFT
 
 
 class PageKind(enum.IntEnum):
@@ -20,44 +20,6 @@ class PageKind(enum.IntEnum):
     BASE_4K = 0
     HUGE_2M = 1
     HUGE_1G = 2
-
-
-@dataclass(frozen=True)
-class MemoryAccess:
-    """One cacheline-granular reference seen at the memory controller.
-
-    ``vaddr`` is a byte address in the issuing process's virtual address
-    space.  ``is_write`` distinguishes READ from WRITE traffic; the HPD
-    only consumes READs (Section III-B).
-    """
-
-    pid: int
-    vaddr: int
-    is_write: bool = False
-
-    @property
-    def vpn(self) -> int:
-        return self.vaddr >> PAGE_SHIFT
-
-    @property
-    def block(self) -> int:
-        """Cacheline index within the page."""
-        return (self.vaddr >> BLOCK_SHIFT) & ((1 << (PAGE_SHIFT - BLOCK_SHIFT)) - 1)
-
-
-@dataclass(frozen=True)
-class HotPage:
-    """A hot page extracted by the HPD and resolved through the RPT cache.
-
-    This is the record HoPP hardware writes to the reserved hot-page DRAM
-    area (step 2 in Figure 4), consumed by the training framework.
-    """
-
-    pid: int
-    vpn: int
-    timestamp_us: float
-    shared: bool = False
-    kind: PageKind = PageKind.BASE_4K
 
 
 class StreamObservation:

@@ -15,7 +15,7 @@ before falling back to plain LRU, making reclaim scan-resistant.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 PageKey = Tuple[int, int]
 

@@ -16,8 +16,8 @@ page's PTE is injected on arrival.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Protocol, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Protocol
 
 #: Pages per 2 MB huge-page region.
 HUGE_BATCH_PAGES = 512

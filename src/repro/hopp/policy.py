@@ -23,7 +23,7 @@ off.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, Optional, Tuple
 
 from repro.common.constants import (

@@ -14,8 +14,7 @@ pte_clear and the pmd variants for huge pages) keep it current.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.common.compat import slotted_dataclass
 from repro.common.constants import (
@@ -24,10 +23,8 @@ from repro.common.constants import (
     RPT_CACHE_KB,
     RPT_CACHE_WAYS,
     RPT_ENTRY_BYTES,
-    RPT_PID_BITS,
-    RPT_VPN_BITS,
 )
-from repro.common.types import PageKind, RptEntry
+from repro.common.types import RptEntry
 from repro.kernel.page_table import PageTable, Pte
 
 

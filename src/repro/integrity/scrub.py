@@ -36,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.integrity.checksum import PageCorruptError, SlotChecksums  # noqa: F401
 from repro.net.faults import TransferTimeout
 from repro.telemetry.events import (
     EV_CORRUPT_REPAIR,

@@ -9,7 +9,6 @@ that maps or unmaps a physical frame notifies registered listeners.
 from __future__ import annotations
 
 import enum
-from dataclasses import field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.common.compat import slotted_dataclass

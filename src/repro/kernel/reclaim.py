@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 from repro.common.constants import T_RECLAIM_PER_PAGE_US
 

@@ -2,13 +2,10 @@
 
 from repro.memsim.cache import Cache, CacheAccessResult, CacheHierarchy
 from repro.memsim.controller import MemoryController
-from repro.memsim.tlb import Tlb, TlbStats
 
 __all__ = [
     "Cache",
     "CacheAccessResult",
     "CacheHierarchy",
     "MemoryController",
-    "Tlb",
-    "TlbStats",
 ]

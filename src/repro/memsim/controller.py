@@ -9,7 +9,7 @@ can also be exercised standalone.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from repro.common.constants import BLOCK_SIZE, PAGE_SHIFT
 

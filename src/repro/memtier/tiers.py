@@ -28,8 +28,6 @@ from repro.net.rdma import FabricConfig
 TIER_POOL = "pool"
 TIER_FAR = "far"
 
-VALID_TIERS = (TIER_POOL, TIER_FAR)
-
 #: Default CXL-class page-read latency: 8x a DRAM hit, 5x under RDMA.
 T_CXL_PAGE_US = 8 * T_DRAM_HIT_US
 

@@ -11,7 +11,7 @@ the link's service rate).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.common.constants import PAGE_SIZE, T_RDMA_PAGE_US

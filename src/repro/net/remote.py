@@ -30,7 +30,7 @@ goldens stay byte-identical.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.integrity.checksum import SlotChecksums
 from repro.net.faults import FaultInjector

@@ -18,9 +18,9 @@ that reduction factor for any workload.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Iterator, Optional
 
-from repro.memsim.cache import Cache, CacheHierarchy
+from repro.memsim.cache import CacheHierarchy
 from repro.workloads.base import Access
 
 

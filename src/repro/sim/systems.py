@@ -9,7 +9,7 @@ the fault path and adds the asynchronous data plane beside it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Callable, Dict, List, Optional
 
 from repro.baselines.base import NoPrefetch
@@ -21,10 +21,6 @@ from repro.hopp.policy import PolicyConfig
 from repro.hopp.system import HoppConfig, HoppDataPlane
 from repro.hopp.three_tier import TierConfig
 from repro.sim.machine import Machine, MachineConfig
-
-#: HoPP prefetch tiers, used by benches to attribute hits.
-HOPP_TIERS = ("ssp", "lsp", "rsp")
-
 
 @dataclass(frozen=True)
 class SystemSpec:

@@ -9,7 +9,6 @@ timestamp, 1-byte flags (bit 0 = write), 5-byte physical address —
 
 from __future__ import annotations
 
-import io
 import struct
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, List, Union

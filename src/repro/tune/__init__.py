@@ -37,7 +37,6 @@ from repro.tune.strategy import (
     SuccessiveHalving,
     Trial,
     TrialRequest,
-    build_strategy,
     strategy_names,
 )
 from repro.tune.tuner import FidelitySpec, TuneError, TuneResult, Tuner
@@ -64,7 +63,6 @@ __all__ = [
     "Tuner",
     "best_config_report",
     "build_space",
-    "build_strategy",
     "default_config",
     "extract_metrics",
     "pareto_front",

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.tune.space import Config, SearchSpace
 
@@ -284,25 +284,7 @@ class SuccessiveHalving(Strategy):
         return self._finished
 
 
-#: name -> factory(space, seed, **kwargs); the CLI and benches build
-#: strategies through this registry.
-_STRATEGIES: Dict[str, Callable[..., Strategy]] = {
-    "random": RandomSearch,
-    "evolve": Evolutionary,
-    "sha": SuccessiveHalving,
-}
-
-
 def strategy_names() -> List[str]:
-    return sorted(_STRATEGIES)
-
-
-def build_strategy(
-    name: str, space: SearchSpace, seed: int, **kwargs
-) -> Strategy:
-    factory = _STRATEGIES.get(name)
-    if factory is None:
-        raise StrategyError(
-            f"unknown strategy {name!r}; known: {', '.join(strategy_names())}"
-        )
-    return factory(space, seed, **kwargs)
+    """The strategies ``repro tune --strategy`` accepts."""
+    strategies = (RandomSearch, Evolutionary, SuccessiveHalving)
+    return sorted(strategy.name for strategy in strategies)

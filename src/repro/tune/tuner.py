@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.exec.cache import ResultCache, canonical_json
 from repro.exec.pool import execute, local_ct_spec
 from repro.exec.spec import RunSpec
-from repro.tune.objective import Objective, extract_metrics, pareto_front
+from repro.tune.objective import Objective, extract_metrics
 from repro.tune.space import SearchSpace, to_run_spec
 from repro.tune.strategy import Strategy, Trial, TrialRequest
 
@@ -104,19 +104,6 @@ class TuneResult:
                 best = trial.score
             out.append((trial.index, best))
         return out
-
-    def pareto(self, axes: Sequence[str] = ("coverage", "accuracy")) -> List[Trial]:
-        """Non-dominated trials over ``axes`` (full-fidelity only, so
-        cheap-rung proxies never pollute the front)."""
-        full = [t for t in self.trials if self._is_full_fidelity(t)]
-        front = pareto_front([t.metrics for t in full], axes)
-        return [full[i] for i in front]
-
-    def _is_full_fidelity(self, trial: Trial) -> bool:
-        return trial.fidelity is None or trial.fidelity == self._top_rung
-
-    #: Set by the Tuner; -1 means "no fidelity ladder".
-    _top_rung: int = -1
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -378,5 +365,4 @@ class Tuner:
             objective=self.objective,
             strategy_name=self.strategy.name,
         )
-        result._top_rung = top_rung
         return result

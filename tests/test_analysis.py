@@ -8,7 +8,7 @@ from repro.analysis.patterns import (
     classify_window,
     page_sequence,
 )
-from repro.analysis.report import render_series, render_table
+from repro.analysis.report import render_table
 
 
 class TestClassifyWindow:
@@ -96,7 +96,3 @@ class TestReport:
     def test_render_table_title(self):
         text = render_table(["x"], [[1]], title="Table II")
         assert text.splitlines()[0] == "Table II"
-
-    def test_render_series(self):
-        text = render_series("hopp", {"acc": 0.95, "cov": 0.9}, precision=2)
-        assert text == "hopp: acc=0.95 cov=0.90"

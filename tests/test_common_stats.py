@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.stats import (
-    CounterSet,
     Histogram,
     RunningStat,
     geometric_mean,
@@ -187,23 +186,6 @@ class TestHistogram:
         split_a.merge(split_b)
         for q in (0.5, 0.9, 0.99):
             assert split_a.quantile(q) == whole.quantile(q)
-
-
-class TestCounterSet:
-    def test_bump_and_get(self):
-        counters = CounterSet()
-        counters.bump("faults")
-        counters.bump("faults", 2)
-        assert counters.get("faults") == 3
-        assert counters["faults"] == 3
-        assert counters.get("other") == 0
-
-    def test_as_dict_is_copy(self):
-        counters = CounterSet()
-        counters.bump("x")
-        exported = counters.as_dict()
-        exported["x"] = 99
-        assert counters.get("x") == 1
 
 
 class TestRatios:

@@ -1,13 +1,10 @@
 """Tests for the core value types and constants."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.common import constants
 from repro.common.types import (
     FaultBreakdown,
-    MemoryAccess,
     PageKind,
     PrefetchDecision,
     TraceRecord,
@@ -37,20 +34,6 @@ class TestConstants:
 
     def test_hpd_geometry(self):
         assert constants.HPD_SETS * constants.HPD_WAYS == 64
-
-
-class TestMemoryAccess:
-    def test_vpn_and_block(self):
-        access = MemoryAccess(pid=1, vaddr=(5 << 12) | (3 << 6))
-        assert access.vpn == 5
-        assert access.block == 3
-
-    @given(st.integers(0, 2**48 - 1))
-    @settings(max_examples=50, deadline=None)
-    def test_block_in_range(self, vaddr):
-        access = MemoryAccess(pid=1, vaddr=vaddr)
-        assert 0 <= access.block < 64
-        assert access.vpn == vaddr // 4096
 
 
 class TestPrefetchDecision:

@@ -29,12 +29,10 @@ from repro.tune import (
     RandomSearch,
     SearchSpace,
     SpaceError,
-    StrategyError,
     SuccessiveHalving,
     TuneError,
     Tuner,
     build_space,
-    build_strategy,
     default_config,
     pareto_front,
     space_names,
@@ -319,8 +317,6 @@ def _fake_trials(requests, start, scorer):
 class TestStrategies:
     def test_registry(self):
         assert strategy_names() == ["evolve", "random", "sha"]
-        with pytest.raises(StrategyError, match="unknown strategy"):
-            build_strategy("hillclimb", tiny_space(), 1)
 
     def test_random_is_deterministic_per_seed(self):
         a = RandomSearch(tiny_space(), seed=5).ask(8)
