@@ -4,7 +4,7 @@
 Unlike the figure benches (which reproduce the paper's *results*), this
 one measures the reproduction *machinery*:
 
-* what the telemetry subsystem costs, disabled (the default) and armed;
+* what an armed telemetry bus costs;
 * a 16-point sweep grid executed serially vs ``--jobs N`` — the
   process-pool speedup (skipped on 1-core boxes, where it would only
   measure pool overhead);
@@ -14,12 +14,12 @@ one measures the reproduction *machinery*:
 Emits ``BENCH_harness.json`` next to the repo root (or ``--out``) so CI
 can archive throughput over time.  ``--quick`` shrinks the workloads
 for smoke use; published numbers should come from a default run.  Exit
-status is non-zero when parallel != serial, warm != cold, or disabled
-telemetry costs more than its bound.  Throughput is reported, not
-gated: whole-run ``acc_per_s`` from ``benchmarks/perf`` is the
-regression metric, and ``tests/test_fastpath.py`` plus the
+status is non-zero when parallel != serial or warm != cold.  Throughput
+is reported, not gated: whole-run ``acc_per_s`` from ``benchmarks/perf``
+is the regression metric, and ``tests/test_fastpath.py`` plus the
 ``benchmarks/perf`` digests check the batch kernel against the oracle
-loop.
+loop.  That disabled telemetry stays off every path is checked
+deterministically by ``tests/test_telemetry.py::TestDisabledTelemetry``.
 
 Usage::
 
@@ -77,39 +77,24 @@ def grid_specs(workloads, workload_kwargs):
 
 
 def bench_telemetry_overhead(workload_name, system, workload_kwargs, repeats=3):
-    """What the telemetry subsystem costs, min-of-N per mode.
+    """What an armed telemetry bus costs, min-of-N per mode.
 
-    ``disabled`` (``telemetry=None``, the default) is the mode the <2%
-    acceptance bound applies to: every probe site is one ``is not
-    None`` check on the fault path and the resident-hit fast path is
-    untouched, so it must time within noise of a plain run.
-    ``timeseries`` and ``trace`` report what an *armed* bus costs —
-    O(remote traffic), paid only when asked for.
-
-    The baseline the bound is judged against is a ``baseline`` mode
-    measured in the *same* interleaved rounds (an A/A control —
-    literally another ``telemetry=None`` run), with the collector
-    frozen during each timed region so the trace mode's allocation
-    burst cannot bleed GC pauses into its neighbours.  Comparing
-    against a run timed in a different section of the process measures
-    session drift, not telemetry.
+    ``timeseries`` and ``trace`` arm the bus, which costs O(remote
+    traffic), paid only when asked for.  Each is judged against a
+    ``baseline`` run (``telemetry=None``) measured in the *same*
+    interleaved rounds, with the collector frozen during each timed
+    region so the trace mode's allocation burst cannot bleed GC pauses
+    into its neighbours.  Comparing against a run timed in a different
+    section of the process measures drift over time, not telemetry.
 
     The ``*_overhead`` ratios are the *minimum of per-round paired
-    ratios* (mode time / baseline time within the same round) — a
-    one-sided test: it exceeds the bound only when *every* round shows
-    the overhead, i.e. when the cost is systematic rather than a
-    scheduler hiccup landing in one timed region.  That is exactly the
-    failure the disabled gate exists to catch — a telemetry probe
-    leaking onto the per-access path costs far more than 2% and shows
-    up in all rounds — while min-of-N-over-min-of-N has an A/A spread
-    of several percent on a loaded single-core box, wider than the
-    bound it is supposed to check.  For the armed modes the number is
-    accordingly a lower-bound estimate of the true cost."""
+    ratios* (mode time / baseline time within the same round), so each
+    is a lower-bound estimate of the true cost.  They are reported, not
+    gated."""
     workload = build(workload_name, seed=SEED, **workload_kwargs)
     trace = list(workload.trace())
     modes = {
         "baseline": lambda: None,
-        "disabled": lambda: None,
         "timeseries": lambda: TelemetryConfig(),
         "trace": lambda: TelemetryConfig(trace=True),
     }
@@ -141,7 +126,7 @@ def bench_telemetry_overhead(workload_name, system, workload_kwargs, repeats=3):
             "accesses_per_sec": len(trace) / best if best > 0 else 0.0,
         }
     base_rounds = samples["baseline"]
-    for label in ("disabled", "timeseries", "trace"):
+    for label in ("timeseries", "trace"):
         ratios = [
             t / b for t, b in zip(samples[label], base_rounds) if b > 0
         ]
@@ -234,17 +219,9 @@ def main(argv=None):
         single_workload, "hopp", workload_kwargs.get(single_workload, {}),
         repeats=1 if args.quick else 5,
     )
-    # The acceptance bound: telemetry disabled (the default) must cost
-    # nothing measurable against the interleaved A/A baseline.  --quick
-    # runs are milliseconds long, so the noise floor, not the code,
-    # dominates; gate loosely there.
-    disabled_overhead = telemetry["disabled_overhead"]
-    telemetry_ok = disabled_overhead < (0.25 if args.quick else 0.02)
     print(
-        f"  disabled {disabled_overhead * 100:+.2f}% vs baseline "
-        f"(ok={telemetry_ok}), timeseries "
-        f"{telemetry['timeseries_overhead'] * 100:+.1f}%, trace "
-        f"{telemetry['trace_overhead'] * 100:+.1f}%"
+        f"  timeseries {telemetry['timeseries_overhead'] * 100:+.1f}%, "
+        f"trace {telemetry['trace_overhead'] * 100:+.1f}% vs baseline"
     )
 
     # A process pool cannot beat serial without a second core: on a
@@ -305,11 +282,7 @@ def main(argv=None):
         json.dump(payload, handle, indent=2, sort_keys=True)
     print(f"wrote {args.out}")
 
-    ok = (
-        grid.get("parallel_equals_serial", True)
-        and cache["warm_equals_cold"]
-        and telemetry_ok
-    )
+    ok = grid.get("parallel_equals_serial", True) and cache["warm_equals_cold"]
     return 0 if ok else 1
 
 

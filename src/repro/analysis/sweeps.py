@@ -14,17 +14,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.exec.cache import ResultCache, TraceCache
+from repro.exec.cache import ResultCache
 from repro.exec.pool import execute, local_ct_spec
 from repro.exec.spec import RunSpec
 from repro.net.rdma import FabricConfig
-from repro.sim import runner
-from repro.sim import systems as systems_mod
 from repro.sim.metrics import METRICS, RunResult
-from repro.sim.systems import SystemSpec
-from repro.workloads import build as build_workload
+
 
 @dataclass(frozen=True)
 class SweepPoint:
@@ -79,21 +76,9 @@ class SweepResult:
         return rows
 
 
-def _engine_system_name(system: Union[str, SystemSpec]) -> Optional[str]:
-    """The registry name to use for ``system``, or None when the spec is
-    an unregistered object the engine cannot ship by name."""
-    if isinstance(system, str):
-        return system
-    try:
-        registered = systems_mod.build(system.name)
-    except KeyError:
-        return None
-    return system.name if registered == system else None
-
-
 def sweep(
     workloads: Iterable[str],
-    systems: Iterable[Union[str, SystemSpec]],
+    systems: Iterable[str],
     fractions: Iterable[float],
     seed: int = 1,
     fabric: Optional[FabricConfig] = None,
@@ -103,12 +88,11 @@ def sweep(
 ) -> SweepResult:
     """Run the full cross product and collect results.
 
-    ``workload_kwargs`` maps workload name -> constructor overrides
-    (e.g. scaled-down instances for quick sweeps).  ``jobs`` fans the
-    grid (and the CT_local reference runs) out over worker processes;
-    ``cache`` serves previously computed points from disk.  Unregistered
-    ``SystemSpec`` objects cannot cross a process boundary by name, so
-    those points run in-process and uncached, exactly as before.
+    ``systems`` are registry names (:func:`repro.sim.systems.register`
+    adds one).  ``workload_kwargs`` maps workload name -> constructor
+    overrides (e.g. scaled-down instances for quick sweeps).  ``jobs``
+    fans the grid (and the CT_local reference runs) out over worker
+    processes; ``cache`` serves previously computed points from disk.
     """
     fabric = fabric or FabricConfig(seed=seed)
     workload_kwargs = workload_kwargs or {}
@@ -124,23 +108,14 @@ def sweep(
         for name in workload_list
     ]
     points: List[SweepPoint] = []
-    spec_index: Dict[SweepPoint, int] = {}
-    direct: Dict[SweepPoint, SystemSpec] = {}
     for name, system, fraction in itertools.product(
         workload_list, system_list, fraction_list
     ):
-        system_name = system if isinstance(system, str) else system.name
-        point = SweepPoint(name, system_name, fraction, seed)
-        points.append(point)
-        engine_name = _engine_system_name(system)
-        if engine_name is None:
-            direct[point] = system
-            continue
-        spec_index[point] = len(specs)
+        points.append(SweepPoint(name, system, fraction, seed))
         specs.append(
             RunSpec(
                 workload=name,
-                system=engine_name,
+                system=system,
                 fraction=fraction,
                 seed=seed,
                 workload_kwargs=dict(workload_kwargs.get(name, {})),
@@ -153,21 +128,5 @@ def sweep(
         (name, seed): outputs[i].completion_time_us
         for i, name in enumerate(workload_list)
     }
-    results: Dict[SweepPoint, RunResult] = {
-        point: outputs[index] for point, index in spec_index.items()
-    }
-    if direct:
-        traces = TraceCache()
-        for point, system in direct.items():
-            workload = build_workload(
-                point.workload, seed=seed, **workload_kwargs.get(point.workload, {})
-            )
-            results[point] = runner.run(
-                workload,
-                system,
-                point.fraction,
-                fabric,
-                trace=traces.get(point.workload, seed,
-                                 workload_kwargs.get(point.workload, {})),
-            )
+    results = dict(zip(points, outputs[len(workload_list):]))
     return SweepResult(points=points, results=results, ct_local=ct_local)

@@ -117,7 +117,7 @@ class RemoteBackend:
         self.bus = bus
         if bus is not None:
             for node in self.cluster.nodes:
-                node.fabric.probe = bus.probe(node=node.node_id)
+                node.fabric.bus = bus
             for component in (self.health, self.repair, self.memtier, self.integrity):
                 if component is not None:
                     component.bus = bus

@@ -3,9 +3,10 @@
 Wraps one run in :mod:`cProfile` and buckets every function's *internal*
 time (tottime — time in the function itself, not its callees, so the
 shares sum to the total without double counting) into the simulator's
-architectural components.  This is the baseline future perf PRs measure
-against: ``repro run --profile ...`` prints the table, and
-:func:`profile_spec` returns it as data.
+architectural components: ``repro run --profile ...`` prints the table,
+and :func:`profile_spec` returns it as data.  Performance changes are
+measured with ``benchmarks/perf``, which times whole runs and breaks
+them down per layer.
 """
 
 from __future__ import annotations

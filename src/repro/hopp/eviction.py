@@ -35,7 +35,6 @@ class StreamAwareEvictionAdvisor:
         self.protect_pages = protect_pages
         self.capacity = capacity
         self._victims: "OrderedDict[PageKey, None]" = OrderedDict()
-        self.hints_added = 0
         self.hints_used = 0
 
     def on_stream_step(self, pid: int, vpn: int, stride: int) -> None:
@@ -51,7 +50,6 @@ class StreamAwareEvictionAdvisor:
         if len(self._victims) >= self.capacity:
             self._victims.popitem(last=False)
         self._victims[key] = None
-        self.hints_added += 1
 
     def cancel(self, pid: int, vpn: int) -> None:
         """The page was touched again: it is not dead after all."""

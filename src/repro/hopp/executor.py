@@ -58,8 +58,6 @@ class ExecutionEngine:
         self.suppressed = 0
         #: Fabric-level drops (timeouts) observed on any prefetch path.
         self.fabric_dropped = 0
-        self.hits_by_tier: Dict[str, int] = {}
-        self.issued_by_tier: Dict[str, int] = {}
         self.timeliness = Histogram()
         self._drop_signal = False
         #: Telemetry event bus; None keeps the engine probe-free.  Wired
@@ -110,7 +108,6 @@ class ExecutionEngine:
                 breaker.record_success(now_us, arrival - now_us)
             records[key] = (tier, stream_id, now_us, arrival)
             self.issued += 1
-            self.issued_by_tier[tier] = self.issued_by_tier.get(tier, 0) + 1
             sent += 1
         return sent
 
@@ -124,7 +121,6 @@ class ExecutionEngine:
             return
         tier, stream_id, issued_us, arrival_us = record
         self.hits += 1
-        self.hits_by_tier[tier] = self.hits_by_tier.get(tier, 0) + 1
         t_us = max(now_us - arrival_us, 0.0)
         self.timeliness.add(t_us)
         if self.bus is not None:

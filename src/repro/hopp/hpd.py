@@ -62,9 +62,8 @@ class HotPageDetector:
 
         This runs once per MC READ — the hottest call in a HoPP run — so
         the table probe is inlined against the set dict (HPD owns its
-        table and uses the default ``ppn % nsets`` mapping); the stat
-        and LRU updates repeat ``SetAssociativeTable.lookup``/``insert``
-        exactly.
+        table, whose set index is ``ppn % nsets``); the stat and LRU
+        updates repeat ``SetAssociativeTable.lookup``/``insert`` exactly.
         """
         if is_write:
             self.writes_ignored += 1
@@ -176,15 +175,6 @@ class HotPageDetector:
     @property
     def tracked_pages(self) -> int:
         return len(self._table)
-
-    def reset_stats(self) -> None:
-        self.accesses = 0
-        self.writes_ignored = 0
-        self.dropped_after_send = 0
-        self.hot_pages = 0
-        self.repeated_detections = 0
-        self._ever_sent.clear()
-        self._table.reset_stats()
 
 
 class MultiChannelHpd:

@@ -58,7 +58,6 @@ class HugePageBatcher:
         backend: BatchBackend,
         stream_len: int = 128,
         batch_pages: int = HUGE_BATCH_PAGES,
-        lead_batches: int = 1,
     ) -> None:
         if stream_len < 1:
             raise ValueError("stream_len must be >= 1")
@@ -67,10 +66,8 @@ class HugePageBatcher:
         self.backend = backend
         self.stream_len = stream_len
         self.batch_pages = batch_pages
-        self.lead_batches = lead_batches
         self._progress: Dict[int, StreamProgress] = {}
         self.batches_issued = 0
-        self.pages_batched = 0
 
     def observe(
         self, stream_id: int, pid: int, vpn: int, stride: int, now_us: float
@@ -101,10 +98,10 @@ class HugePageBatcher:
         direction: int,
         now_us: float,
     ) -> bool:
-        """Request the next ``lead_batches`` aligned regions ahead, once
-        per region the stream head enters.  Returns True when the space
-        ahead is covered by an in-flight or already-local batch — only
-        then may the single-page path be skipped."""
+        """Request the region the stream head is in and the next aligned
+        region ahead, once per region the head enters.  Returns True
+        when the space ahead is covered by an in-flight or already-local
+        batch — only then may the single-page path be skipped."""
         current_region = (vpn // self.batch_pages) * self.batch_pages
         if progress.attempted_from == current_region:
             return progress.covered
@@ -113,7 +110,7 @@ class HugePageBatcher:
         # Step 0 covers the remainder of the region the head is in (the
         # stream graduates mid-region); pages already local are filtered
         # out by the backend.
-        for step in range(0, self.lead_batches + 1):
+        for step in (0, 1):
             start = current_region + direction * step * self.batch_pages
             if start < 0:
                 continue
@@ -124,7 +121,6 @@ class HugePageBatcher:
             if arrival is not None:
                 any_issued = True
                 self.batches_issued += 1
-                self.pages_batched += self.batch_pages
         progress.covered = any_issued
         return any_issued
 

@@ -78,7 +78,6 @@ class LearnedStridePredictor:
         self.decay = decay
         self.max_contexts = max_contexts
         self._table: Dict[Tuple[int, ...], _ContextStats] = {}
-        self.updates = 0
         self.predictions = 0
         self.abstentions = 0
 
@@ -113,7 +112,6 @@ class LearnedStridePredictor:
         )
 
     def _learn(self, context: Tuple[int, ...], next_stride: int) -> None:
-        self.updates += 1
         stats = self._table.get(context)
         if stats is None:
             if len(self._table) >= self.max_contexts:

@@ -6,15 +6,17 @@ small 16-way cache in front of it.  All reads and writes go through the
 cache, so no coherence with DRAM is needed; dirty entries are written
 back lazily on eviction.
 
-Maintenance mirrors Section V: at startup HoPP walks all existing page
-tables to seed the RPT; afterwards kernel PTE hooks (set_pte_at /
-pte_clear and the pmd variants for huge pages) keep it current.
+Maintenance mirrors Section V: kernel PTE hooks (set_pte_at / pte_clear
+and the pmd variants for huge pages) keep the RPT current.  Section V
+also seeds the RPT by walking the existing page tables at startup; here
+every table is still empty when the plane attaches, so the hooks see
+every mapping.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.common.compat import slotted_dataclass
 from repro.common.constants import (
@@ -85,7 +87,6 @@ class RptCache:
         if entries < ways:
             raise ValueError("RPT cache smaller than one set")
         self.backing = backing
-        self.size_kb = size_kb
         self.nsets = entries // ways
         self.ways = ways
         #: One LRU-ordered dict per set (last item = most recently used),
@@ -181,8 +182,7 @@ class RptCache:
 
 
 class RptMaintainer:
-    """Wires kernel PTE hooks into the RPT cache and offers the startup
-    full-walk seeding pass (Section V)."""
+    """Wires kernel PTE hooks into the RPT cache (Section V)."""
 
     def __init__(self, cache: RptCache) -> None:
         self.cache = cache
@@ -191,18 +191,6 @@ class RptMaintainer:
     def attach(self, page_table: PageTable) -> None:
         page_table.add_set_hook(self.on_pte_set)
         page_table.add_clear_hook(self.on_pte_clear)
-
-    def seed(self, page_tables: Iterable[PageTable]) -> int:
-        """Initial full page-table walk; returns entries written."""
-        written = 0
-        for table in page_tables:
-            for vpn, pte in table.present_pages():
-                self.cache.update(
-                    pte.ppn,
-                    RptEntry(table.pid, vpn, pte.shared, pte.kind),
-                )
-                written += 1
-        return written
 
     def on_pte_set(self, pid: int, vpn: int, ppn: int, pte: Pte) -> None:
         self.hook_updates += 1

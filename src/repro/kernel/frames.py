@@ -22,20 +22,18 @@ class FrameAllocator:
     space is exhausted.
     """
 
-    def __init__(self, total_frames: int, base_ppn: int = 0) -> None:
+    def __init__(self, total_frames: int) -> None:
         if total_frames < 1:
             raise ValueError("total_frames must be >= 1")
         self.total_frames = total_frames
-        self.base_ppn = base_ppn
-        self._next_fresh = base_ppn
-        self._limit = base_ppn + total_frames
+        self._next_fresh = 0
         self._free: List[int] = []
         #: PPN -> (pid, vpn) owner map; -1 owner marks kernel/reserved use.
         self._owner: Dict[int, Tuple[int, int]] = {}
 
     def allocate(self, pid: int, vpn: int) -> int:
         """Grab a frame for (pid, vpn); raises OutOfFramesError when full."""
-        if self._next_fresh < self._limit:
+        if self._next_fresh < self.total_frames:
             ppn = self._next_fresh
             self._next_fresh += 1
         elif self._free:

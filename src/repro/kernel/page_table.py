@@ -9,7 +9,7 @@ that maps or unmaps a physical frame notifies registered listeners.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.common.compat import slotted_dataclass
 from repro.common.types import PageKind
@@ -115,13 +115,6 @@ class PageTable:
         for hook in self._clear_hooks:
             hook(self.pid, vpn, ppn)
         return pte
-
-    # -- iteration ----------------------------------------------------------------
-
-    def present_pages(self) -> Iterator[Tuple[int, Pte]]:
-        for vpn, pte in self._entries.items():
-            if pte.state == PteState.PRESENT:
-                yield vpn, pte
 
     def __len__(self) -> int:
         return len(self._entries)

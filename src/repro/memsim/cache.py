@@ -112,9 +112,6 @@ class Cache:
     def hit_rate(self) -> float:
         return self._table.hit_rate
 
-    def reset_stats(self) -> None:
-        self._table.reset_stats()
-
 
 class CacheHierarchy:
     """An inclusive multi-level hierarchy; the last level's misses are the

@@ -38,8 +38,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 
 # -- typed failures -------------------------------------------------------------------
@@ -59,7 +59,6 @@ class TransferTimeout(FaultError):
     def __init__(self, kind: str, at_us: float, wasted_us: float) -> None:
         super().__init__(f"{kind} transfer timed out at {at_us:.1f} us")
         self.kind = kind
-        self.at_us = at_us
         self.wasted_us = wasted_us
 
 
@@ -140,6 +139,33 @@ def _epochs(raw: Sequence) -> Tuple[DegradedEpoch, ...]:
     return tuple(out)
 
 
+def _times(raw: Sequence) -> Tuple[float, ...]:
+    return tuple(float(t) for t in raw)
+
+
+def _dump_windows(windows: Tuple[Window, ...]) -> List[List[float]]:
+    return [[w.start_us, w.end_us] for w in windows]
+
+
+def _dump_epochs(epochs: Tuple[DegradedEpoch, ...]) -> List[List[float]]:
+    return [[e.start_us, e.end_us, e.factor] for e in epochs]
+
+
+def _json(default, parse: Callable, dump: Optional[Callable] = None, injects: bool = False):
+    """A :class:`FaultPlan` field and its JSON form, declared once.
+
+    ``parse`` reads the field's JSON value in :meth:`FaultPlan.from_dict`.
+    ``dump`` writes a collection field back to JSON; such a field is
+    also normalized by ``parse`` when the plan is built, while a scalar
+    (``dump`` None) is written and kept as it was given.  ``injects``
+    marks a field whose non-default value arms the plan.
+    """
+    return field(
+        default=default,
+        metadata={"parse": parse, "dump": dump, "injects": injects},
+    )
+
+
 @dataclass(frozen=True)
 class FaultPlan:
     """A seeded, declarative schedule of fabric and remote-node faults.
@@ -148,49 +174,49 @@ class FaultPlan:
     like no plan at all, so baseline numbers are untouched.
     """
 
-    seed: int = 0
+    seed: int = _json(0, int)
     #: Per-READ chance (demand and prefetch alike) of a dropped completion.
-    timeout_probability: float = 0.0
+    timeout_probability: float = _json(0.0, float, injects=True)
     #: Per-WRITE chance (reclaim writeback) of a dropped completion.
-    write_timeout_probability: float = 0.0
+    write_timeout_probability: float = _json(0.0, float, injects=True)
     #: Time the issuer waits before declaring a transfer dead (the CQE
     #: timeout); charged as wasted latency per drop.
-    timeout_us: float = 50.0
+    timeout_us: float = _json(50.0, float)
     #: Link flaps: every transfer issued inside one of these times out.
-    link_down: Tuple[Window, ...] = ()
+    link_down: Tuple[Window, ...] = _json((), _windows, _dump_windows, injects=True)
     #: Bulk-QP brownouts: windows during which only *prefetch* reads are
     #: dropped — the priority (demand) QP and writebacks stay up.  This
     #: is the fault that exercises the prefetch circuit breaker without
     #: stalling the critical path.
-    prefetch_down: Tuple[Window, ...] = ()
+    prefetch_down: Tuple[Window, ...] = _json((), _windows, _dump_windows, injects=True)
     #: Latency-degradation epochs (propagation multiplied by ``factor``).
-    degraded: Tuple[DegradedEpoch, ...] = ()
+    degraded: Tuple[DegradedEpoch, ...] = _json((), _epochs, _dump_epochs, injects=True)
     #: Remote-node stall windows (fixed extra service delay per access).
-    remote_stall: Tuple[Window, ...] = ()
-    remote_stall_extra_us: float = 20.0
+    remote_stall: Tuple[Window, ...] = _json((), _windows, _dump_windows, injects=True)
+    remote_stall_extra_us: float = _json(20.0, float)
     #: Remote-node restart windows (node answers nothing).
-    remote_restart: Tuple[Window, ...] = ()
+    remote_restart: Tuple[Window, ...] = _json((), _windows, _dump_windows, injects=True)
     #: Permanent-crash timestamps: from ``node_crash[i]`` on, the node
     #: struck by crash *i* answers nothing and its stored pages are lost.
     #: On a cluster, crash *i* lands on node ``i % nodes`` (like windows).
-    node_crash: Tuple[float, ...] = ()
+    node_crash: Tuple[float, ...] = _json((), _times, list, injects=True)
     #: Optional rejoin timestamps, paired by index with ``node_crash``:
     #: ``node_rejoin[i]`` re-admits the node struck by crash *i* — empty,
     #: as a fresh machine racked in to replace the dead one.  Fewer
     #: rejoins than crashes means the unpaired crashes are forever.
-    node_rejoin: Tuple[float, ...] = ()
+    node_rejoin: Tuple[float, ...] = _json((), _times, list)
     #: Per-READ chance the payload arrives with a flipped bit.  Transient
     #: wire corruption: the stored copy is fine, a re-read from the same
     #: node comes back clean.
-    bit_flip_read: float = 0.0
+    bit_flip_read: float = _json(0.0, float, injects=True)
     #: Per-WRITE chance the payload lands corrupted.  Persistent: the
     #: stored copy is bad until it is overwritten or repaired.
-    bit_flip_write: float = 0.0
+    bit_flip_write: float = _json(0.0, float, injects=True)
     #: Per-stored-copy chance of a latent media error: the copy is clean
     #: at write time and silently rots at a deterministic later strike
     #: time, uniform in ``(write, write + media_error_latency_us)``.
-    media_error_rate: float = 0.0
-    media_error_latency_us: float = 20_000.0
+    media_error_rate: float = _json(0.0, float, injects=True)
+    media_error_latency_us: float = _json(20_000.0, float)
 
     def __post_init__(self) -> None:
         for name in (
@@ -212,17 +238,10 @@ class FaultPlan:
                 f"media_error_latency_us must be > 0, "
                 f"got {self.media_error_latency_us}"
             )
-        object.__setattr__(self, "link_down", _windows(self.link_down))
-        object.__setattr__(self, "prefetch_down", _windows(self.prefetch_down))
-        object.__setattr__(self, "degraded", _epochs(self.degraded))
-        object.__setattr__(self, "remote_stall", _windows(self.remote_stall))
-        object.__setattr__(self, "remote_restart", _windows(self.remote_restart))
-        object.__setattr__(
-            self, "node_crash", tuple(float(t) for t in self.node_crash)
-        )
-        object.__setattr__(
-            self, "node_rejoin", tuple(float(t) for t in self.node_rejoin)
-        )
+        for spec in fields(self):
+            if spec.metadata["dump"] is not None:
+                value = spec.metadata["parse"](getattr(self, spec.name))
+                object.__setattr__(self, spec.name, value)
         if len(self.node_rejoin) > len(self.node_crash):
             raise ValueError(
                 f"{len(self.node_rejoin)} node_rejoin times for only "
@@ -241,16 +260,10 @@ class FaultPlan:
     @property
     def is_empty(self) -> bool:
         """True when the plan can never inject anything."""
-        return (
-            self.timeout_probability == 0.0
-            and self.write_timeout_probability == 0.0
-            and not self.link_down
-            and not self.prefetch_down
-            and not self.degraded
-            and not self.remote_stall
-            and not self.remote_restart
-            and not self.node_crash
-            and not self.has_corruption
+        return all(
+            getattr(self, spec.name) == spec.default
+            for spec in fields(self)
+            if spec.metadata["injects"]
         )
 
     @property
@@ -330,36 +343,18 @@ class FaultPlan:
             media_error_latency_us=15_000.0,
         )
 
-    #: Field -> converter used by :meth:`from_dict` so a malformed JSON
-    #: plan fails naming the offending field, not with a bare TypeError.
-    _FIELD_PARSERS = {
-        "seed": int,
-        "timeout_probability": float,
-        "write_timeout_probability": float,
-        "timeout_us": float,
-        "link_down": _windows,
-        "prefetch_down": _windows,
-        "degraded": _epochs,
-        "remote_stall": _windows,
-        "remote_stall_extra_us": float,
-        "remote_restart": _windows,
-        "node_crash": lambda raw: tuple(float(t) for t in raw),
-        "node_rejoin": lambda raw: tuple(float(t) for t in raw),
-        "bit_flip_read": float,
-        "bit_flip_write": float,
-        "media_error_rate": float,
-        "media_error_latency_us": float,
-    }
-
     @classmethod
     def from_dict(cls, data: Dict) -> "FaultPlan":
-        unknown = set(data) - set(cls._FIELD_PARSERS)
+        """Read a plan's JSON form; a malformed field fails naming the
+        field, not with a bare TypeError."""
+        parsers = {spec.name: spec.metadata["parse"] for spec in fields(cls)}
+        unknown = set(data) - set(parsers)
         if unknown:
             raise ValueError(f"unknown fault-plan keys: {sorted(unknown)}")
         parsed = {}
         for key, value in data.items():
             try:
-                parsed[key] = cls._FIELD_PARSERS[key](value)
+                parsed[key] = parsers[key](value)
             except (TypeError, ValueError, IndexError) as error:
                 raise ValueError(
                     f"fault-plan field {key!r} is malformed "
@@ -373,28 +368,12 @@ class FaultPlan:
             return cls.from_dict(json.load(handle))
 
     def to_dict(self) -> Dict:
-        return {
-            "seed": self.seed,
-            "timeout_probability": self.timeout_probability,
-            "write_timeout_probability": self.write_timeout_probability,
-            "timeout_us": self.timeout_us,
-            "link_down": [[w.start_us, w.end_us] for w in self.link_down],
-            "prefetch_down": [
-                [w.start_us, w.end_us] for w in self.prefetch_down
-            ],
-            "degraded": [
-                [e.start_us, e.end_us, e.factor] for e in self.degraded
-            ],
-            "remote_stall": [[w.start_us, w.end_us] for w in self.remote_stall],
-            "remote_stall_extra_us": self.remote_stall_extra_us,
-            "remote_restart": [[w.start_us, w.end_us] for w in self.remote_restart],
-            "node_crash": list(self.node_crash),
-            "node_rejoin": list(self.node_rejoin),
-            "bit_flip_read": self.bit_flip_read,
-            "bit_flip_write": self.bit_flip_write,
-            "media_error_rate": self.media_error_rate,
-            "media_error_latency_us": self.media_error_latency_us,
-        }
+        out = {}
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            dump = spec.metadata["dump"]
+            out[spec.name] = value if dump is None else dump(value)
+        return out
 
 
 # -- the executor ---------------------------------------------------------------------
@@ -415,14 +394,9 @@ class FaultInjector:
         # re-tuning) corruption never perturbs the timeout/drop sequence
         # existing chaos results are pinned to.
         self._corrupt_rng = random.Random(plan.seed ^ 0xC0FFEE)
-        self.timeouts_injected = 0
-        self.drops_by_kind: Dict[str, int] = {}
         self.link_down_drops = 0
         self.prefetch_down_drops = 0
         self.degraded_transfers = 0
-        self.remote_stalls = 0
-        self.remote_unavailable = 0
-        self.crash_refusals = 0
         self.bit_flips_injected = 0
         self.media_errors_injected = 0
 
@@ -432,19 +406,15 @@ class FaultInjector:
         """Raise :class:`TransferTimeout` when this transfer is dropped
         (dead node, link-down window, or the per-transfer seeded coin)."""
         if self.node_dead(now_us):
-            self.crash_refusals += 1
-            self._count_drop(kind)
             raise RemoteUnavailableError(kind, now_us, self.plan.timeout_us)
         for window in self.plan.link_down:
             if window.contains(now_us):
                 self.link_down_drops += 1
-                self._count_drop(kind)
                 raise TransferTimeout(kind, now_us, self.plan.timeout_us)
         if kind == "prefetch":
             for window in self.plan.prefetch_down:
                 if window.contains(now_us):
                     self.prefetch_down_drops += 1
-                    self._count_drop(kind)
                     raise TransferTimeout(kind, now_us, self.plan.timeout_us)
         probability = (
             self.plan.write_timeout_probability
@@ -452,7 +422,6 @@ class FaultInjector:
             else self.plan.timeout_probability
         )
         if probability and self._rng.random() < probability:
-            self._count_drop(kind)
             raise TransferTimeout(kind, now_us, self.plan.timeout_us)
 
     def latency_factor(self, now_us: float) -> float:
@@ -519,23 +488,14 @@ class FaultInjector:
         """Raise :class:`RemoteUnavailableError` during restart windows
         and after a permanent crash (until its rejoin, if any)."""
         if self.node_dead(now_us):
-            self.crash_refusals += 1
             raise RemoteUnavailableError("remote", now_us, self.plan.timeout_us)
         for window in self.plan.remote_restart:
             if window.contains(now_us):
-                self.remote_unavailable += 1
                 raise RemoteUnavailableError("remote", now_us, self.plan.timeout_us)
 
     def remote_delay_us(self, now_us: float) -> float:
         """Extra service delay while the remote node's CPU is stalled."""
         for window in self.plan.remote_stall:
             if window.contains(now_us):
-                self.remote_stalls += 1
                 return self.plan.remote_stall_extra_us
         return 0.0
-
-    # -- bookkeeping ------------------------------------------------------------------
-
-    def _count_drop(self, kind: str) -> None:
-        self.timeouts_injected += 1
-        self.drops_by_kind[kind] = self.drops_by_kind.get(kind, 0) + 1

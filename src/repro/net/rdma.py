@@ -78,13 +78,12 @@ class RdmaFabric:
     ) -> None:
         self.config = config or FabricConfig()
         self.injector = injector
-        #: Telemetry probe pre-labelled with this link's node id; None
-        #: (the default) keeps every traffic path probe-free.  Counts
-        #: are emitted *before* the injector check so a timed-out
-        #: attempt still reconciles with ``reads``/``writes`` (the
-        #: attempt is wire traffic either way); latency is sampled only
-        #: on successful completions.
-        self.probe = None
+        #: Telemetry event bus; None (the default) keeps every traffic
+        #: path probe-free.  Counts are emitted *before* the injector
+        #: check so a timed-out attempt still reconciles with
+        #: ``reads``/``writes`` (the attempt is wire traffic either
+        #: way); latency is sampled only on successful completions.
+        self.bus = None
         self._rng = random.Random(self.config.seed)
         # Time the link becomes free for the next bulk transfer.
         self._link_free_at_us = 0.0
@@ -109,16 +108,16 @@ class RdmaFabric:
         completion is dropped; the attempt still counts as wire traffic.
         """
         self.reads += 1
-        if self.probe is not None:
-            self.probe.emit(EV_FABRIC_READ, now_us, n=1)
+        if self.bus is not None:
+            self.bus.emit(EV_FABRIC_READ, now_us, n=1)
         if self.injector is not None:
             self.injector.check_transfer(
                 now_us, "demand" if priority else "prefetch"
             )
         done = self._transfer(now_us, priority)
         self.latency_stat.add(done - now_us)
-        if self.probe is not None:
-            self.probe.emit(EV_FETCH_LATENCY, done, latency_us=done - now_us)
+        if self.bus is not None:
+            self.bus.emit(EV_FETCH_LATENCY, done, latency_us=done - now_us)
         return done
 
     def read_batch(self, now_us: float, npages: int):
@@ -130,16 +129,16 @@ class RdmaFabric:
         if npages < 1:
             raise ValueError("npages must be >= 1")
         self.reads += npages
-        if self.probe is not None:
-            self.probe.emit(EV_FABRIC_READ, now_us, n=npages)
+        if self.bus is not None:
+            self.bus.emit(EV_FABRIC_READ, now_us, n=npages)
         if self.injector is not None:
             self.injector.check_transfer(now_us, "prefetch")
         first_byte = self._transfer(now_us, False, npages)
         service = self.page_service_us
         arrivals = [first_byte + (i + 1) * service for i in range(npages)]
         self.latency_stat.add(arrivals[-1] - now_us)
-        if self.probe is not None:
-            self.probe.emit(
+        if self.bus is not None:
+            self.bus.emit(
                 EV_FETCH_LATENCY, arrivals[-1],
                 latency_us=arrivals[-1] - now_us,
             )
@@ -148,8 +147,8 @@ class RdmaFabric:
     def write_page(self, now_us: float) -> float:
         """Issue a 4 KB WRITE (reclaim writeback); returns completion."""
         self.writes += 1
-        if self.probe is not None:
-            self.probe.emit(EV_FABRIC_WRITE, now_us)
+        if self.bus is not None:
+            self.bus.emit(EV_FABRIC_WRITE, now_us)
         if self.injector is not None:
             self.injector.check_transfer(now_us, "write")
         done = self._transfer(now_us, False)

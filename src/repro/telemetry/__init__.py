@@ -18,13 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from .events import EventBus, Probe
+from .events import EventBus
 from .exporters import TraceRecorder, chrome_trace, prometheus_snapshot
 from .timeseries import TimeSeriesEngine
 
 __all__ = [
     "EventBus",
-    "Probe",
     "Telemetry",
     "TelemetryConfig",
     "TimeSeriesEngine",

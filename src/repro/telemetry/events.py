@@ -40,9 +40,8 @@ kind                   emitted when / payload
 ``retry``              a synchronous transfer re-issued after a
                        timeout; ``op`` (demand / writeback), ``node``
 ``fabric_read``        ``n`` page READs issued on a node's link;
-                       ``node, n``
-``fabric_write``       one page WRITE issued on a node's link;
-                       ``node``
+                       ``n``
+``fabric_write``       one page WRITE issued on a node's link
 ``fetch_latency``      a READ completed; ``latency_us`` (sampled into
                        the per-epoch latency histogram)
 ``timeliness``         a prefetch first-hit closed its lifecycle;
@@ -165,25 +164,3 @@ class EventBus:
         self.events_emitted += 1
         for subscriber in self._subscribers:
             subscriber(kind, ts_us, fields)
-
-    def probe(self, **labels: object) -> "Probe":
-        """A pre-labelled emitter for one component (e.g. one node's
-        fabric): every event it emits carries ``labels``."""
-        return Probe(self, labels)
-
-
-class Probe:
-    """Binds static labels onto a bus so per-component producers (one
-    fabric per cluster node) need not thread identity through every
-    call site."""
-
-    __slots__ = ("_bus", "_labels")
-
-    def __init__(self, bus: EventBus, labels: Dict[str, object]) -> None:
-        self._bus = bus
-        self._labels = labels
-
-    def emit(self, kind: str, ts_us: float, **fields: object) -> None:
-        merged = dict(self._labels)
-        merged.update(fields)
-        self._bus.dispatch(kind, ts_us, merged)

@@ -81,7 +81,6 @@ class HmttTracer:
         self.sink = sink
         self.reads_only = reads_only
         self._seq = 0
-        self._last_ts_us = 0.0
 
     def attach(self, controller: MemoryController) -> None:
         controller.add_tap(self.on_access)
@@ -96,7 +95,6 @@ class HmttTracer:
             paddr=paddr,
         )
         self._seq += 1
-        self._last_ts_us = timestamp_us
         self.ring.push(record, timestamp_us)
         if self.sink is not None:
             self.sink(record, timestamp_us)

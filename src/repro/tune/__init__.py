@@ -9,7 +9,6 @@ from repro.tune.objective import (
     Objective,
     ObjectiveError,
     extract_metrics,
-    pareto_front,
 )
 from repro.tune.report import (
     best_config_report,
@@ -65,7 +64,6 @@ __all__ = [
     "build_space",
     "default_config",
     "extract_metrics",
-    "pareto_front",
     "register_space",
     "render_trajectory",
     "space_names",

@@ -8,14 +8,13 @@ feasible ones but still rank among themselves (the search can climb out
 of an infeasible region instead of flailing on ties).
 
 Metrics are extracted from a RunResult plus its CT_local reference
-(normalized performance needs the yardstick).  :func:`pareto_front`
-reports the non-dominated set when one scalar is not the whole story.
+(normalized performance needs the yardstick).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.sim.metrics import METRICS, RunResult
 
@@ -149,30 +148,3 @@ class Objective:
             maximize=maximize,
             constraints=tuple(Constraint.parse(c) for c in constraints),
         )
-
-
-def pareto_front(
-    metric_rows: Sequence[Dict[str, float]],
-    axes: Sequence[str] = ("coverage", "accuracy"),
-) -> List[int]:
-    """Indices of the non-dominated rows, maximizing every axis.
-
-    Ties are kept (two identical points both survive), so the front is
-    deterministic in input order.
-    """
-    if not axes:
-        raise ObjectiveError("pareto_front needs >= 1 axis")
-    front: List[int] = []
-    for i, row in enumerate(metric_rows):
-        dominated = False
-        for j, other in enumerate(metric_rows):
-            if j == i:
-                continue
-            at_least = all(other[a] >= row[a] for a in axes)
-            strictly = any(other[a] > row[a] for a in axes)
-            if at_least and strictly:
-                dominated = True
-                break
-        if not dominated:
-            front.append(i)
-    return front

@@ -46,7 +46,6 @@ class _GraphxBase(Workload):
         self.edge_pages = edge_pages
         self.vertex_pages = vertex_pages
         self.parts = parts
-        self.segment_pages = segment_pages
         self.blocks_per_page = blocks_per_page
         rng = random.Random(seed ^ 0x5A17)
         self._segments = jvmlib.make_segments(

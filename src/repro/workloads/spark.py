@@ -36,7 +36,6 @@ class SparkKmeans(Workload):
         self.data_pages = data_pages
         self.centroid_pages = centroid_pages
         self.stages = stages
-        self.segment_pages = segment_pages
         self.blocks_per_page = blocks_per_page
         rng = random.Random(seed ^ 0x4B4D)
         self._segments = jvmlib.make_segments(
@@ -105,7 +104,6 @@ class SparkBayes(Workload):
         self.corpus_pages = corpus_pages
         self.model_pages = model_pages
         self.stages = stages
-        self.segment_pages = segment_pages
         self.blocks_per_page = blocks_per_page
         rng = random.Random(seed ^ 0xBA1E)
         self._segments = jvmlib.make_segments(

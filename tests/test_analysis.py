@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis.patterns import (
-    PatternBreakdown,
     analyze_trace,
     classify_window,
     page_sequence,

@@ -1,7 +1,5 @@
 """Tests for the offline prefetch study (replaying HMTT traces)."""
 
-import pytest
-
 from repro.analysis.offline import replay_study
 from repro.common.types import TraceRecord
 from repro.hopp.three_tier import TierConfig

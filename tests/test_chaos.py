@@ -12,11 +12,14 @@ Proves four properties the framework must hold:
   under sustained failures and re-opens after its cool-down.
 """
 
+import hashlib
 import json
 
 import pytest
 
 from repro.baselines.fastswap import FastswapPrefetcher
+from repro.exec.cache import cache_key
+from repro.exec.spec import RunSpec
 from repro.hopp.policy import BreakerConfig, BreakerState, CircuitBreaker
 from repro.hopp.system import HoppConfig, HoppDataPlane
 from repro.net.faults import (
@@ -120,6 +123,127 @@ class TestFaultPlanValidation:
     def test_malformed_field_is_named_in_the_error(self, field, value):
         with pytest.raises(ValueError, match=field):
             FaultPlan.from_dict({field: value})
+
+
+def _canonical(payload) -> bytes:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+
+
+def _every_plan_field_set() -> FaultPlan:
+    return FaultPlan(
+        seed=9,
+        timeout_probability=0.1,
+        write_timeout_probability=0.05,
+        timeout_us=40.0,
+        link_down=((10.0, 20.0), (25.0, 26.0)),
+        prefetch_down=((30.0, 40.0),),
+        degraded=((50.0, 60.0, 3.0),),
+        remote_stall=((70.0, 80.0),),
+        remote_stall_extra_us=15.0,
+        remote_restart=((90.0, 100.0),),
+        node_crash=(200.0, 300.0),
+        node_rejoin=(250.0,),
+        bit_flip_read=0.01,
+        bit_flip_write=0.02,
+        media_error_rate=0.03,
+        media_error_latency_us=1234.0,
+    )
+
+
+def _int_valued_plan() -> FaultPlan:
+    # Window and crash times are normalized to floats; scalar fields
+    # keep the type they were given, and so does the key.
+    return FaultPlan(
+        seed=4, timeout_us=40, remote_stall_extra_us=3, link_down=[(1, 2)],
+        degraded=[(3, 4, 2)], node_crash=[5], node_rejoin=[6],
+        media_error_latency_us=7,
+    )
+
+
+_PLAN_CASES = {
+    "default": FaultPlan,
+    "chaos": FaultPlan.chaos,
+    "crash": FaultPlan.crash,
+    "crash-rejoin": FaultPlan.crash_rejoin,
+    "corruption": FaultPlan.corruption,
+    "corruption-chaos": FaultPlan.corruption_chaos,
+    "every-field": _every_plan_field_set,
+    "ints": _int_valued_plan,
+}
+
+#: SHA-256 of each plan's canonical ``to_dict()`` JSON.  Result-cache
+#: keys and tune journals embed these bytes, so a change here orphans
+#: every cached result that ran under a fault plan.
+PLAN_DIGESTS = {
+    "default": "e3abe99a439a472d113b1a81de2321f8f271549f8c9a8ce179b52d32f89d9dca",
+    "chaos": "552ee9868597f6c4320a638cabeda5c68d05512e8473d2374dba6517c995de13",
+    "crash": "3298addb8dec75fa8943cced6db1cba5bac096b368fa60ea59973e7b5bd44e95",
+    "crash-rejoin": "57fa583e1c0ab8ae99fc2c4fb31cf67047e887bfb346f5d65a80f3d4a85bcf63",
+    "corruption": "7ffebb9f9c09e8fdbf5f5be89e2a2275c3ca01dcd6867ef39398b32057e55554",
+    "corruption-chaos": "4b5555ebaa11af21049ed216f382ee94116206f7ead572a00825e697ecbbd036",
+    "every-field": "52ae029f2a1fcadd514f13dc70cfc411799b28499e94081b165cb8d5f7856368",
+    "ints": "8c7983967706fa8e443ccc4a23be95a2cfe1af6d38870c6215c67377f3515571",
+}
+
+
+class TestFaultPlanWireFormat:
+    @pytest.mark.parametrize("case", sorted(_PLAN_CASES))
+    def test_bytes_are_pinned(self, case):
+        plan = _PLAN_CASES[case]()
+        assert hashlib.sha256(_canonical(plan.to_dict())).hexdigest() == PLAN_DIGESTS[case]
+
+    @pytest.mark.parametrize("case", sorted(_PLAN_CASES))
+    def test_round_trip_through_json(self, case):
+        plan = _PLAN_CASES[case]()
+        clone = FaultPlan.from_dict(json.loads(_canonical(plan.to_dict())))
+        assert clone == plan
+        if case != "ints":  # from_dict reads every scalar as a float
+            assert _canonical(clone.to_dict()) == _canonical(plan.to_dict())
+
+    def test_chaos_spec_cache_key_is_pinned(self):
+        spec = RunSpec(
+            "stream-simple", "hopp", 0.5, env=RunEnv(fault_plan=FaultPlan.chaos(1))
+        )
+        assert cache_key(spec) == (
+            "1c2db057f72c4803d750b9f20742c9c3bf474ed068663999117f18a72e78b197"
+        )
+
+    def test_every_injecting_field_arms_the_plan(self):
+        # The seed and the four shaping scalars (how long a drop waits,
+        # a stall lasts or a media error takes to strike) leave a plan
+        # empty; any other non-default field injects.
+        inert = {"seed", "timeout_us", "remote_stall_extra_us", "media_error_latency_us"}
+        for name, value in _every_plan_field_set().to_dict().items():
+            if name == "node_rejoin":
+                continue  # needs a crash to pair with, which arms on its own
+            plan = FaultPlan.from_dict({name: value})
+            assert plan.is_empty == (name in inert), name
+
+    def test_unknown_key_message(self):
+        with pytest.raises(ValueError) as error:
+            FaultPlan.from_dict({"bogus": 1, "zzz": 2})
+        assert str(error.value) == "unknown fault-plan keys: ['bogus', 'zzz']"
+
+    @pytest.mark.parametrize(
+        "field,value,shown",
+        [
+            ("node_crash", "not-a-list", "('not-a-list')"),
+            ("node_rejoin", [["nested"]], "([['nested']])"),
+            ("link_down", [[1.0]], "([[1.0]])"),
+            ("degraded", [[1.0, 2.0]], "([[1.0, 2.0]])"),
+            ("timeout_us", "soon", "('soon')"),
+            ("seed", "x", "('x')"),
+            ("bit_flip_read", None, "(None)"),
+        ],
+    )
+    def test_malformed_field_message(self, field, value, shown):
+        # The text after the colon is Python's own conversion error,
+        # which differs between interpreter versions.
+        with pytest.raises(ValueError) as error:
+            FaultPlan.from_dict({field: value})
+        assert str(error.value).startswith(
+            f"fault-plan field {field!r} is malformed {shown}: "
+        )
 
 
 class TestFaultInjector:

@@ -59,14 +59,6 @@ class TestSetAssociativeTable:
         victim = table.insert(3, "c")
         assert victim[0] == 1  # peek did not refresh key 1
 
-    def test_lookup_without_touch(self):
-        table = SetAssociativeTable(nsets=1, nways=2)
-        table.insert(1, "a")
-        table.insert(2, "b")
-        table.lookup(1, touch=False)
-        victim = table.insert(3, "c")
-        assert victim[0] == 1
-
     def test_remove(self):
         table = SetAssociativeTable(nsets=1, nways=4)
         table.insert(7, "x")
@@ -82,11 +74,6 @@ class TestSetAssociativeTable:
         assert not table.touch(99)
         victim = table.insert(3, "c")
         assert victim[0] == 2
-
-    def test_custom_index_fn(self):
-        table = SetAssociativeTable(nsets=4, nways=1, index_fn=lambda k: (k >> 4) % 4)
-        assert table.set_index(0x10) == 1
-        assert table.set_index(0x0F) == 0
 
     def test_capacity_and_len(self):
         table = SetAssociativeTable(nsets=4, nways=16)

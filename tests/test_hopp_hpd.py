@@ -94,12 +94,6 @@ class TestHotPageDetector:
         with pytest.raises(ValueError):
             HotPageDetector(threshold=65)
 
-    def test_reset_stats(self):
-        hpd = HotPageDetector(threshold=1)
-        hpd.process(block_addr(1, 0))
-        hpd.reset_stats()
-        assert hpd.accesses == 0 and hpd.hot_pages == 0
-
     @given(
         st.lists(
             st.tuples(st.integers(0, 30), st.integers(0, 63)),

@@ -136,19 +136,6 @@ class TestRptMaintainer:
         assert cache.lookup(5) is None
         assert maintainer.hook_updates == 2
 
-    def test_seed_walks_existing_tables(self):
-        backing = ReversePageTable()
-        cache = RptCache(backing, size_kb=1, ways=4)
-        maintainer = RptMaintainer(cache)
-        table_a = PageTable(pid=1)
-        table_a.map_page(10, 3)
-        table_b = PageTable(pid=2)
-        table_b.map_page(20, 4)
-        written = maintainer.seed([table_a, table_b])
-        assert written == 2
-        assert cache.lookup(3).pid == 1
-        assert cache.lookup(4).pid == 2
-
     def test_huge_and_shared_flags_forwarded(self):
         backing = ReversePageTable()
         cache = RptCache(backing, size_kb=1, ways=4)

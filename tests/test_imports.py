@@ -1,11 +1,14 @@
-"""Every module-level import in ``src/repro`` is used by its module.
+"""Every module-level import in ``src/repro`` and ``tests`` is used by
+its module.
 
 No linter ships with the project, so this is the check that keeps
 unused imports out: it parses each non-``__init__`` module (packages
 re-export through their ``__init__``) and fails on a name a top-level
 ``import`` binds that the module never reads.  A read is a name in
 code, the root of an attribute chain, a name inside a quoted
-annotation, or an entry of ``__all__``.
+annotation, an entry of ``__all__``, or a function parameter's name
+(pytest injects a fixture into the test whose parameter names it, so
+importing a fixture is a use).
 """
 
 from __future__ import annotations
@@ -15,8 +18,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "repro"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(p for p in TESTS.rglob("*.py") if p.name != "__init__.py")
 
 
 def _bound_names(tree: ast.Module):
@@ -48,7 +53,11 @@ def _read_names(tree: ast.Module):
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             yield node.id
-        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+        elif isinstance(node, ast.arg):
+            yield node.arg  # a fixture, which pytest injects by name
+            if node.annotation:
+                yield from _annotation_names(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
             yield from _annotation_names(node.annotation)
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
             yield from _annotation_names(node.returns)
@@ -69,12 +78,20 @@ def unused_imports(path: Path):
 
 def test_modules_are_found():
     assert len(MODULES) > 50
+    assert len(TEST_MODULES) > 40
 
 
 @pytest.mark.parametrize(
     "path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES]
 )
 def test_no_unused_module_level_import(path):
+    assert unused_imports(path) == []
+
+
+@pytest.mark.parametrize(
+    "path", TEST_MODULES, ids=[str(p.relative_to(TESTS)) for p in TEST_MODULES]
+)
+def test_no_unused_import_in_tests(path):
     assert unused_imports(path) == []
 
 
@@ -91,3 +108,16 @@ def test_scanner_flags_an_unused_import(tmp_path):
         "    return {'a': osp.sep}\n"
     )
     assert unused_imports(module) == [("os", 2), ("List", 4)]
+
+
+def test_a_fixture_parameter_reads_its_import(tmp_path):
+    module = tmp_path / "test_m.py"
+    module.write_text(
+        "from tests.conftest import quiet_fabric, touch_pages\n"
+        "def test_x(quiet_fabric):\n"
+        "    assert quiet_fabric\n"
+        "def test_y(touch_pages=None):\n"
+        "    pass\n"
+        "from typing import List\n"
+    )
+    assert unused_imports(module) == [("List", 6)]

@@ -31,7 +31,6 @@ from repro.cluster import ClusterConfig, HealthConfig, HealthMonitor
 from repro.cluster.cluster import RemoteMemoryCluster
 from repro.integrity import (
     IntegrityController,
-    PageCorruptError,
     PatrolScrubber,
     ScrubConfig,
     SlotChecksums,

@@ -36,14 +36,6 @@ class TestPageTable:
         table.entry(9).state = PteState.REMOTE
         assert table.unmap_page(9) is None
 
-    def test_present_pages_iteration(self):
-        table = PageTable(pid=1)
-        table.map_page(1, 10)
-        table.map_page(2, 11)
-        table.entry(3)  # untouched
-        present = dict(table.present_pages())
-        assert set(present) == {1, 2}
-
     def test_injected_flag(self):
         table = PageTable(pid=1)
         pte = table.map_page(4, 40, injected=True)
@@ -271,10 +263,6 @@ class TestReclaimer:
         assert reclaimer.stats.pages_reclaimed == 10
         assert reclaimer.stats.clean_drops == 4
         assert reclaimer.stats.writebacks == 6
-
-    def test_bad_batch_size(self):
-        with pytest.raises(ValueError):
-            Reclaimer(batch_size=0)
 
 
 class TestVma:

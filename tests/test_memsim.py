@@ -112,29 +112,3 @@ class TestMemoryController:
         mc.add_tap(lambda ts, paddr, w: seen.append((ts, paddr, w)))
         mc.access(5.0, 0x1000, False)
         assert seen == [(5.0, 0x1000, False)]
-
-    def test_interleaved_channel_mapping(self):
-        mc = MemoryController(channels=2, interleaved=True)
-        assert mc.channel_of(0x00) == 0
-        assert mc.channel_of(0x40) == 1
-        assert mc.channel_of(0x80) == 0
-
-    def test_non_interleaved_channel_mapping(self):
-        mc = MemoryController(channels=2, interleaved=False)
-        # Whole pages map to one channel.
-        assert mc.channel_of(0x0000) == mc.channel_of(0x0FC0)
-        assert mc.channel_of(0x0000) != mc.channel_of(0x1000)
-
-    def test_single_channel(self):
-        mc = MemoryController(channels=1)
-        assert mc.channel_of(0xDEADBEEF) == 0
-
-    def test_invalid_channels(self):
-        with pytest.raises(ValueError):
-            MemoryController(channels=0)
-
-    def test_reset_stats(self):
-        mc = MemoryController()
-        mc.access(0.0, 0x40)
-        mc.reset_stats()
-        assert mc.accesses == 0 and mc.bytes_transferred == 0

@@ -21,8 +21,6 @@ Proves the properties the memory-tier subsystem must hold:
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from repro.cluster.cluster import ClusterConfig, RemoteMemoryCluster
@@ -31,7 +29,6 @@ from repro.memtier import (
     TIER_FAR,
     TIER_POOL,
     MemtierConfig,
-    MigrationEngine,
     derive_node_tiers,
 )
 from repro.net.faults import FaultPlan
@@ -40,7 +37,7 @@ from repro.sim.machine import Machine, MachineConfig, RunEnv
 from repro.sim.metrics import RunResult
 from repro.telemetry import TelemetryConfig, prometheus_snapshot
 from repro.workloads import build
-from tests.conftest import quiet_fabric, touch_pages
+from tests.conftest import quiet_fabric
 
 
 def _tiny_pool(**overrides) -> MemtierConfig:

@@ -1,8 +1,6 @@
 """Additional multiprogram tests: PID shifting, trace interleaving,
 and cgroup-limit independence."""
 
-import pytest
-
 from repro.sim.multiprogram import PID_STRIDE, interleave_traces, run_corun, shift_pids
 from repro.workloads import build
 from tests.conftest import quiet_fabric

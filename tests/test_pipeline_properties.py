@@ -5,7 +5,6 @@ invariants the metrics depend on."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import runner
 from repro.sim.runner import collect, make_machine
 from repro.workloads import build
 from tests.conftest import quiet_fabric

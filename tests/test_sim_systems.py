@@ -1,7 +1,5 @@
 """Tests for the system registry's composition rules."""
 
-import pytest
-
 from repro.net.rdma import FabricConfig
 from repro.sim import systems
 from repro.sim.machine import MachineConfig

@@ -23,8 +23,10 @@ from dataclasses import replace
 import pytest
 
 from repro.cluster.cluster import ClusterConfig
+from repro.integrity import ScrubConfig
+from repro.memtier import MemtierConfig
 from repro.net.faults import FaultPlan
-from repro.net.rdma import FabricConfig
+from repro.net.rdma import FabricConfig, RdmaFabric
 from repro.sim import runner
 from repro.sim.machine import RunEnv
 from repro.telemetry import (
@@ -38,6 +40,7 @@ from repro.telemetry import (
 from repro.telemetry.events import (
     EV_DEMAND_FAULT,
     EV_FABRIC_READ,
+    EV_FABRIC_WRITE,
     EV_FETCH_LATENCY,
     EV_PREFETCH_HIT,
     EV_PREFETCH_ISSUE,
@@ -97,17 +100,65 @@ class TestEventBus:
         assert bus.events_emitted == 1
         assert seen == [("a", EV_DEMAND_FAULT, 1.0), ("b", EV_DEMAND_FAULT, 1.0)]
 
-    def test_probe_merges_labels_and_fields_win(self):
-        bus = EventBus()
-        seen = []
-        bus.subscribe(lambda kind, ts, fields: seen.append(dict(fields)))
-        probe = bus.probe(node=3, n=99)
-        probe.emit(EV_FABRIC_READ, 2.0, n=4)
-        assert seen == [{"node": 3, "n": 4}]
-
     def test_every_constant_is_in_the_closed_set(self):
         assert EV_DEMAND_FAULT in EVENT_KINDS
         assert len(EVENT_KINDS) == 23
+
+    def test_fabric_emits_its_traffic_on_the_bus(self):
+        fabric = RdmaFabric(FabricConfig(seed=SEED))
+        bus = EventBus()
+        seen = []
+        bus.subscribe(lambda kind, ts, fields: seen.append((kind, ts, dict(fields))))
+        fabric.bus = bus
+        done = fabric.read_page(0.0)
+        fabric.write_page(1.0)
+        assert seen == [
+            (EV_FABRIC_READ, 0.0, {"n": 1}),
+            (EV_FETCH_LATENCY, done, {"latency_us": done}),
+            (EV_FABRIC_WRITE, 1.0, {}),
+        ]
+
+
+class TestDisabledTelemetry:
+    """``RunEnv(telemetry=None)`` builds no bus, so every probe site is
+    a ``None`` check that never fires.  Every probe-bearing component is
+    armed here: the swap path and HoPP engine, a 3-node replicated
+    cluster's fabrics, recovery and integrity under a corruption-chaos
+    plan, the memtier pool and the patrol scrubber.  Building an
+    EventBus raises, so a probe that leaked onto the disabled path
+    would fail the run, on the fast path or on the oracle."""
+
+    def test_no_bus_is_built_with_every_component_armed(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("an EventBus was built with telemetry off")
+
+        monkeypatch.setattr(EventBus, "__init__", refuse)
+        env = RunEnv(
+            fault_plan=FaultPlan.corruption_chaos(SEED),
+            cluster=ClusterConfig(nodes=3, replication=2),
+            memtier=MemtierConfig(),
+            scrub=ScrubConfig(),
+        )
+        workload = build("quicksort", seed=SEED)
+        trace = list(workload.trace())
+        results = []
+        for fast in (True, False):
+            machine = runner.make_machine(
+                workload, "hopp", 0.5, FabricConfig(seed=SEED), env=env
+            )
+            assert machine.telemetry is None
+            machine.run(trace, use_fast_path=fast)
+            machine.flush_memtier()
+            machine.flush_recovery()
+            results.append(runner.collect(machine, "hopp", "quicksort"))
+        fast, oracle = results
+        assert fast.to_dict(full=True) == oracle.to_dict(full=True)
+        # Each component did work, so its probe sites were reached.
+        assert fast.timeouts > 0 and fast.prefetch_issued > 0
+        assert fast.integrity["corruption_detected"] > 0
+        assert fast.integrity["scrub_detected"] > 0
+        assert fast.memtier["pool_demand_reads"] > 0
+        assert fast.memtier["far_demand_reads"] > 0
 
 
 class TestEpochBucketing:

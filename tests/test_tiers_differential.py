@@ -9,7 +9,6 @@ implementations encode Algorithms 1 and 2 and the SSP rule correctly.
 from collections import Counter
 from typing import Optional, Tuple
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -11,7 +11,6 @@ from repro.trace.persist import (
     RECORD_BYTES,
     TraceFormatError,
     load_trace,
-    read_trace,
     write_trace,
 )
 

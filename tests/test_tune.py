@@ -34,7 +34,6 @@ from repro.tune import (
     Tuner,
     build_space,
     default_config,
-    pareto_front,
     space_names,
     strategy_names,
     to_run_spec,
@@ -284,15 +283,6 @@ class TestObjective:
             Constraint.parse("accuracy=0.5")
         with pytest.raises(ObjectiveError):
             Constraint.parse("accuracy>=abc")
-
-    def test_pareto_front_keeps_nondominated(self):
-        rows = [
-            {"coverage": 0.9, "accuracy": 0.5},
-            {"coverage": 0.5, "accuracy": 0.9},
-            {"coverage": 0.4, "accuracy": 0.4},  # dominated by both
-            {"coverage": 0.9, "accuracy": 0.5},  # tie with row 0: kept
-        ]
-        assert pareto_front(rows) == [0, 1, 3]
 
 
 # ---------------------------------------------------------------------------
