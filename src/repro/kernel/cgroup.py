@@ -71,6 +71,14 @@ class MemoryCgroup:
         return False
 
     @property
+    def resident(self) -> int:
+        """Physical pages this group holds, uncharged prefetches (and
+        in-flight fetches) included: the limit bounds the DRAM the
+        group's pages occupy whatever the accounting policy, since
+        frames are physical either way."""
+        return self.charged + self.prefetch_uncharged
+
+    @property
     def over_limit(self) -> bool:
         return self.charged > self.limit_pages
 

@@ -89,10 +89,13 @@ class LruPageList:
 @dataclass
 class ReclaimStats:
     batches: int = 0
-    pages_reclaimed: int = 0
     clean_drops: int = 0
     writebacks: int = 0
     background_us: float = 0.0
+
+    @property
+    def pages_reclaimed(self) -> int:
+        return self.clean_drops + self.writebacks
 
 
 class Reclaimer:
@@ -121,7 +124,6 @@ class Reclaimer:
 
     def account(self, npages: int, clean: int) -> float:
         """Record a completed batch; returns its background CPU time."""
-        self.stats.pages_reclaimed += npages
         self.stats.clean_drops += clean
         self.stats.writebacks += npages - clean
         cost = npages * T_RECLAIM_PER_PAGE_US

@@ -9,7 +9,7 @@ VMA-based read-ahead).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 
 class SwapSpace:
@@ -65,36 +65,36 @@ class SwapCache:
 
     A fault on one of these is a *prefetch-hit*: it still pays the
     synchronous fault cost (2.3 us) but skips the network (Section II-C).
+    A page's arrival time lives on its PTE (``Pte.arrival_us``).
     """
 
     def __init__(self) -> None:
-        self._pages: Dict[Tuple[int, int], float] = {}
+        self._pages: Set[Tuple[int, int]] = set()
         self.inserts = 0
         self.hits = 0
         self.drops = 0
 
-    def insert(self, pid: int, vpn: int, arrival_us: float) -> None:
-        self._pages[(pid, vpn)] = arrival_us
+    def insert(self, pid: int, vpn: int) -> None:
+        self._pages.add((pid, vpn))
         self.inserts += 1
 
-    def lookup(self, pid: int, vpn: int) -> Optional[float]:
-        """Arrival time when present (the page stays cached; the fault
-        handler removes it when mapping)."""
-        return self._pages.get((pid, vpn))
-
-    def take(self, pid: int, vpn: int) -> Optional[float]:
-        """Remove and return the arrival time (fault-path mapping)."""
-        arrival = self._pages.pop((pid, vpn), None)
-        if arrival is not None:
-            self.hits += 1
-        return arrival
+    def take(self, pid: int, vpn: int) -> bool:
+        """Remove a page the fault path maps; True when it was cached."""
+        key = (pid, vpn)
+        if key not in self._pages:
+            return False
+        self._pages.remove(key)
+        self.hits += 1
+        return True
 
     def drop(self, pid: int, vpn: int) -> bool:
         """Reclaim an unused swapcache page (it was clean by definition)."""
-        if self._pages.pop((pid, vpn), None) is not None:
-            self.drops += 1
-            return True
-        return False
+        key = (pid, vpn)
+        if key not in self._pages:
+            return False
+        self._pages.remove(key)
+        self.drops += 1
+        return True
 
     def __contains__(self, key: Tuple[int, int]) -> bool:
         return key in self._pages

@@ -25,7 +25,6 @@ class MemoryController:
         self._taps: List[TapFn] = []
         self.reads = 0
         self.writes = 0
-        self.bytes_transferred = 0
 
     def add_tap(self, tap: TapFn) -> None:
         self._taps.append(tap)
@@ -36,10 +35,13 @@ class MemoryController:
             self.writes += 1
         else:
             self.reads += 1
-        self.bytes_transferred += BLOCK_SIZE
         for tap in self._taps:
             tap(timestamp_us, paddr, is_write)
 
     @property
     def accesses(self) -> int:
         return self.reads + self.writes
+
+    @property
+    def bytes_transferred(self) -> int:
+        return self.accesses * BLOCK_SIZE

@@ -88,7 +88,7 @@ from itertools import compress, count, islice, repeat
 from math import frexp, inf, ldexp
 from operator import attrgetter, itemgetter, ne, rshift
 
-from repro.common.constants import BLOCK_SIZE, PAGE_SHIFT, T_DRAM_HIT_US
+from repro.common.constants import PAGE_SHIFT, T_DRAM_HIT_US
 from repro.kernel.page_table import Pte, PteState
 from repro.sim.sanitizer import SANITIZER_INTERVAL_ACCESSES
 
@@ -380,4 +380,3 @@ def _replay_chunk(m, plane, buf) -> None:
     controller = m.controller
     controller.reads += mc_reads
     controller.writes += mc_writes
-    controller.bytes_transferred += (mc_reads + mc_writes) * BLOCK_SIZE

@@ -188,14 +188,6 @@ class Machine:
         self._page_tables: Dict[int, PageTable] = {}
         self._cgroup_of: Dict[int, MemoryCgroup] = {}
         self._lru_of: Dict[str, LruPageList] = {}
-        #: Physical pages resident per cgroup, *including* uncharged
-        #: prefetch pages and in-flight fetches: the cgroup's limit
-        #: bounds the DRAM the app's pages can occupy regardless of the
-        #: accounting policy (frames are physical either way).
-        self._resident: Dict[str, int] = {}
-        #: Invariant: sum(self._resident.values()) — maintained at every
-        #: mutation site so _note_peak is O(1) on the prefetch/fault paths.
-        self._resident_total = 0
         #: Pending prefetch arrivals: (arrival_us, seq, pid, vpn).
         self._arrivals: List[Tuple[float, int, int, int]] = []
         self._arrival_seq = 0
@@ -272,7 +264,6 @@ class Machine:
                 charge_prefetch=self.config.charge_prefetch,
             )
             self._lru_of[name] = LruPageList()
-            self._resident[name] = 0
         table = PageTable(pid)
         self._page_tables[pid] = table
         self._cgroup_of[pid] = self.cgroups.get(name)
@@ -289,10 +280,10 @@ class Machine:
     def resident_pages(self, cgroup: Optional[str] = None) -> int:
         """Physical pages resident for ``cgroup`` (including uncharged
         prefetch pages and in-flight fetches), or across every cgroup
-        when called without an argument."""
+        (the frames in use) when called without an argument."""
         if cgroup is None:
-            return self._resident_total
-        return self._resident[cgroup]
+            return self.frames.used
+        return self.cgroups.get(cgroup).resident
 
     # -- main entry: one LLC-miss reference -------------------------------------------
 
@@ -380,12 +371,9 @@ class Machine:
         """First touch: allocate a zero page locally."""
         self.minor_faults += 1
         self._ensure_headroom(pid)
-        cgroup = self._cgroup_of[pid]
-        cgroup.charge(1)
-        self._resident[cgroup.name] += 1
-        self._resident_total += 1
-        self._note_peak()
+        self._cgroup_of[pid].charge(1)
         ppn = self.frames.allocate(pid, vpn)
+        self._note_peak()
         table.map_page(vpn, ppn)
         self._lru_of_pid(pid).insert(pid, vpn)
         return T_MINOR_FAULT_US
@@ -422,12 +410,9 @@ class Machine:
         """Demand swap-in over RDMA — the costly synchronous path."""
         self.remote_demand_reads += 1
         self._ensure_headroom(pid)
-        cgroup = self._cgroup_of[pid]
-        cgroup.charge(1)
-        self._resident[cgroup.name] += 1
-        self._resident_total += 1
-        self._note_peak()
+        self._cgroup_of[pid].charge(1)
         ppn = self.frames.allocate(pid, vpn)
+        self._note_peak()
         pte.ppn = ppn
         slot = pte.swap_slot
         try:
@@ -529,15 +514,13 @@ class Machine:
                 return None
         else:
             # _ensure_headroom's own test, made here: most targets fit.
-            if self._resident[cgroup.name] + 1 > cgroup.limit_pages:
+            if cgroup.resident + 1 > cgroup.limit_pages:
                 self._ensure_headroom(pid)
                 # The reclaim's writebacks can declare a node DOWN, and
                 # its repair can lose this very slot.
                 if slot in cluster.lost_slots or slot in cluster.poisoned_slots:
                     return None
             cgroup.charge(1, prefetch=True)
-        self._resident[cgroup.name] += 1
-        self._resident_total += 1
         pte.ppn = self.frames.allocate(pid, vpn)
         completion = self.backend.prefetch_read(slot, now_us)
         if completion is None:
@@ -546,8 +529,6 @@ class Machine:
             self.frames.free(pte.ppn)
             pte.ppn = -1
             cgroup.uncharge(1, prefetch=True)
-            self._resident[cgroup.name] -= 1
-            self._resident_total -= 1
             self._prefetch_dropped(
                 tier, 1, now_us, pid=pid, vpn=vpn, tier=tier, arrival_us=-1.0
             )
@@ -640,8 +621,6 @@ class Machine:
                 else:
                     self._ensure_headroom(pid)
                     cgroup.charge(1, prefetch=True)
-                self._resident[cgroup.name] += 1
-                self._resident_total += 1
                 pte = table.entry(vpn)
                 pte.ppn = self.frames.allocate(pid, vpn)
                 pte.state = PteState.INFLIGHT
@@ -678,7 +657,7 @@ class Machine:
                 self.backend.release(pte)
             else:
                 pte.state = PteState.SWAPCACHE
-                self.swapcache.insert(pid, vpn, pte.arrival_us)
+                self.swapcache.insert(pid, vpn)
             self._lru_of[self._cgroup_of[pid].name].insert(pid, vpn)
             if self.telemetry is not None:
                 self.telemetry.bus.emit(
@@ -737,7 +716,7 @@ class Machine:
 
     def _ensure_headroom(self, pid: int) -> None:
         cgroup = self._cgroup_of[pid]
-        resident = self._resident[cgroup.name]
+        resident = cgroup.resident
         if resident + 1 <= cgroup.limit_pages:
             return
         lru = self._lru_of_pid(pid)
@@ -756,8 +735,7 @@ class Machine:
             for victim_pid, victim_vpn in hinted:
                 clean += self._evict(victim_pid, victim_vpn)
                 evicted += 1
-        resident = self._resident[cgroup.name]
-        victims = self.reclaimer.plan(lru, resident + 1, cgroup.limit_pages)
+        victims = self.reclaimer.plan(lru, cgroup.resident + 1, cgroup.limit_pages)
         for victim_pid, victim_vpn in victims:
             clean += self._evict(victim_pid, victim_vpn)
             evicted += 1
@@ -817,8 +795,6 @@ class Machine:
             # INFLIGHT pages are not on the LRU; nothing else to evict.
             return 0
         cgroup.uncharge(1, prefetch=was_prefetch_charge and not cgroup.charge_prefetch)
-        self._resident[cgroup.name] -= 1
-        self._resident_total -= 1
         if wasted:
             pte.prefetched = False
             self.prefetch_wasted += 1
@@ -883,7 +859,7 @@ class Machine:
         return self._lru_of[self._cgroup_of[pid].name]
 
     def _note_peak(self) -> None:
-        resident = self._resident_total
+        resident = self.frames.used
         if resident > self.peak_resident_pages:
             self.peak_resident_pages = resident
 

@@ -33,9 +33,10 @@ The checks (all must hold between accesses, never mid-fault):
    directory (no phantom and no orphan copies), with a carve-out for
    holders on nodes whose permanent crash has not been *detected* yet
    (their store still answers, so they are consistent by construction).
-5. **Residency accounting** — the per-cgroup resident counters sum to
-   the machine's running total and to the frames in use, and every
-   node's slot accounting conserves.
+5. **Residency accounting** — cgroup accounting agrees with the frame
+   allocator: the cgroups' resident pages (charged plus uncharged
+   prefetches) sum to the frames in use, and every node's slot
+   accounting conserves.
 6. **Integrity bookkeeping** — no slot is both lost and poisoned;
    every poisoned slot still has directory holders (poison means the
    data *exists* but is known-bad — loss drops the mark); every deviant
@@ -231,13 +232,7 @@ class InvariantSanitizer:
 
     def _check_residency(self) -> None:
         machine = self.machine
-        resident = sum(machine._resident.values())
-        if resident != machine._resident_total:
-            _fail(
-                "residency",
-                f"cgroups count {resident} resident pages but the "
-                f"machine's running total is {machine._resident_total}",
-            )
+        resident = sum(cgroup.resident for cgroup in machine.cgroups)
         if resident != machine.frames.used:
             _fail(
                 "residency",

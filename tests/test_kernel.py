@@ -120,21 +120,20 @@ class TestSwapSpace:
 class TestSwapCache:
     def test_insert_lookup_take(self):
         cache = SwapCache()
-        cache.insert(1, 5, arrival_us=10.0)
-        assert cache.lookup(1, 5) == 10.0
+        cache.insert(1, 5)
         assert (1, 5) in cache
-        assert cache.take(1, 5) == 10.0
+        assert cache.take(1, 5)
         assert (1, 5) not in cache
         assert cache.hits == 1
 
     def test_take_missing(self):
         cache = SwapCache()
-        assert cache.take(1, 5) is None
+        assert not cache.take(1, 5)
         assert cache.hits == 0
 
     def test_drop(self):
         cache = SwapCache()
-        cache.insert(1, 5, 0.0)
+        cache.insert(1, 5)
         assert cache.drop(1, 5)
         assert not cache.drop(1, 5)
         assert cache.drops == 1

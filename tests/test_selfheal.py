@@ -487,12 +487,12 @@ class TestSanitizer:
             InvariantSanitizer(machine).check()
 
     def test_detects_drifted_resident_total(self):
-        # peak_resident_pages is read from the running total, which
-        # every residency change updates next to its cgroup's count.
+        # A cgroup's residency (charged plus uncharged prefetches) must
+        # match the frames its pages hold.
         machine = self._healthy_machine()
-        machine._resident_total += 1
+        machine.cgroups.get("default").charged += 1
         with pytest.raises(InvariantViolation,
-                           match=r"\[residency\].*running total"):
+                           match=r"\[residency\].*frames are allocated"):
             InvariantSanitizer(machine).check()
 
     def test_runner_flag_counts_sweeps(self):
