@@ -13,15 +13,17 @@ globally (monotonic, by :class:`~repro.kernel.swap.SwapSpace`, which is
 what Fastswap's slot-neighbor read-ahead depends on) and the directory
 encodes each slot's location as (node, slot) — the primary holder plus
 ``replication - 1`` ring-successor replicas.  Placement of the primary
-is pluggable (:mod:`repro.cluster.placement`).
+is pluggable (:mod:`repro.cluster.placement`); every other new copy
+(replicas, re-routes, repair, tier migration) lands only on a node that
+:meth:`RemoteMemoryCluster.accepts` it.
 
 Failover semantics (exercised by remote-restart fault windows):
 
 * **demand reads** retry on the next replica when ``replication > 1``
   (``demand_failovers``); with a single copy they fall back to the
   single-node backoff-retry behaviour;
-* **writebacks** re-route to the next node that does not already hold
-  the slot (``writeback_reroutes``), updating the directory;
+* **writebacks** re-route to the next node that accepts a copy
+  (``writeback_reroutes``), updating the directory;
 * **prefetches** are never failed over — they drop through the
   existing unwind path, because a speculative read is not worth a
   second link's bandwidth while a node is restarting.
@@ -311,36 +313,41 @@ class RemoteMemoryCluster:
 
     # -- the slot directory -----------------------------------------------------------
 
-    def _placeable(self, node_id: int) -> bool:
-        """Whether new copies may land on ``node_id`` (health-gated)."""
-        return self.health is None or self.health.is_placeable(node_id)
+    def accepts(self, node_id: int, holders) -> bool:
+        """Whether a new copy of a slot held by ``holders`` may land on
+        ``node_id``: the node is placeable (not DOWN/DRAINING when a
+        health monitor is attached), does not hold the slot already, and
+        has room.  Writeback placement, re-routes, repair and tier
+        migration all pick targets by this one rule."""
+        return (
+            node_id not in holders
+            and (self.health is None or self.health.is_placeable(node_id))
+            and self.has_room(node_id)
+        )
 
     def assign(self, slot: int, pid: int, vpn: int) -> List[ClusterNode]:
-        """Place ``slot`` for a writeback: primary by policy, replicas
-        on the ring successors.  DOWN/DRAINING nodes are skipped when a
-        health monitor is attached.  Returns the holders in write order."""
+        """Place ``slot`` for a writeback: the primary by policy, then
+        the first ring successors that :meth:`accepts` a copy.  Returns
+        the holders in write order."""
         primary = self.placement.place(pid, vpn, slot, self)
         count = len(self.nodes)
         replication = self.config.replication
-        if self.health is None:
-            if replication == 1:
-                primary %= count
-                self._holders[slot] = [primary]
-                return [self.nodes[primary]]
-            holders = [(primary + k) % count for k in range(replication)]
-        else:
-            holders = []
-            for hop in range(count):
-                candidate = (primary + hop) % count
-                if self._placeable(candidate):
-                    holders.append(candidate)
-                    if len(holders) == replication:
-                        break
-            if not holders:
-                # Nowhere healthy to place: fall back to the policy's
-                # choice and let the node's own availability check
-                # raise, which routes the caller into backoff-retry.
-                holders = [primary]
+        if replication == 1 and self.health is None:
+            primary %= count
+            self._holders[slot] = [primary]
+            return [self.nodes[primary]]
+        holders: List[int] = []
+        for hop in range(count):
+            candidate = (primary + hop) % count
+            if self.accepts(candidate, holders):
+                holders.append(candidate)
+                if len(holders) == replication:
+                    break
+        if not holders:
+            # Nowhere to place: fall back to the policy's choice and let
+            # the node's own checks raise (unavailable routes the caller
+            # into backoff-retry; full fails as on one node).
+            holders = [primary]
         self._holders[slot] = holders
         return [self.nodes[node_id] for node_id in holders]
 
@@ -369,14 +376,13 @@ class RemoteMemoryCluster:
 
     def reroute(self, slot: int, failed_node_id: int) -> ClusterNode:
         """A writeback to ``failed_node_id`` found the node unavailable:
-        pick the next ring node not already holding the slot, update the
-        directory, and return it.  With nowhere else to go (replication
-        spans every node) the original node is returned and the caller
-        falls back to backoff-retry."""
+        pick the next ring node that :meth:`accepts` a copy, update the
+        directory, and return it.  With nowhere else to go the original
+        node is returned and the caller falls back to backoff-retry."""
         holders = self._holders.setdefault(slot, [failed_node_id])
         for hop in range(1, self.node_count):
             candidate = (failed_node_id + hop) % self.node_count
-            if candidate not in holders and self._placeable(candidate):
+            if self.accepts(candidate, holders):
                 if failed_node_id in holders:
                     self._holders[slot] = [
                         candidate if node_id == failed_node_id else node_id

@@ -316,16 +316,13 @@ class RepairEngine:
         return fallback
 
     def _pick_target(self, holders) -> Optional[int]:
-        """First ring node after the primary that is placeable, not
-        already a holder, and has room."""
+        """First ring node after the primary that accepts a new copy
+        (:meth:`RemoteMemoryCluster.accepts`)."""
+        cluster = self.cluster
         start = holders[0] if holders else 0
-        for hop in range(1, self.cluster.node_count + 1):
-            candidate = (start + hop) % self.cluster.node_count
-            if candidate in holders:
-                continue
-            if not self.monitor.is_placeable(candidate):
-                continue
-            if self.cluster.has_room(candidate):
+        for hop in range(1, cluster.node_count + 1):
+            candidate = (start + hop) % cluster.node_count
+            if cluster.accepts(candidate, holders):
                 return candidate
         return None
 

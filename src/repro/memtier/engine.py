@@ -263,7 +263,7 @@ class MigrationEngine:
         page = self.swap_space.page_at(slot)
         if page is None or page not in self._hot:
             return  # slot recycled, or the page cooled off
-        target_id = self._pick_pool_target(holders)
+        target_id = self._pick_target(holders, TIER_POOL)
         if target_id is None:
             # No pool headroom right now; pressure demotions may be in
             # the queue behind us, so retry (bounded) instead of drop.
@@ -297,7 +297,7 @@ class MigrationEngine:
         if page is None or not source.remote.holds(slot):
             self._pool_seq.pop(slot, None)
             return
-        target_id = self._pick_far_target(holders)
+        target_id = self._pick_target(holders, TIER_FAR)
         if target_id is None:
             self.migrations_skipped += 1
             return
@@ -409,48 +409,24 @@ class MigrationEngine:
                     if pending >= goal:
                         return
 
-    def _pick_pool_target(self, holders) -> Optional[int]:
-        """Least-loaded pool node with hard room that does not already
-        hold the slot.  Hard room, not the watermark: a promotion into
+    def _pick_target(self, holders, tier: str) -> Optional[int]:
+        """Least-loaded ``tier`` node that accepts a new copy of the
+        slot (:meth:`RemoteMemoryCluster.accepts`), lowest id on a tie.
+        A promotion needs hard room, not the watermark: a promotion into
         a pressured pool is still a win (the fault it saves pays RDMA
         latency today), and the post-promote pressure check queues the
         compensating demotion of a colder page."""
-        best = None
-        best_load = None
-        for node_id in self._tier_ids(TIER_POOL):
-            if node_id in holders or not self._placeable(node_id):
-                continue
-            remote = self.cluster.nodes[node_id].remote
-            if remote.pages_stored >= remote.capacity_pages:
-                continue
-            load = remote.pages_stored
-            if best is None or load < best_load:
-                best, best_load = node_id, load
-        return best
-
-    def _pick_far_target(self, holders) -> Optional[int]:
-        """Least-loaded far node with room, not already a holder."""
-        best = None
-        best_load = None
-        for node_id in self._tier_ids(TIER_FAR):
-            if node_id in holders or not self._placeable(node_id):
-                continue
-            remote = self.cluster.nodes[node_id].remote
-            if remote.pages_stored >= remote.capacity_pages:
-                continue
-            load = remote.pages_stored
-            if best is None or load < best_load:
-                best, best_load = node_id, load
-        return best
+        cluster = self.cluster
+        candidates = [
+            node_id for node_id in self._tier_ids(tier)
+            if cluster.accepts(node_id, holders)
+        ]
+        return min(candidates, key=cluster.node_load, default=None)
 
     def _tier_ids(self, tier: str) -> List[int]:
         return [
             node.node_id for node in self.cluster.nodes if node.tier == tier
         ]
-
-    def _placeable(self, node_id: int) -> bool:
-        health = self.cluster.health
-        return health is None or health.is_placeable(node_id)
 
     def _enqueue(self, task: _Task) -> bool:
         if task in self._queued:

@@ -65,8 +65,10 @@ class MemtierConfig:
     ``pool_low_watermark``    ... down to this fill fraction.
     ``migrate_interval_us``   rate limit between migration page copies
                               (same shaping role as repair traffic).
-    ``max_migration_retries`` re-queue budget per migration under an
-                              active fault plan.
+    ``max_migration_retries`` re-queue budget per migration: bounds
+                              retries after fabric timeouts and
+                              promotions that find no pool room,
+                              with or without a fault plan.
     ``hot_set_limit``         bound on the tracked hot-page set (oldest
                               entries age out first).
     """

@@ -25,6 +25,7 @@ import pytest
 
 from repro.cluster.cluster import ClusterConfig, RemoteMemoryCluster
 from repro.common.constants import PAGE_SIZE, T_RDMA_PAGE_US
+from repro.integrity import ScrubConfig
 from repro.memtier import (
     TIER_FAR,
     TIER_POOL,
@@ -32,6 +33,7 @@ from repro.memtier import (
     derive_node_tiers,
 )
 from repro.net.faults import FaultPlan
+from repro.net.rdma import FabricConfig
 from repro.sim import runner
 from repro.sim.machine import Machine, MachineConfig, RunEnv
 from repro.sim.metrics import RunResult
@@ -422,6 +424,40 @@ class TestEndToEnd:
         assert "memtier" not in payload
         for snap in result.node_stats:
             assert "tier" not in snap.get("remote", snap)
+
+
+class TestReplicatedPool:
+    """A replicated cluster with a small pool: a replica whose ring
+    successor is the full pool must land elsewhere, not fail the
+    writeback with ``MemoryError``."""
+
+    @pytest.mark.parametrize("workload,pool,plan", [
+        ("stream-simple", 64, None),
+        ("quicksort", 1200, None),
+        # A fault plan attaches the health monitor: assign's other branch.
+        ("stream-simple", 200, FaultPlan.corruption_chaos(7)),
+    ])
+    def test_replicas_skip_full_nodes(self, workload, pool, plan):
+        env = RunEnv(
+            fault_plan=plan,
+            cluster=ClusterConfig(nodes=3, replication=2),
+            check_invariants=True,
+            memtier=MemtierConfig(pool_capacity_pages=pool),
+            scrub=ScrubConfig() if plan is not None else None,
+        )
+        wl = build(workload, seed=7)
+        machine = runner.make_machine(wl, "hopp", 0.5, FabricConfig(seed=7), env=env)
+        machine.run(wl.trace())
+        machine.flush_memtier()
+        machine.flush_recovery()
+        assert machine.sanitizer.checks_run > 0
+        cluster = machine.cluster
+        for node in cluster.nodes:
+            assert node.remote.pages_stored <= node.remote.capacity_pages
+        assert cluster.nodes[0].tier == "pool"
+        assert cluster.nodes[0].remote.pages_stored > 0
+        for slot in cluster.slots_in_directory():
+            assert len(cluster.holders_of(slot)) <= 2
 
 
 class TestObservability:
