@@ -154,11 +154,12 @@ def _dump_epochs(epochs: Tuple[DegradedEpoch, ...]) -> List[List[float]]:
 def _json(default, parse: Callable, dump: Optional[Callable] = None, injects: bool = False):
     """A :class:`FaultPlan` field and its JSON form, declared once.
 
-    ``parse`` reads the field's JSON value in :meth:`FaultPlan.from_dict`.
-    ``dump`` writes a collection field back to JSON; such a field is
-    also normalized by ``parse`` when the plan is built, while a scalar
-    (``dump`` None) is written and kept as it was given.  ``injects``
-    marks a field whose non-default value arms the plan.
+    ``parse`` reads the field's JSON value in :meth:`FaultPlan.from_dict`
+    and also normalizes the field when the plan is built, so a plan
+    writes the same bytes as its JSON round trip (``timeout_us=40`` is
+    stored and written as ``40.0``).  ``dump`` writes a collection field
+    back to JSON; a scalar (``dump`` None) is written as stored.
+    ``injects`` marks a field whose non-default value arms the plan.
     """
     return field(
         default=default,
@@ -239,9 +240,8 @@ class FaultPlan:
                 f"got {self.media_error_latency_us}"
             )
         for spec in fields(self):
-            if spec.metadata["dump"] is not None:
-                value = spec.metadata["parse"](getattr(self, spec.name))
-                object.__setattr__(self, spec.name, value)
+            value = spec.metadata["parse"](getattr(self, spec.name))
+            object.__setattr__(self, spec.name, value)
         if len(self.node_rejoin) > len(self.node_crash):
             raise ValueError(
                 f"{len(self.node_rejoin)} node_rejoin times for only "

@@ -151,8 +151,8 @@ def _every_plan_field_set() -> FaultPlan:
 
 
 def _int_valued_plan() -> FaultPlan:
-    # Window and crash times are normalized to floats; scalar fields
-    # keep the type they were given, and so does the key.
+    # Every field is normalized when the plan is built: ints given for
+    # times and scalars are stored and written as floats.
     return FaultPlan(
         seed=4, timeout_us=40, remote_stall_extra_us=3, link_down=[(1, 2)],
         degraded=[(3, 4, 2)], node_crash=[5], node_rejoin=[6],
@@ -182,7 +182,7 @@ PLAN_DIGESTS = {
     "corruption": "7ffebb9f9c09e8fdbf5f5be89e2a2275c3ca01dcd6867ef39398b32057e55554",
     "corruption-chaos": "4b5555ebaa11af21049ed216f382ee94116206f7ead572a00825e697ecbbd036",
     "every-field": "52ae029f2a1fcadd514f13dc70cfc411799b28499e94081b165cb8d5f7856368",
-    "ints": "8c7983967706fa8e443ccc4a23be95a2cfe1af6d38870c6215c67377f3515571",
+    "ints": "3e56dfefbc1437579ed177020908c426eb7d086325ecf545c7b6b83374efe712",
 }
 
 
@@ -197,8 +197,7 @@ class TestFaultPlanWireFormat:
         plan = _PLAN_CASES[case]()
         clone = FaultPlan.from_dict(json.loads(_canonical(plan.to_dict())))
         assert clone == plan
-        if case != "ints":  # from_dict reads every scalar as a float
-            assert _canonical(clone.to_dict()) == _canonical(plan.to_dict())
+        assert _canonical(clone.to_dict()) == _canonical(plan.to_dict())
 
     def test_chaos_spec_cache_key_is_pinned(self):
         spec = RunSpec(
