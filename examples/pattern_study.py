@@ -15,7 +15,7 @@ what each prefetcher can and cannot see.
 
 from repro.analysis import classify_window
 from repro.baselines.leap import LeapPrefetcher
-from repro.common.types import StreamObservation
+from repro.common.types import StreamObservation, target_vpn
 from repro.hopp import lsp, rsp, ssp
 from repro.hopp.stt import StreamTrainingTable
 
@@ -30,6 +30,18 @@ def make_observation(vpns, pid=1, stream_id=0):
         vpn_history=tuple(vpns),
         stride_history=tuple(strides),
         stream_id=stream_id,
+    )
+
+
+def show(decision) -> str:
+    """A tier decision, ``(tier, base_vpn, per_offset_stride,
+    fixed_delta)``, with its fields named."""
+    if decision is None:
+        return "None"
+    tier, base_vpn, per_offset_stride, fixed_delta = decision
+    return (
+        f"PrefetchDecision(tier={tier!r}, base_vpn={base_vpn}, "
+        f"per_offset_stride={per_offset_stride}, fixed_delta={fixed_delta})"
     )
 
 
@@ -69,15 +81,16 @@ def figure2_ladder() -> None:
     history = vpns[:11]
     print(f"VPN history (a1..a11): {history}")
     obs = make_observation(history)
-    print(f"SSP decision: {ssp.train(obs)}  (no dominant stride)")
+    print(f"SSP decision: {show(ssp.train(obs))}  (no dominant stride)")
     decision = lsp.train(obs)
+    _, _, pattern_stride, stride_target = decision
     print(
-        f"LSP decision: stride_target={decision.fixed_delta}, "
-        f"pattern_stride={decision.per_offset_stride} "
-        f"-> prefetch VPN {decision.target_vpn(1)} at offset 1"
+        f"LSP decision: stride_target={stride_target}, "
+        f"pattern_stride={pattern_stride} "
+        f"-> prefetch VPN {target_vpn(decision, 1)} at offset 1"
     )
     print(f"actual next ladder access: {vpns[11]} "
-          f"(LSP offset-0 prediction: {decision.target_vpn(0)})\n")
+          f"(LSP offset-0 prediction: {target_vpn(decision, 0)})\n")
 
 
 def figure3_ripple() -> None:
@@ -86,10 +99,10 @@ def figure3_ripple() -> None:
             108, 109, 121, 110, 111, 112]
     print(f"VPN history with out-of-stream hops: {vpns}")
     obs = make_observation(vpns)
-    print(f"SSP decision: {ssp.train(obs)}")
+    print(f"SSP decision: {show(ssp.train(obs))}")
     decision = rsp.train(obs)
     print(f"RSP decision: stride_target=1 -> prefetch VPN "
-          f"{decision.target_vpn(1)} at offset 1")
+          f"{target_vpn(decision, 1)} at offset 1")
     print(f"window classification: {classify_window(vpns)}\n")
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional
 
-from repro.common.types import TraceRecord
+from repro.common.types import TraceRecord, target_vpn
 from repro.hopp.hpd import HotPageDetector
 from repro.hopp.stt import StreamTrainingTable
 from repro.hopp.three_tier import ThreeTierTrainer, TierConfig
@@ -86,10 +86,9 @@ def replay_study(
         if decision is None:
             study.no_decision += 1
             continue
-        study.decisions_by_tier[decision.tier] = (
-            study.decisions_by_tier.get(decision.tier, 0) + 1
-        )
-        target = decision.target_vpn(offset)
+        tier = decision[0]
+        study.decisions_by_tier[tier] = study.decisions_by_tier.get(tier, 0) + 1
+        target = target_vpn(decision, offset)
         study.predictions += 1
         positions = future.get(target)
         if positions:

@@ -401,8 +401,10 @@ class RemoteMemoryCluster:
         """Drop every copy of ``slot`` (the page is local again)."""
         for node_id in self._holders.pop(slot, ()):  # pragma: no branch
             self.nodes[node_id].remote.release(slot)
-        self.lost_slots.discard(slot)
-        self.poisoned_slots.discard(slot)
+        if self.lost_slots:
+            self.lost_slots.discard(slot)
+        if self.poisoned_slots:
+            self.poisoned_slots.discard(slot)
 
     def holders_of(self, slot: int) -> Tuple[int, ...]:
         return tuple(self._holders.get(slot, ()))

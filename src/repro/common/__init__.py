@@ -4,13 +4,14 @@ from repro.common import constants
 from repro.common.assoc import SetAssociativeTable
 from repro.common.stats import Histogram, RunningStat, safe_ratio
 from repro.common.types import (
+    Decision,
     FaultBreakdown,
     PageKind,
-    PrefetchDecision,
     RptEntry,
     StreamObservation,
     TraceRecord,
     VmaRegion,
+    target_vpn,
 )
 
 __all__ = [
@@ -19,11 +20,12 @@ __all__ = [
     "Histogram",
     "RunningStat",
     "safe_ratio",
+    "Decision",
     "FaultBreakdown",
     "PageKind",
-    "PrefetchDecision",
     "RptEntry",
     "StreamObservation",
     "TraceRecord",
     "VmaRegion",
+    "target_vpn",
 ]

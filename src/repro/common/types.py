@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
-from repro.common.compat import slotted_dataclass
 from repro.common.constants import PAGE_SHIFT
 
 
@@ -117,25 +116,21 @@ class StreamObservation:
         )
 
 
-@slotted_dataclass()
-class PrefetchDecision:
-    """Raw output of one tier algorithm, before the policy engine applies
-    the prefetch offset and intensity knobs.
+#: Raw output of one tier algorithm, before the policy engine applies the
+#: prefetch offset and intensity knobs: ``(tier, base_vpn,
+#: per_offset_stride, fixed_delta)``, a plain tuple so a decision costs
+#: no object of its own.  The target VPN for offset ``i`` is
+#: ``base_vpn + stride_target + i * pattern_stride`` for LSP, and
+#: ``base_vpn + i * stride_target`` for SSP/RSP, matching the send steps
+#: of Algorithms 1 and 2: ``per_offset_stride`` is multiplied by the
+#: offset, ``fixed_delta`` is added once regardless of offset.
+Decision = Tuple[str, int, int, int]
 
-    The final target VPN for offset ``i`` is
-    ``base_vpn + stride_target + i * pattern_stride`` for LSP, and
-    ``base_vpn + i * stride_target`` for SSP/RSP, matching the send steps
-    of Algorithms 1 and 2.  ``per_offset_stride`` is the stride multiplied
-    by the offset; ``fixed_delta`` is added once regardless of offset.
-    """
 
-    tier: str
-    base_vpn: int
-    per_offset_stride: int
-    fixed_delta: int = 0
-
-    def target_vpn(self, offset: int) -> int:
-        return self.base_vpn + self.fixed_delta + offset * self.per_offset_stride
+def target_vpn(decision: Decision, offset: int) -> int:
+    """``decision``'s target VPN at prefetch offset ``offset``."""
+    _, base_vpn, per_offset_stride, fixed_delta = decision
+    return base_vpn + fixed_delta + offset * per_offset_stride
 
 
 @dataclass(frozen=True)
@@ -153,9 +148,13 @@ class TraceRecord:
         return self.paddr >> PAGE_SHIFT
 
 
-@slotted_dataclass()
-class RptEntry:
-    """Reverse-page-table entry (Figure 6): PPN -> PID + VPN + flags."""
+class RptEntry(NamedTuple):
+    """Reverse-page-table entry (Figure 6): PPN -> PID + VPN + flags.
+
+    The page tables write entries as plain ``(pid, vpn, shared, kind)``
+    tuples, which compare equal to an ``RptEntry`` of the same fields
+    and cost half as much to build; this class names the layout.
+    """
 
     pid: int
     vpn: int

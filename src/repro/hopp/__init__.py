@@ -12,7 +12,6 @@ from repro.hopp.policy import PolicyConfig, PolicyEngine
 from repro.hopp.rpt import (
     ReversePageTable,
     RptCache,
-    RptMaintainer,
     rpt_bandwidth_overhead,
 )
 from repro.hopp.stt import StreamTrainingTable
@@ -34,7 +33,6 @@ __all__ = [
     "PolicyEngine",
     "ReversePageTable",
     "RptCache",
-    "RptMaintainer",
     "rpt_bandwidth_overhead",
     "StreamTrainingTable",
     "HoppConfig",

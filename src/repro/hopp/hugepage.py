@@ -123,6 +123,3 @@ class HugePageBatcher:
                 self.batches_issued += 1
         progress.covered = any_issued
         return any_issued
-
-    def forget_stream(self, stream_id: int) -> None:
-        self._progress.pop(stream_id, None)

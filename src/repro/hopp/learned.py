@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.common.types import PrefetchDecision, StreamObservation
+from repro.common.types import Decision, StreamObservation
 
 TIER_NAME = "learned"
 
@@ -83,7 +83,7 @@ class LearnedStridePredictor:
 
     # -- online training + inference -----------------------------------------
 
-    def train(self, observation: StreamObservation) -> Optional[PrefetchDecision]:
+    def train(self, observation: StreamObservation) -> Optional[Decision]:
         """Update the model with the newest transition, then predict."""
         strides = observation.stride_history
         if len(strides) < self.context_len + 1:
@@ -105,11 +105,7 @@ class LearnedStridePredictor:
             self.abstentions += 1
             return None
         self.predictions += 1
-        return PrefetchDecision(
-            tier=TIER_NAME,
-            base_vpn=observation.vpn_history[-1],
-            per_offset_stride=stride,
-        )
+        return (TIER_NAME, observation.vpns[-1], stride, 0)
 
     def _learn(self, context: Tuple[int, ...], next_stride: int) -> None:
         stats = self._table.get(context)
@@ -134,7 +130,7 @@ class LearnedTrainer:
         self.decisions_by_tier: Dict[str, int] = {TIER_NAME: 0}
         self.no_decision = 0
 
-    def train(self, observation: StreamObservation) -> Optional[PrefetchDecision]:
+    def train(self, observation: StreamObservation) -> Optional[Decision]:
         decision = self.predictor.train(observation)
         if decision is None:
             self.no_decision += 1

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.common.constants import LSP_PATTERN_LEN
-from repro.common.types import PrefetchDecision, StreamObservation
+from repro.common.types import Decision, StreamObservation
 
 TIER_NAME = "lsp"
 
@@ -51,18 +51,22 @@ def _majority(values: Sequence[int]) -> int:
 def train(
     observation: StreamObservation,
     pattern_len: int = LSP_PATTERN_LEN,
-) -> Optional[PrefetchDecision]:
+) -> Optional[Decision]:
     """Algorithm 1.  Returns None when no earlier pattern occurrence
-    exists (next_stride empty -> stride_target = 0, no prefetch)."""
-    vpns = observation.vpn_history
-    strides = observation.stride_history
+    exists (next_stride empty -> stride_target = 0, no prefetch).
+
+    Reads the observation's live windows and compares each candidate
+    stride by stride, so a call copies no history."""
+    vpns = observation.vpns
+    strides = observation.strides
     n = len(vpns)
     if n < pattern_len + 2 or len(strides) != n - 1:
         return None
 
-    # Target pattern: the newest M consecutive strides, ending in stride_A.
-    target = tuple(strides[n - 1 - pattern_len : n - 1])
-    stride_a = target[-1]
+    # Target pattern: the newest M consecutive strides, strides[n - 1 - M]
+    # .. strides[n - 2], ending in stride_A.
+    newest = n - 2
+    stride_a = strides[newest]
 
     next_strides: List[int] = []
     stride_sums: List[int] = []
@@ -73,14 +77,19 @@ def train(
     # A candidate occurrence ends at VPN index e; its strides are
     # strides[e - pattern_len : e].  Scan newest first, skipping the
     # target occurrence and requiring a following stride to exist
-    # (e <= n - 2 so strides[e] is valid).
-    for end in range(n - 2, pattern_len - 1, -1):
-        # Compare the candidate's newest stride before slicing it out.
-        if strides[end - 1] != stride_a or strides[end - pattern_len : end] != target:
+    # (e <= n - 2 so strides[e] is valid).  The candidate matches when
+    # strides[e - k] == strides[newest + 1 - k] for k = 1 .. M, newest
+    # stride first.
+    for end in range(newest, pattern_len - 1, -1):
+        if strides[end - 1] != stride_a:
             continue
-        next_strides.append(strides[end])
-        stride_sums.append(vpns[last_end] - vpns[end])
-        last_end = end
+        for k in range(2, pattern_len + 1):
+            if strides[end - k] != strides[newest + 1 - k]:
+                break
+        else:
+            next_strides.append(strides[end])
+            stride_sums.append(vpns[last_end] - vpns[end])
+            last_end = end
 
     if not next_strides:
         return None
@@ -90,9 +99,4 @@ def train(
     if pattern_stride == 0:
         # Degenerate ladder (period 0) — nothing new to prefetch.
         return None
-    return PrefetchDecision(
-        tier=TIER_NAME,
-        base_vpn=observation.vpn_history[-1],
-        per_offset_stride=pattern_stride,
-        fixed_delta=stride_target,
-    )
+    return (TIER_NAME, vpns[-1], pattern_stride, stride_target)

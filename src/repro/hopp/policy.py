@@ -33,7 +33,7 @@ from repro.common.constants import (
     POLICY_T_MAX_US,
     POLICY_T_MIN_US,
 )
-from repro.common.types import PrefetchDecision, StreamObservation
+from repro.common.types import Decision
 
 
 @dataclass
@@ -235,6 +235,10 @@ class PolicyEngine:
         self.config = config or PolicyConfig()
         #: Per-stream adaptive offset (float internally; applied rounded).
         self._offsets: Dict[int, float] = {}
+        #: Each adapted stream's offset as applied: ``round`` of its
+        #: float offset, which never drops below 1.
+        self._applied: Dict[int, int] = {}
+        self._initial_applied = round(self.config.initial_offset)
         #: When each stream's offset was last adjusted: further reports
         #: only count once they reflect prefetches issued *after* the
         #: adjustment (the control loop's feedback delay).
@@ -248,24 +252,20 @@ class PolicyEngine:
     def offset_of(self, stream_id: int) -> float:
         return self._offsets.get(stream_id, self.config.initial_offset)
 
-    def finalize(
-        self, decision: PrefetchDecision, observation: StreamObservation
-    ) -> Tuple[int, ...]:
-        """Apply offset + intensity to a tier decision; returns the
-        target VPNs for :meth:`ExecutionEngine.submit`.
+    def finalize(self, decision: Decision, stream_id: int) -> Tuple[int, ...]:
+        """Apply offset + intensity to a tier decision for stream
+        ``stream_id``; returns the target VPNs for
+        :meth:`ExecutionEngine.submit`.
 
         Emits ``intensity`` consecutive targets starting at the stream's
-        current offset: ``decision.target_vpn(i)`` for ``i`` in
+        current offset: ``target_vpn(decision, i)`` for ``i`` in
         ``offset .. offset + intensity - 1``, an arithmetic progression
         with the decision's per-offset stride.  Targets with negative
         VPNs (streams walking down past zero) are dropped.
         """
-        offset = self._offsets.get(observation.stream_id)
-        if offset is None:
-            offset = self.config.initial_offset
-        offset = max(1, round(offset))
-        stride = decision.per_offset_stride
-        vpn = decision.base_vpn + decision.fixed_delta + offset * stride
+        offset = self._applied.get(stream_id, self._initial_applied)
+        _, base_vpn, stride, fixed_delta = decision
+        vpn = base_vpn + fixed_delta + offset * stride
         intensity = self.config.intensity
         if intensity == 1:
             if vpn < 0:
@@ -314,9 +314,6 @@ class PolicyEngine:
         current = offsets.get(stream_id)
         if current is None:
             current = config.initial_offset
-        offsets[stream_id] = min(max(current * factor, 1.0), config.offset_max)
+        offset = offsets[stream_id] = min(max(current * factor, 1.0), config.offset_max)
+        self._applied[stream_id] = round(offset)
         self._adjusted_at[stream_id] = now_us if now_us is not None else issued_us
-
-    def forget_stream(self, stream_id: int) -> None:
-        self._offsets.pop(stream_id, None)
-        self._adjusted_at.pop(stream_id, None)

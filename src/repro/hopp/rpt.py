@@ -6,19 +6,20 @@ small 16-way cache in front of it.  All reads and writes go through the
 cache, so no coherence with DRAM is needed; dirty entries are written
 back lazily on eviction.
 
-Maintenance mirrors Section V: kernel PTE hooks (set_pte_at / pte_clear
-and the pmd variants for huge pages) keep the RPT current.  Section V
-also seeds the RPT by walking the existing page tables at startup; here
-every table is still empty when the plane attaches, so the hooks see
-every mapping.
+Maintenance mirrors Section V: the kernel's PTE update functions
+(set_pte_at / pte_clear and the pmd variants for huge pages) keep the
+RPT current.  Here each :class:`~repro.kernel.page_table.PageTable`
+with an RPT attached writes every map and unmap through
+:meth:`RptCache.update`.  Section V also seeds the RPT by walking the
+existing page tables at startup; here every table is still empty when
+the plane attaches, so the write-through sees every mapping.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
-from repro.common.compat import slotted_dataclass
 from repro.common.constants import (
     BLOCK_SIZE,
     HOT_PAGE_RECORD_BYTES,
@@ -27,7 +28,6 @@ from repro.common.constants import (
     RPT_ENTRY_BYTES,
 )
 from repro.common.types import RptEntry
-from repro.kernel.page_table import PageTable, Pte
 
 
 class ReversePageTable:
@@ -62,19 +62,18 @@ class ReversePageTable:
         return local_memory_pages * RPT_ENTRY_BYTES
 
 
-@slotted_dataclass()
-class _CacheLine:
-    entry: Optional[RptEntry]
-    dirty: bool = False
+#: What a set hands back for a PPN it does not cache (a cached PPN
+#: may map to None: a frame no process maps).
+_ABSENT = object()
 
 
 class RptCache:
     """16-way write-back cache over the RPT (default 64 KB -> 8K entries).
 
     ``lookup`` resolves a hot PPN to its PID+VPN combo; misses fill from
-    the DRAM RPT.  PTE hooks update the cache directly (write-allocate),
-    and dirty lines reach DRAM only on eviction — the lazy write-back of
-    Section V.
+    the DRAM RPT.  The page tables write every map and unmap through
+    :meth:`update` (write-allocate), and dirty lines reach DRAM only on
+    eviction — the lazy write-back of Section V.
     """
 
     def __init__(
@@ -90,10 +89,13 @@ class RptCache:
         self.nsets = entries // ways
         self.ways = ways
         #: One LRU-ordered dict per set (last item = most recently used),
-        #: indexed by ``ppn % nsets``.
-        self._sets: List["OrderedDict[int, _CacheLine]"] = [
+        #: indexed by ``ppn % nsets``: PPN -> its entry, or None for a
+        #: frame no process maps.
+        self._sets: List["OrderedDict[int, Optional[RptEntry]]"] = [
             OrderedDict() for _ in range(self.nsets)
         ]
+        #: PPNs of the cached lines DRAM has not seen yet.
+        self._dirty: Set[int] = set()
         self.lookups = 0
         self.lookup_hits = 0
         self.dram_fills = 0
@@ -108,58 +110,52 @@ class RptCache:
         """
         self.lookups += 1
         target = self._sets[ppn % self.nsets]
-        line = target.get(ppn)
-        if line is not None:
+        entry = target.get(ppn, _ABSENT)
+        if entry is not _ABSENT:
             target.move_to_end(ppn)
             self.lookup_hits += 1
-            return line.entry
+            return entry
         entry = self.backing.read(ppn)
         self.dram_fills += 1
-        line = self._install(target, ppn)
-        line.entry = entry
-        line.dirty = False
+        if len(target) >= self.ways:
+            self._evict_lru(target)
+        target[ppn] = entry
         return entry
 
-    # -- kernel hook side ----------------------------------------------------------
+    # -- the page tables' write-through ------------------------------------------
 
     def update(self, ppn: int, entry: Optional[RptEntry]) -> None:
-        """PTE set/clear hook: write the mapping through the cache.
+        """Write a map (``entry``) or an unmap (None) through the cache.
 
-        Hook traffic does not count toward the hot-page-query hit rate
-        (Table III measures the lookup path only).
+        Page-table traffic does not count toward the hot-page-query hit
+        rate (Table III measures the lookup path only).
         """
         target = self._sets[ppn % self.nsets]
-        line = target.get(ppn)
-        if line is None:
-            line = self._install(target, ppn)
-        else:
+        if ppn in target:
             target.move_to_end(ppn)
-        line.entry = entry
-        line.dirty = True
+        elif len(target) >= self.ways:
+            self._evict_lru(target)
+        target[ppn] = entry
+        self._dirty.add(ppn)
 
-    def _install(self, target: "OrderedDict[int, _CacheLine]", ppn: int) -> _CacheLine:
-        """Insert a line for an absent ``ppn`` as MRU of its set
-        ``target`` and return it for the caller to fill.  A full set
-        writes back its LRU victim if dirty, and the victim's line
-        object is recycled."""
-        if len(target) < self.ways:
-            line = target[ppn] = _CacheLine(None)
-            return line
-        victim_ppn, line = target.popitem(last=False)
-        if line.dirty:
-            self.backing.write(victim_ppn, line.entry)
+    def _evict_lru(self, target: "OrderedDict[int, Optional[RptEntry]]") -> None:
+        """Drop a full set's LRU line, writing it back if dirty."""
+        ppn, entry = target.popitem(last=False)
+        dirty = self._dirty
+        if ppn in dirty:
+            dirty.remove(ppn)
+            self.backing.write(ppn, entry)
             self.writebacks += 1
-        target[ppn] = line
-        return line
 
     def flush(self) -> None:
         """Write back every dirty line (used by tests and shutdown)."""
+        dirty = self._dirty
         for target in self._sets:
-            for ppn, line in target.items():
-                if line.dirty:
-                    self.backing.write(ppn, line.entry)
+            for ppn, entry in target.items():
+                if ppn in dirty:
+                    self.backing.write(ppn, entry)
                     self.writebacks += 1
-                    line.dirty = False
+        dirty.clear()
 
     # -- statistics (Table III / Table V) ------------------------------------------
 
@@ -171,34 +167,15 @@ class RptCache:
     @property
     def bandwidth_overhead(self) -> float:
         """Extra DRAM bandwidth from RPT misses and writebacks relative to
-        the hot-page traffic it serves (Table V, RPT row uses the app's MC
-        traffic as denominator; see RptMaintainer.bandwidth_overhead)."""
+        the hot-page traffic it serves: 8-byte RPT entries moved per
+        hot-page record.  Table V's RPT row divides by the application's
+        MC traffic instead; that is :func:`rpt_bandwidth_overhead`."""
         moved = (self.dram_fills + self.writebacks) * RPT_ENTRY_BYTES
         served = self.lookups * HOT_PAGE_RECORD_BYTES
         return moved / served if served else 0.0
 
     def dram_bytes_moved(self) -> int:
         return (self.dram_fills + self.writebacks) * RPT_ENTRY_BYTES
-
-
-class RptMaintainer:
-    """Wires kernel PTE hooks into the RPT cache (Section V)."""
-
-    def __init__(self, cache: RptCache) -> None:
-        self.cache = cache
-        self.hook_updates = 0
-
-    def attach(self, page_table: PageTable) -> None:
-        page_table.add_set_hook(self.on_pte_set)
-        page_table.add_clear_hook(self.on_pte_clear)
-
-    def on_pte_set(self, pid: int, vpn: int, ppn: int, pte: Pte) -> None:
-        self.hook_updates += 1
-        self.cache.update(ppn, RptEntry(pid, vpn, pte.shared, pte.kind))
-
-    def on_pte_clear(self, pid: int, vpn: int, ppn: int) -> None:
-        self.hook_updates += 1
-        self.cache.update(ppn, None)
 
 
 def rpt_bandwidth_overhead(cache: RptCache, mc_accesses: int) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.common.constants import RSP_MAX_STRIDE
-from repro.common.types import PrefetchDecision, StreamObservation
+from repro.common.types import Decision, StreamObservation
 
 TIER_NAME = "rsp"
 
@@ -44,14 +44,11 @@ def ripple_score(strides, max_stride: int = RSP_MAX_STRIDE) -> int:
 def train(
     observation: StreamObservation,
     max_stride: int = RSP_MAX_STRIDE,
-) -> Optional[PrefetchDecision]:
+) -> Optional[Decision]:
     """Algorithm 2.  Returns a stride-1 decision when the ripple count
-    reaches L/2, else None (no prefetch)."""
-    history_len = len(observation.vpn_history)
-    if ripple_score(observation.stride_history, max_stride) < history_len // 2:
+    reaches L/2, else None (no prefetch).  Reads the observation's live
+    windows; it copies no history."""
+    vpns = observation.vpns
+    if ripple_score(observation.strides, max_stride) < len(vpns) // 2:
         return None
-    return PrefetchDecision(
-        tier=TIER_NAME,
-        base_vpn=observation.vpn_history[-1],
-        per_offset_stride=1,
-    )
+    return (TIER_NAME, vpns[-1], 1, 0)

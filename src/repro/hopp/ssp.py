@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.common.types import PrefetchDecision, StreamObservation
+from repro.common.types import Decision, StreamObservation
 
 TIER_NAME = "ssp"
 
@@ -35,7 +35,7 @@ def dominant_stride(strides, min_count: int) -> Optional[int]:
     return best if best_count >= min_count else None
 
 
-def train(observation: StreamObservation) -> Optional[PrefetchDecision]:
+def train(observation: StreamObservation) -> Optional[Decision]:
     """Identify a simple stream; None hands over to LSP.
 
     Decides from the stream's non-zero-stride histogram in this one
@@ -74,4 +74,4 @@ def train(observation: StreamObservation) -> Optional[PrefetchDecision]:
                     break
     if stride is None:
         return None
-    return PrefetchDecision(TIER_NAME, vpns[-1], stride)
+    return (TIER_NAME, vpns[-1], stride, 0)

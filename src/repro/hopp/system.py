@@ -24,7 +24,7 @@ from repro.hopp.policy import (
     PolicyConfig,
     PolicyEngine,
 )
-from repro.hopp.rpt import ReversePageTable, RptCache, RptMaintainer
+from repro.hopp.rpt import ReversePageTable, RptCache
 from repro.hopp.stt import StreamTrainingTable
 from repro.hopp.three_tier import ThreeTierTrainer, TierConfig
 
@@ -88,8 +88,9 @@ class HoppDataPlane:
         else:
             self.hpd = HotPageDetector(cfg.hpd_threshold, cfg.hpd_sets, cfg.hpd_ways)
         self.rpt = ReversePageTable()
+        #: Every page table of the machine writes through this cache
+        #: (``PageTable.rpt``).
         self.rpt_cache = RptCache(self.rpt, cfg.rpt_cache_kb, cfg.rpt_cache_ways)
-        self.maintainer = RptMaintainer(self.rpt_cache)
         self.stt = StreamTrainingTable(
             cfg.stt_entries, cfg.stt_history_len, cfg.stt_stream_delta
         )
@@ -166,51 +167,29 @@ class HoppDataPlane:
             # Frame not mapped by any process (kernel/DMA memory).
             self.hot_pages_unresolved += 1
             return
+        pid, vpn, _, _ = entry
         if self._memtier is not None:
             # Hardware said this page is hot; the migration engine will
             # promote its remote copy poolward if it sits in the far tier.
-            self._memtier.note_hot(entry.pid, entry.vpn, timestamp_us)
-        observation = self.stt.feed(entry.pid, entry.vpn, timestamp_us)
+            self._memtier.note_hot(pid, vpn, timestamp_us)
+        observation = self.stt.feed(pid, vpn, timestamp_us)
         if observation is None:
             return
         decision = self.trainer.train(observation)
         if decision is None:
             return
+        tier, _, stride, _ = decision
         if self.advisor is not None:
-            self.advisor.on_stream_step(
-                observation.pid, observation.vpn, decision.per_offset_stride
-            )
-        if self.batcher is not None and decision.tier == "ssp":
-            absorbed = self.batcher.observe(
-                observation.stream_id,
-                observation.pid,
-                observation.vpn,
-                decision.per_offset_stride,
-                timestamp_us,
-            )
-            if absorbed:
+            self.advisor.on_stream_step(pid, vpn, stride)
+        stream_id = observation.stream_id
+        if self.batcher is not None and tier == "ssp":
+            if self.batcher.observe(stream_id, pid, vpn, stride, timestamp_us):
                 # The stream rides 2 MB batches now; skip the
                 # single-page request for this step.
                 return
-        targets = self.policy.finalize(decision, observation)
+        targets = self.policy.finalize(decision, stream_id)
         if targets:
-            self.executor.submit(
-                observation.pid,
-                targets,
-                decision.tier,
-                observation.stream_id,
-                timestamp_us,
-            )
-
-    # -- fault-path visibility ----------------------------------------------------------
-
-    def on_page_mapped(self, pid: int, vpn: int, now_us: float) -> None:
-        """Machine callback when any page becomes PRESENT; the executor
-        uses it to close prefetch records on their first hit."""
-        self.executor.on_first_hit(pid, vpn, now_us)
-
-    def on_page_evicted(self, pid: int, vpn: int) -> None:
-        self.executor.on_evicted_unused(pid, vpn)
+            self.executor.submit(pid, targets, tier, stream_id, timestamp_us)
 
     # -- fault-injection visibility ------------------------------------------------------
 

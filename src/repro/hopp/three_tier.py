@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.common.types import PrefetchDecision, StreamObservation
+from repro.common.types import Decision, StreamObservation
 from repro.hopp import lsp, rsp, ssp
 
 
@@ -60,11 +60,11 @@ class ThreeTierTrainer:
         self.decisions_by_tier: Dict[str, int] = {"ssp": 0, "lsp": 0, "rsp": 0}
         self.no_decision = 0
 
-    def train(self, observation: StreamObservation) -> Optional[PrefetchDecision]:
+    def train(self, observation: StreamObservation) -> Optional[Decision]:
         for tier in self._cascade:
             decision = tier(observation)
             if decision is not None:
-                self.decisions_by_tier[decision.tier] += 1
+                self.decisions_by_tier[decision[0]] += 1
                 return decision
         self.no_decision += 1
         return None

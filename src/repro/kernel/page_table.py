@@ -1,15 +1,15 @@
-"""Per-process page tables with HoPP's RPT maintenance hooks.
+"""Per-process page tables that keep HoPP's reverse page table current.
 
 The paper keeps the reverse page table consistent by hooking the kernel's
-PTE update functions (``set_pte_at`` / ``pte_clear``, Section V).  The
-:class:`PageTable` here exposes the same hook points: every transition
-that maps or unmaps a physical frame notifies registered listeners.
+PTE update functions (``set_pte_at`` / ``pte_clear``, Section V).  Here
+a :class:`PageTable` with an RPT attached writes every transition that
+maps or unmaps a physical frame through the RPT's ``update`` itself.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.common.compat import slotted_dataclass
 from repro.common.types import PageKind
@@ -57,27 +57,17 @@ class Pte:
     injected: bool = False
 
 
-#: Hook signature: (pid, vpn, ppn, entry) on set; (pid, vpn, ppn) on clear.
-PteSetHook = Callable[[int, int, int, Pte], None]
-PteClearHook = Callable[[int, int, int], None]
-
-
 class PageTable:
     """Sparse VPN -> PTE mapping for one process."""
 
     def __init__(self, pid: int) -> None:
         self.pid = pid
         self._entries: Dict[int, Pte] = {}
-        self._set_hooks: List[PteSetHook] = []
-        self._clear_hooks: List[PteClearHook] = []
-
-    # -- hooks (Section V: set_pte_at / pte_clear callbacks) -------------------
-
-    def add_set_hook(self, hook: PteSetHook) -> None:
-        self._set_hooks.append(hook)
-
-    def add_clear_hook(self, hook: PteClearHook) -> None:
-        self._clear_hooks.append(hook)
+        #: The reverse page table every map and unmap writes through
+        #: (Section V's ``set_pte_at`` / ``pte_clear``): anything with
+        #: ``update(ppn, entry)``, such as HoPP's RPT cache.  None on a
+        #: machine without HoPP.  ``update`` is looked up at each call.
+        self.rpt = None
 
     # -- entry access -----------------------------------------------------------
 
@@ -92,28 +82,37 @@ class PageTable:
     def peek(self, vpn: int) -> Optional[Pte]:
         return self._entries.get(vpn)
 
-    def map_page(self, vpn: int, ppn: int, injected: bool = False) -> Pte:
+    def map_page(
+        self, vpn: int, ppn: int, pte: Optional[Pte] = None, injected: bool = False
+    ) -> Pte:
         """Set the present bit: VPN now maps to local frame ``ppn``.
 
-        Fires the set hooks so the reverse page table stays consistent.
+        ``pte`` is ``vpn``'s entry when the caller holds it already.
+        The RPT learns the mapping as a plain ``(pid, vpn, shared,
+        kind)`` tuple, the layout :class:`~repro.common.types.RptEntry`
+        names.
         """
-        pte = self.entry(vpn)
+        if pte is None:
+            pte = self.entry(vpn)
         pte.state = PteState.PRESENT
         pte.ppn = ppn
         pte.injected = injected
-        for hook in self._set_hooks:
-            hook(self.pid, vpn, ppn, pte)
+        if self.rpt is not None:
+            self.rpt.update(ppn, (self.pid, vpn, pte.shared, pte.kind))
         return pte
 
-    def unmap_page(self, vpn: int) -> Optional[Pte]:
-        """Clear the present bit (reclaim path); fires the clear hooks."""
-        pte = self._entries.get(vpn)
-        if pte is None or pte.state != PteState.PRESENT:
-            return None
+    def unmap_page(self, vpn: int, pte: Optional[Pte] = None) -> Optional[Pte]:
+        """Clear the present bit (reclaim path) and the frame's RPT
+        entry.  A caller that passes ``vpn``'s ``pte`` vouches that it
+        is PRESENT; otherwise a page that is not is left alone (None)."""
+        if pte is None:
+            pte = self._entries.get(vpn)
+            if pte is None or pte.state != PteState.PRESENT:
+                return None
         ppn = pte.ppn
         pte.ppn = -1
-        for hook in self._clear_hooks:
-            hook(self.pid, vpn, ppn)
+        if self.rpt is not None:
+            self.rpt.update(ppn, None)
         return pte
 
     def __len__(self) -> int:

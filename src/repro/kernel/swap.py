@@ -23,13 +23,14 @@ class SwapSpace:
     def allocate(self, pid: int, vpn: int) -> int:
         """Assign the next slot to (pid, vpn); re-evicting a page gets a
         fresh slot, just like Linux after the old one was faulted back."""
-        old = self._page_to_slot.pop((pid, vpn), None)
+        page = (pid, vpn)
+        old = self._page_to_slot.pop(page, None)
         if old is not None:
             self._slot_to_page.pop(old, None)
         slot = self._next_slot
-        self._next_slot += 1
-        self._slot_to_page[slot] = (pid, vpn)
-        self._page_to_slot[(pid, vpn)] = slot
+        self._next_slot = slot + 1
+        self._slot_to_page[slot] = page
+        self._page_to_slot[page] = slot
         return slot
 
     def free(self, slot: int) -> None:

@@ -43,7 +43,7 @@ def ssp_histogram_stride(
     decision = ssp.train(
         StreamObservation(1, 500, stride, vpns, strides, 0, 0.0, counts)
     )
-    return None if decision is None else decision.per_offset_stride
+    return None if decision is None else decision[2]
 
 
 def quiet_fabric(seed: int = 1) -> FabricConfig:

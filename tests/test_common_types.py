@@ -6,9 +6,9 @@ from repro.common import constants
 from repro.common.types import (
     FaultBreakdown,
     PageKind,
-    PrefetchDecision,
     TraceRecord,
     VmaRegion,
+    target_vpn,
 )
 
 
@@ -37,21 +37,21 @@ class TestConstants:
 
 
 class TestPrefetchDecision:
+    """A decision is ``(tier, base_vpn, per_offset_stride, fixed_delta)``."""
+
     def test_simple_stream_target(self):
-        decision = PrefetchDecision(tier="ssp", base_vpn=100, per_offset_stride=2)
-        assert decision.target_vpn(1) == 102
-        assert decision.target_vpn(5) == 110
+        decision = ("ssp", 100, 2, 0)
+        assert target_vpn(decision, 1) == 102
+        assert target_vpn(decision, 5) == 110
 
     def test_ladder_target_includes_fixed_delta(self):
-        decision = PrefetchDecision(
-            tier="lsp", base_vpn=100, per_offset_stride=4, fixed_delta=1
-        )
-        # VPN_A + stride_target + i * pattern_stride (Algorithm 1).
-        assert decision.target_vpn(2) == 100 + 1 + 8
+        decision = ("lsp", 100, 4, 1)
+        # base + stride_target + i * pattern_stride
+        assert target_vpn(decision, 2) == 100 + 1 + 8
 
     def test_negative_stride(self):
-        decision = PrefetchDecision(tier="ssp", base_vpn=100, per_offset_stride=-1)
-        assert decision.target_vpn(3) == 97
+        decision = ("ssp", 100, -1, 0)
+        assert target_vpn(decision, 3) == 97
 
 
 class TestTraceRecord:

@@ -94,13 +94,6 @@ class TestHugePageBatcher:
         with pytest.raises(ValueError):
             HugePageBatcher(RecordingBatchBackend(), batch_pages=0)
 
-    def test_forget_stream(self):
-        backend = RecordingBatchBackend()
-        batcher = HugePageBatcher(backend, stream_len=4)
-        self.feed_stream(batcher, 6)
-        batcher.forget_stream(0)
-        assert 0 not in batcher._progress
-
 
 class TestMachineBatchPrefetch:
     def make(self, limit=64):

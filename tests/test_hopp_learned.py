@@ -21,8 +21,8 @@ class TestLearnedStridePredictor:
         predictor = LearnedStridePredictor(context_len=2)
         decision = feed_stream(predictor, [100 + 3 * i for i in range(30)])
         assert decision is not None
-        assert decision.per_offset_stride == 3
-        assert decision.tier == "learned"
+        assert decision[2] == 3
+        assert decision[0] == "learned"
 
     def test_learns_repeating_pattern(self):
         # Ladder-like strides: 5, 1, 5, 1, ... context (5, 1) -> 5 etc.
@@ -34,7 +34,7 @@ class TestLearnedStridePredictor:
         assert decision is not None
         # The last two strides determine the next one exactly.
         expected = 5 if (len(vpns) - 1) % 2 == 0 else 1
-        assert decision.per_offset_stride == expected
+        assert decision[2] == expected
 
     def test_abstains_without_confidence(self):
         import random
@@ -52,7 +52,7 @@ class TestLearnedStridePredictor:
         feed_stream(predictor, [100 + i for i in range(30)])
         decision = feed_stream(predictor, [5000 + 4 * i for i in range(30)])
         assert decision is not None
-        assert decision.per_offset_stride == 4
+        assert decision[2] == 4
 
     def test_table_capacity_bounded(self):
         predictor = LearnedStridePredictor(context_len=2, max_contexts=8)
@@ -71,7 +71,7 @@ class TestLearnedStridePredictor:
         vpns = [100, 101, 100, 101, 100, 101, 100, 101]
         decision = feed_stream(predictor, vpns)
         if decision is not None:
-            assert decision.per_offset_stride != 0
+            assert decision[2] != 0
 
     def test_validation(self):
         with pytest.raises(ValueError):

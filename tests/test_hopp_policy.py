@@ -5,52 +5,49 @@ from itertools import product
 
 import pytest
 
-from repro.common.types import PrefetchDecision
+from repro.common.types import target_vpn
 from repro.hopp.policy import PolicyConfig, PolicyEngine
 from repro.sim import systems
 from repro.sim.machine import MachineConfig
 from repro.tune import build_space, space_names
-from tests.conftest import make_observation, quiet_fabric
+from tests.conftest import quiet_fabric
 
 
 def decision(stride=1, base=100, delta=0, tier="ssp"):
-    return PrefetchDecision(
-        tier=tier, base_vpn=base, per_offset_stride=stride, fixed_delta=delta
-    )
-
-
-def obs(stream_id=0):
-    return make_observation(list(range(100, 116)), stream_id=stream_id)
+    return (tier, base, stride, delta)
 
 
 class TestFinalize:
     def test_default_offset_and_intensity(self):
         engine = PolicyEngine()
-        targets = engine.finalize(decision(), obs())
+        targets = engine.finalize(decision(), 0)
         assert targets == (101,)  # base + 1*stride
         assert engine.requests_out == 1
 
     def test_intensity_emits_consecutive_offsets(self):
         engine = PolicyEngine(PolicyConfig(intensity=3))
-        targets = engine.finalize(decision(stride=2), obs())
+        targets = engine.finalize(decision(stride=2), 0)
         assert targets == (102, 104, 106)
         assert engine.requests_out == 3
 
     def test_negative_targets_dropped(self):
         engine = PolicyEngine(PolicyConfig(intensity=2))
-        assert engine.finalize(decision(stride=-60, base=50), obs()) == ()
+        assert engine.finalize(decision(stride=-60, base=50), 0) == ()
         assert engine.requests_out == 0
 
     def test_ladder_fixed_delta_applied_once(self):
         engine = PolicyEngine()
-        targets = engine.finalize(decision(stride=4, delta=1, tier="lsp"), obs())
+        targets = engine.finalize(decision(stride=4, delta=1, tier="lsp"), 0)
         assert targets == (100 + 1 + 4,)
 
     def test_offset_rounding(self):
-        engine = PolicyEngine()
-        engine._offsets[0] = 2.6
-        targets = engine.finalize(decision(), obs(stream_id=0))
-        assert targets == (103,)  # round(2.6) = 3
+        engine = PolicyEngine(PolicyConfig(alpha=0.6))
+        engine.report_timeliness(0, t_us=1.0, issued_us=0.0, now_us=1.0)
+        assert engine.offset_of(0) == pytest.approx(1.6)
+        assert engine.finalize(decision(), 0) == (102,)  # round(1.6) = 2
+        engine.report_timeliness(0, t_us=1.0, issued_us=2.0, now_us=3.0)
+        assert engine.offset_of(0) == pytest.approx(2.56)
+        assert engine.finalize(decision(), 0) == (103,)  # round(2.56) = 3
 
     def test_invalid_intensity(self):
         with pytest.raises(ValueError):
@@ -116,22 +113,15 @@ class TestOffsetAdaptation:
         assert engine.offset_of(1) > 1.0
         assert engine.offset_of(2) == 1.0
 
-    def test_forget_stream(self):
-        engine = PolicyEngine()
-        engine.report_timeliness(3, t_us=1.0, issued_us=0.0, now_us=1.0)
-        engine.forget_stream(3)
-        assert engine.offset_of(3) == 1.0
-
 
 class TestFinalizeAgainstTargetVpn:
-    """``finalize``'s arithmetic against ``decision.target_vpn(i)`` for
+    """``finalize``'s arithmetic against ``target_vpn(decision, i)`` for
     ``i`` over the stream's rounded offset and the next intensity - 1."""
 
     @pytest.mark.parametrize("intensity", [1, 2, 3, 4])
     def test_random_decisions_and_adapted_offsets(self, intensity):
         rng = random.Random(intensity)
         engine = PolicyEngine(PolicyConfig(intensity=intensity, alpha=0.3))
-        observations = [obs(stream_id) for stream_id in range(5)]
         now = 0.0
         negatives = adapted = 0
         for _ in range(3000):
@@ -141,20 +131,20 @@ class TestFinalizeAgainstTargetVpn:
                 # Late and early pages move the stream's offset.
                 t_us = rng.choice([1.0, 10.0, 1e5])
                 engine.report_timeliness(stream_id, t_us, now, now)
-            decision = PrefetchDecision(
-                tier=rng.choice(["ssp", "lsp", "rsp"]),
-                base_vpn=rng.randrange(0, 300),
-                per_offset_stride=rng.choice([-64, -9, -1, 0, 1, 2, 7, 64]),
-                fixed_delta=rng.randint(-20, 20),
+            decision = (
+                rng.choice(["ssp", "lsp", "rsp"]),
+                rng.randrange(0, 300),
+                rng.choice([-64, -9, -1, 0, 1, 2, 7, 64]),
+                rng.randint(-20, 20),
             )
             offset = max(1, round(engine.offset_of(stream_id)))
             adapted += offset > 1
-            every = [decision.target_vpn(i)
+            every = [target_vpn(decision, i)
                      for i in range(offset, offset + intensity)]
             want = tuple(vpn for vpn in every if vpn >= 0)
             negatives += len(want) < len(every)
             before = engine.requests_out
-            assert engine.finalize(decision, observations[stream_id]) == want
+            assert engine.finalize(decision, stream_id) == want
             assert engine.requests_out - before == len(want)
         assert negatives > 0 and adapted > 0
 

@@ -326,7 +326,7 @@ class TestLiveObservation:
         stt = StreamTrainingTable(history_len=8)
         obs = self._stream(stt, 8)
         decision = ThreeTierTrainer().train(obs)
-        assert decision.tier == "ssp"
+        assert decision[0] == "ssp"
         assert obs._vpn_history is None and obs._stride_history is None
 
     def test_view_tracks_stream_until_detached(self):

@@ -87,7 +87,7 @@ class TestHoppDataPlane:
         plane = HoppDataPlane(backend, HoppConfig(stt_history_len=8))
         drive_stream(plane, lambda ppn: RptEntry(pid=1, vpn=1000 + ppn))
         pid, vpn, _, _ = backend.requests[0]
-        plane.on_page_mapped(pid, vpn, now_us=100.0)
+        plane.executor.on_first_hit(pid, vpn, now_us=100.0)
         assert plane.executor.hits == 1
 
     def test_evicted_feedback_counts_waste(self):
@@ -97,7 +97,7 @@ class TestHoppDataPlane:
         plane = HoppDataPlane(backend, HoppConfig(stt_history_len=8))
         drive_stream(plane, lambda ppn: RptEntry(pid=1, vpn=1000 + ppn))
         pid, vpn, _, _ = backend.requests[0]
-        plane.on_page_evicted(pid, vpn)
+        plane.executor.on_evicted_unused(pid, vpn)
         assert plane.executor.wasted == 1
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.types import StreamObservation
+from repro.common.types import StreamObservation, target_vpn
 from repro.hopp import lsp, rsp, ssp
 from repro.hopp.ssp import dominant_stride
 from repro.hopp.rsp import ripple_score
@@ -38,18 +38,16 @@ class TestSSP:
     def test_negative_stride(self):
         obs = make_observation(list(range(116, 100, -1)))
         decision = ssp.train(obs)
-        assert decision is not None
-        assert decision.per_offset_stride == -1
-        assert decision.target_vpn(1) == 100
+        assert decision == ("ssp", 101, -1, 0)
+        assert target_vpn(decision, 1) == 100
 
     def test_simple_stream_decision(self):
         obs = make_observation([100 + 2 * i for i in range(16)])
         decision = ssp.train(obs)
-        assert decision.tier == "ssp"
-        assert decision.per_offset_stride == 2
-        assert decision.base_vpn == 130
+        # (tier, base_vpn, per_offset_stride, fixed_delta)
+        assert decision == ("ssp", 130, 2, 0)
         # VPN_history[L-1] + i*stride (Section III-D 2).
-        assert decision.target_vpn(3) == 136
+        assert target_vpn(decision, 3) == 136
 
     def test_interference_tolerated_up_to_half(self):
         # 10 of 15 strides are 1: dominant.
@@ -58,7 +56,7 @@ class TestSSP:
             vpns.append(vpns[-1] + (1 if i % 3 != 2 else 7))
         obs = make_observation(vpns)
         decision = ssp.train(obs)
-        assert decision is not None and decision.per_offset_stride == 1
+        assert decision is not None and decision[2] == 1
 
     def test_no_dominant_returns_none(self):
         obs = make_observation(ladder_vpns())
@@ -89,15 +87,14 @@ class TestLSPFigure2Example:
         # are a8-a7 and a4-a3 (equal by construction).
         stride_target = a[7] - a[6]
         pattern_stride = a[10] - a[6]  # a11 - a7
-        assert decision.fixed_delta == stride_target
-        assert decision.per_offset_stride == pattern_stride
+        assert decision == ("lsp", a[10], pattern_stride, stride_target)
         # Line 16: VPN_A + stride_target + i*pattern_stride.
-        assert decision.target_vpn(1) == a[10] + stride_target + pattern_stride
+        assert target_vpn(decision, 1) == a[10] + stride_target + pattern_stride
 
     def test_prediction_is_correct_future_access(self):
         obs = make_observation(self.history)
         decision = lsp.train(obs)
-        predicted = decision.target_vpn(0)
+        predicted = target_vpn(decision, 0)
         # offset 0 -> the immediate next access in the ladder.
         assert predicted == self.vpns[11]
 
@@ -121,7 +118,7 @@ class TestLSP:
         assert decision is not None
         # next strides after candidate occurrences (newest-first scan,
         # excluding target): ends 6 -> stride 1; 4 -> 5; 2 -> 5.
-        assert decision.fixed_delta == 5
+        assert decision[3] == 5
 
     def test_degenerate_zero_pattern_stride_rejected(self):
         # Identical VPN pattern positions would give pattern_stride 0.
@@ -129,7 +126,7 @@ class TestLSP:
         obs = make_observation(vpns)
         decision = lsp.train(obs)
         if decision is not None:
-            assert decision.per_offset_stride != 0
+            assert decision[2] != 0
 
     def test_majority_matches_counter_with_ties(self):
         rng = random.Random(8)
@@ -144,9 +141,8 @@ class TestRSPFigure3Example:
     def test_pure_stride_one_is_ripple(self):
         obs = make_observation(list(range(100, 116)))
         decision = rsp.train(obs)
-        assert decision is not None
-        assert decision.per_offset_stride == 1
-        assert decision.target_vpn(2) == 117
+        assert decision == ("rsp", 115, 1, 0)
+        assert target_vpn(decision, 2) == 117
 
     def test_out_of_order_ripple_detected(self):
         # Net stride 1 with local swaps: 1,3,2,4,6,5,7,9,8,10,12,11,...
@@ -158,7 +154,7 @@ class TestRSPFigure3Example:
         obs = make_observation(vpns[:16])
         decision = rsp.train(obs)
         assert decision is not None
-        assert decision.per_offset_stride == 1
+        assert decision[2] == 1
 
     def test_figure3_hop_and_return(self):
         """An access hops out of the stream and returns: the cumulative
@@ -191,20 +187,20 @@ class TestThreeTier:
         obs = make_observation(list(range(100, 116)))
         decision = trainer.train(obs)
         # Stride-1 is both a simple stream and a ripple: SSP wins.
-        assert decision.tier == "ssp"
+        assert decision[0] == "ssp"
         assert trainer.decisions_by_tier["ssp"] == 1
 
     def test_lsp_when_ssp_fails(self):
         trainer = ThreeTierTrainer()
         obs = make_observation(ladder_vpns(steps=4)[:16])
         decision = trainer.train(obs)
-        assert decision.tier == "lsp"
+        assert decision[0] == "lsp"
 
     def test_rsp_as_last_resort(self):
         trainer = ThreeTierTrainer(TierConfig(enable_ssp=False, enable_lsp=False))
         obs = make_observation(list(range(100, 116)))
         decision = trainer.train(obs)
-        assert decision.tier == "rsp"
+        assert decision[0] == "rsp"
 
     def test_no_decision_counted(self):
         trainer = ThreeTierTrainer()
@@ -238,7 +234,7 @@ class TestThreeTier:
         trainer = ThreeTierTrainer()
         decision = trainer.train(obs)
         if decision is not None:
-            assert decision.tier in ("ssp", "lsp", "rsp")
+            assert decision[0] in ("ssp", "lsp", "rsp")
 
 
 #: Every ``TierConfig.only`` combination, the empty one included.
@@ -305,7 +301,7 @@ class TestTrainerAgainstCascade:
                 if want is None:
                     none[0] += 1
                 else:
-                    by_tier[want.tier] += 1
+                    by_tier[want[0]] += 1
         for tiers, trainer in trainers.items():
             by_tier, none = expected[tiers]
             assert trainer.decisions_by_tier == by_tier

@@ -92,7 +92,7 @@ class TestDifferential:
             assert decision is not None
             # Ties between equally-frequent strides may break either
             # way; the chosen stride must itself be dominant.
-            chosen = decision.per_offset_stride
+            chosen = decision[2]
             assert Counter(strides)[chosen] >= L // 2
 
     @given(histories)
@@ -111,8 +111,8 @@ class TestDifferential:
                 assert decision is None
             else:
                 assert decision is not None
-                assert decision.fixed_delta == stride_target
-                assert decision.per_offset_stride == pattern_stride
+                assert decision[3] == stride_target
+                assert decision[2] == pattern_stride
 
     @given(histories)
     @settings(max_examples=200, deadline=None)
@@ -121,4 +121,4 @@ class TestDifferential:
         decision = rsp.train(obs)
         assert (decision is not None) == reference_rsp(strides)
         if decision is not None:
-            assert decision.per_offset_stride == 1
+            assert decision[2] == 1
