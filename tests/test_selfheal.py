@@ -495,6 +495,57 @@ class TestSanitizer:
                            match=r"\[residency\].*frames are allocated"):
             InvariantSanitizer(machine).check()
 
+    def test_detects_a_resident_page_off_the_lru(self):
+        machine = self._healthy_machine()
+        lru = machine._lru_of_pid(1)
+        pid, vpn = next(iter(lru))
+        lru.remove(pid, vpn)
+        with pytest.raises(InvariantViolation,
+                           match=r"\[lru\].*not on its cgroup's LRU"):
+            InvariantSanitizer(machine).check()
+
+    def test_detects_a_remote_page_on_the_lru(self):
+        machine = self._healthy_machine()
+        table = machine.page_table(1)
+        vpn = next(v for v, pte in table._entries.items()
+                   if pte.state is PteState.REMOTE)
+        machine._lru_of_pid(1).insert(1, vpn)
+        with pytest.raises(InvariantViolation,
+                           match=r"\[lru\].*whose PTE is REMOTE"):
+            InvariantSanitizer(machine).check()
+
+    def _hopp_machine(self):
+        workload = build("stream-simple", seed=7, npages=64, passes=3)
+        machine = runner.make_machine(workload, "hopp", 0.5, quiet_fabric(7))
+        machine.run(list(workload.trace()))
+        return machine
+
+    def test_rpt_check_reads_without_moving_anything(self):
+        machine = self._hopp_machine()
+        rpt = machine.hopp.rpt_cache
+
+        def state():
+            return (
+                [list(cached.items()) for cached in rpt._sets],
+                rpt.lookups, rpt.lookup_hits, rpt.dram_fills,
+                rpt.writebacks, rpt.backing.reads, rpt.backing.writes,
+            )
+
+        before = state()
+        InvariantSanitizer(machine).check()
+        assert state() == before
+
+    def test_detects_a_drifted_rpt_line(self):
+        machine = self._hopp_machine()
+        table = machine.page_table(machine.hopp.stt.streams()[0].pid)
+        vpn, pte = next((v, p) for v, p in table._entries.items()
+                        if p.state is PteState.PRESENT)
+        rpt = machine.hopp.rpt_cache
+        rpt._sets[pte.ppn % rpt.nsets][pte.ppn] = (table.pid, vpn + 1, False, 0)
+        with pytest.raises(InvariantViolation,
+                           match=rf"\[rpt\] frame {pte.ppn} of"):
+            InvariantSanitizer(machine).check()
+
     def test_runner_flag_counts_sweeps(self):
         workload = build("quicksort", seed=1)
         result = runner.run(
