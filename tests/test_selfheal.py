@@ -17,6 +17,8 @@ Proves the properties the recovery layer must hold:
   typed :class:`InvariantViolation` naming the broken structure.
 """
 
+import heapq
+
 import pytest
 
 from repro.cluster import (
@@ -512,6 +514,55 @@ class TestSanitizer:
         machine._lru_of_pid(1).insert(1, vpn)
         with pytest.raises(InvariantViolation,
                            match=r"\[lru\].*whose PTE is REMOTE"):
+            InvariantSanitizer(machine).check()
+
+    def _prefetched_machine(self):
+        """A healthy machine with one page prefetched into the
+        swapcache and still in flight; returns it, the page's vpn and
+        its PTE."""
+        machine = self._healthy_machine()
+        table = machine.page_table(1)
+        vpn = next(v for v, pte in table._entries.items()
+                   if pte.state is PteState.REMOTE)
+        assert machine.prefetch_page(1, vpn, machine.now_us, False, "test")
+        pte = table.peek(vpn)
+        assert pte.state is PteState.INFLIGHT
+        InvariantSanitizer(machine).check()
+        return machine, vpn, pte
+
+    def test_detects_a_stale_arrival(self):
+        machine, vpn, pte = self._prefetched_machine()
+        arrival = machine._arrivals[0]
+        machine._process_arrivals(pte.arrival_us)
+        assert pte.state is PteState.SWAPCACHE
+        heapq.heappush(machine._arrivals, arrival)
+        with pytest.raises(InvariantViolation,
+                           match=rf"\[arrivals\].*vpn={vpn}\) whose PTE "
+                                 r"is SWAPCACHE"):
+            InvariantSanitizer(machine).check()
+
+    def test_detects_an_arrival_due_off_its_page(self):
+        machine, vpn, pte = self._prefetched_machine()
+        pte.arrival_us += 1.0
+        with pytest.raises(InvariantViolation,
+                           match=r"\[arrivals\].*but its arrival is queued"):
+            InvariantSanitizer(machine).check()
+
+    def test_detects_an_inflight_page_without_an_arrival(self):
+        machine, vpn, pte = self._prefetched_machine()
+        machine._arrivals.clear()
+        with pytest.raises(InvariantViolation,
+                           match=rf"\[arrivals\].*vpn={vpn}\) is INFLIGHT "
+                                 r"with no pending arrival"):
+            InvariantSanitizer(machine).check()
+
+    def test_detects_an_unflagged_swapcache_page(self):
+        machine, vpn, pte = self._prefetched_machine()
+        machine._process_arrivals(pte.arrival_us)
+        InvariantSanitizer(machine).check()
+        pte.prefetched = False
+        with pytest.raises(InvariantViolation,
+                           match=rf"\[prefetch\].*vpn={vpn}\) is SWAPCACHE"):
             InvariantSanitizer(machine).check()
 
     def _hopp_machine(self):
