@@ -35,7 +35,7 @@ class ExecutionEngine:
     def __init__(
         self,
         backend: PrefetchBackend,
-        policy: Optional[PolicyEngine] = None,
+        policy: PolicyEngine,
         inject_pte: bool = True,
         breaker: Optional[CircuitBreaker] = None,
     ) -> None:
@@ -125,8 +125,7 @@ class ExecutionEngine:
         self.timeliness.add(t_us)
         if self.bus is not None:
             self.bus.emit(EV_TIMELINESS, now_us, t_us=t_us, tier=tier)
-        if self.policy is not None:
-            self.policy.report_timeliness(stream_id, t_us, issued_us, now_us)
+        self.policy.report_timeliness(stream_id, t_us, issued_us, now_us)
 
     def on_evicted_unused(self, pid: int, vpn: int) -> None:
         """A prefetched page left local memory without ever being hit —

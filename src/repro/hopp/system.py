@@ -169,9 +169,9 @@ class HoppDataPlane:
             return
         pid, vpn, _, _ = entry
         if self._memtier is not None:
-            # Hardware said this page is hot; the migration engine will
-            # promote its remote copy poolward if it sits in the far tier.
-            self._memtier.note_hot(pid, vpn, timestamp_us)
+            # Hardware said this page is hot: its next writeback goes
+            # poolward (or queues a promotion if it lands far).
+            self._memtier.note_hot(pid, vpn)
         observation = self.stt.feed(pid, vpn, timestamp_us)
         if observation is None:
             return
@@ -190,15 +190,3 @@ class HoppDataPlane:
         targets = self.policy.finalize(decision, stream_id)
         if targets:
             self.executor.submit(pid, targets, tier, stream_id, timestamp_us)
-
-    # -- fault-injection visibility ------------------------------------------------------
-
-    def on_prefetch_dropped(self, now_us: float) -> None:
-        """A prefetch READ (any tier, any issue path) lost its completion
-        to an injected fault: count it and trip the breaker toward open."""
-        self.executor.on_fabric_drop(now_us)
-
-    def on_fabric_timeout(self, now_us: float) -> None:
-        """A demand READ timed out (it will be retried with backoff);
-        the breaker treats it as evidence the fabric is hostile."""
-        self.executor.on_fabric_drop(now_us)

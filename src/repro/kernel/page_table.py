@@ -23,7 +23,8 @@ class PteState(enum.IntEnum):
     SWAPCACHE  resident in the local swapcache but *not* mapped: the next
                access takes a fault that resolves as a prefetch-hit
                (Section II-C's 2.3 us path).
-    INFLIGHT   a demand or prefetch read is outstanding on the fabric.
+    INFLIGHT   a prefetch read is outstanding on the fabric (a demand
+               read completes within its fault).
     REMOTE     swapped out to the remote memory node.
     """
 
@@ -82,38 +83,25 @@ class PageTable:
     def peek(self, vpn: int) -> Optional[Pte]:
         return self._entries.get(vpn)
 
-    def map_page(
-        self, vpn: int, ppn: int, pte: Optional[Pte] = None, injected: bool = False
-    ) -> Pte:
-        """Set the present bit: VPN now maps to local frame ``ppn``.
-
-        ``pte`` is ``vpn``'s entry when the caller holds it already.
-        The RPT learns the mapping as a plain ``(pid, vpn, shared,
-        kind)`` tuple, the layout :class:`~repro.common.types.RptEntry`
-        names.
+    def map_page(self, vpn: int, ppn: int, pte: Pte, injected: bool = False) -> None:
+        """Set the present bit: ``vpn``, whose entry is ``pte``, now maps
+        to local frame ``ppn``.  The RPT learns the mapping as a plain
+        ``(pid, vpn, shared, kind)`` tuple, the layout
+        :class:`~repro.common.types.RptEntry` names.
         """
-        if pte is None:
-            pte = self.entry(vpn)
         pte.state = PteState.PRESENT
         pte.ppn = ppn
         pte.injected = injected
         if self.rpt is not None:
             self.rpt.update(ppn, (self.pid, vpn, pte.shared, pte.kind))
-        return pte
 
-    def unmap_page(self, vpn: int, pte: Optional[Pte] = None) -> Optional[Pte]:
+    def unmap_page(self, vpn: int, pte: Pte) -> None:
         """Clear the present bit (reclaim path) and the frame's RPT
-        entry.  A caller that passes ``vpn``'s ``pte`` vouches that it
-        is PRESENT; otherwise a page that is not is left alone (None)."""
-        if pte is None:
-            pte = self._entries.get(vpn)
-            if pte is None or pte.state != PteState.PRESENT:
-                return None
+        entry; ``pte`` is ``vpn``'s entry, which must be PRESENT."""
         ppn = pte.ppn
         pte.ppn = -1
         if self.rpt is not None:
             self.rpt.update(ppn, None)
-        return pte
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -26,24 +26,20 @@ class LruPageList:
 
     The left end is least-recently-used; ``insert`` places pages at the
     MRU (right) end like Linux's lru_cache_add, ``touch`` refreshes.
+    The lists hold exactly the PRESENT and SWAPCACHE pages (sanitizer
+    check 7), so no method tests membership but ``demote``: ``insert``
+    adds an unlisted page, and ``touch``, ``touch_each`` and ``remove``
+    name a listed one.
     """
 
     def __init__(self) -> None:
         self._pages: "OrderedDict[PageKey, None]" = OrderedDict()
 
     def insert(self, pid: int, vpn: int) -> None:
-        key = (pid, vpn)
-        if key in self._pages:
-            self._pages.move_to_end(key)
-        else:
-            self._pages[key] = None
+        self._pages[(pid, vpn)] = None
 
-    def touch(self, pid: int, vpn: int) -> bool:
-        key = (pid, vpn)
-        if key in self._pages:
-            self._pages.move_to_end(key)
-            return True
-        return False
+    def touch(self, pid: int, vpn: int) -> None:
+        self._pages.move_to_end((pid, vpn))
 
     def touch_each(self, pid: int, vpns: Iterable[int]) -> None:
         """``touch(pid, vpn)`` for every vpn in order, as one C-level

@@ -18,31 +18,21 @@ class SwapSpace:
     def __init__(self) -> None:
         self._next_slot = 0
         self._slot_to_page: Dict[int, Tuple[int, int]] = {}
-        self._page_to_slot: Dict[Tuple[int, int], int] = {}
 
     def allocate(self, pid: int, vpn: int) -> int:
-        """Assign the next slot to (pid, vpn); re-evicting a page gets a
-        fresh slot, just like Linux after the old one was faulted back."""
-        page = (pid, vpn)
-        old = self._page_to_slot.pop(page, None)
-        if old is not None:
-            self._slot_to_page.pop(old, None)
+        """Assign the next slot to (pid, vpn), which holds no live slot:
+        a local page freed it when mapped or, in the swapcache, before
+        its writeback.  Re-evicting a page so gets a fresh slot."""
         slot = self._next_slot
         self._next_slot = slot + 1
-        self._slot_to_page[slot] = page
-        self._page_to_slot[page] = slot
+        self._slot_to_page[slot] = (pid, vpn)
         return slot
 
     def free(self, slot: int) -> None:
-        page = self._slot_to_page.pop(slot, None)
-        if page is not None:
-            self._page_to_slot.pop(page, None)
+        self._slot_to_page.pop(slot, None)
 
     def page_at(self, slot: int) -> Optional[Tuple[int, int]]:
         return self._slot_to_page.get(slot)
-
-    def slot_of(self, pid: int, vpn: int) -> Optional[int]:
-        return self._page_to_slot.get((pid, vpn))
 
     def neighbors(self, slot: int, before: int, after: int) -> List[Tuple[int, int]]:
         """Live pages in slots [slot-before, slot+after], excluding

@@ -16,7 +16,10 @@ Hotness signals, both cheap and deterministic:
 * **HPD hints** — with ``hot_promote`` on, the HoPP data plane forwards
   every resolved hot-page detection (the paper's HPD -> RPT pipeline)
   into :meth:`note_hot`.  This is the co-design point: the same
-  hardware hotness signal that drives prefetch drives tiering.
+  hardware hotness signal that drives prefetch drives tiering.  HPD
+  sees only accesses that reach DRAM, so a hinted page is resident.
+
+Neither signal moves a page: hotness acts at the page's next writeback.
 
 Migration mechanics copy the repair engine's discipline exactly: one
 rate-limited page copy per pump (called only from remote-event paths —
@@ -34,8 +37,8 @@ Promotion flows:
 
 * hot pages writing back land poolward directly (the ``tiered``
   placement policy consults :meth:`is_hot` — no transfer needed);
-* hot pages already *resident in the far tier* (written back cold, or
-  hinted by HPD while remote) queue a promote task;
+* a hot page whose writeback lands in the far tier (the pool had no
+  room) queues a promote task (:meth:`note_writeback`);
 * pool -> local needs no engine at all: it is the ordinary demand
   fault, just at CXL latency.
 
@@ -123,19 +126,14 @@ class MigrationEngine:
         """Whether a page is currently considered hot (placement input)."""
         return (pid, vpn) in self._hot
 
-    def note_hot(self, pid: int, vpn: int, now_us: float = 0.0) -> None:
-        """HPD hot-page hint from the HoPP data plane.  If the page is
-        currently resident in the far tier, queue its promotion."""
+    def note_hot(self, pid: int, vpn: int) -> None:
+        """HPD hot-page hint from the HoPP data plane.  The page is
+        resident, so the hint only marks it hot, for placement and
+        :meth:`note_writeback` to act on at its next writeback."""
         if not self.config.hot_promote:
             return
         self.hot_hints += 1
         self._mark_hot((pid, vpn))
-        slot = self.swap_space.slot_of(pid, vpn)
-        if slot is None:
-            return
-        holders = self.cluster.holders_of(slot)
-        if holders and self.cluster.nodes[holders[0]].tier == TIER_FAR:
-            self._enqueue(("promote", slot, -1))
 
     def note_demand_read(
         self, node: "ClusterNode", pid: int, vpn: int, now_us: float

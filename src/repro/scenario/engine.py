@@ -328,7 +328,9 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         "admission": controller.export(),
         "shedding": {
             "prefetch_throttled": machine.prefetch_throttled,
-            "prefetch_overlimit_rejects": machine.prefetch_overlimit_rejects,
+            "prefetch_overlimit_rejects": sum(
+                group.overlimit_rejects for group in machine.cgroups
+            ),
             "deprioritized_pids": len(machine.deprioritized_pids),
         },
         "fatal": {

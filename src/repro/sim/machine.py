@@ -16,7 +16,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.baselines.base import FaultTimePrefetcher
+from repro.baselines.base import FaultTimePrefetcher, NoPrefetch
 from repro.cluster.backend import RemoteBackend
 from repro.cluster.cluster import ClusterConfig
 from repro.common.constants import (
@@ -152,7 +152,8 @@ class Machine:
         fault_prefetcher: Optional[FaultTimePrefetcher] = None,
     ) -> None:
         self.config = config
-        self.fault_prefetcher = fault_prefetcher
+        #: The fault-path prefetcher: demand paging only by default.
+        self.fault_prefetcher = fault_prefetcher or NoPrefetch()
         #: The HoPP data plane, wired after construction because it
         #: needs the built machine as its backend (``systems._hopp``).
         self.hopp: Optional[HoppDataPlane] = None
@@ -223,10 +224,8 @@ class Machine:
         # Overload-shedding counters (all exactly 0 unless a scenario
         # engine installs its hooks or enables the strict/absorb modes).
         #: Prefetches refused by the admission gate (load shedding).
+        #: Strict-charge refusals are the cgroups' ``overlimit_rejects``.
         self.prefetch_throttled = 0
-        #: Prefetches refused because the strict cgroup charge would
-        #: cross the tenant's budget.
-        self.prefetch_overlimit_rejects = 0
         #: Demand faults resolved with a zero-filled frame after the
         #: retry budget died (``absorb_fatal_faults``).
         self.fatal_faults_absorbed = 0
@@ -441,25 +440,24 @@ class Machine:
             + T_RECLAIM_CRITICAL_RESIDUE_US
         )
         self.breakdown.remote_fault_us += cost
-        if self.fault_prefetcher is not None:
-            fault_time = self.now_us + cost
-            targets = self.fault_prefetcher.on_fault(
-                pid, vpn, slot, fault_time, self
-            )
-            inject = self.fault_prefetcher.inject_pte
-            tier = self.fault_prefetcher.name
-            issued = 0
-            for target_pid, target_vpn in targets:
-                if (
-                    self.prefetch_page(target_pid, target_vpn, fault_time, inject, tier)
-                    is not None
-                ):
-                    issued += 1
-            # Posting prefetch reads from the fault handler is critical-
-            # path work (Section II-A step 3 repeats per window page).
-            issue_cost = issued * T_PREFETCH_ISSUE_US
-            cost += issue_cost
-            self.breakdown.remote_fault_us += issue_cost
+        prefetcher = self.fault_prefetcher
+        fault_time = self.now_us + cost
+        targets = prefetcher.on_fault(pid, vpn, slot, fault_time, self)
+        inject = prefetcher.inject_pte
+        tier = prefetcher.name
+        issued = 0
+        for target_pid, target_vpn in targets:
+            if (
+                self.prefetch_page(target_pid, target_vpn, fault_time, inject, tier)
+                is not None
+            ):
+                issued += 1
+        # Posting prefetch reads from the fault handler is critical-path
+        # work (Section II-A step 3 repeats per window page).  With no
+        # targets this adds 0.0, which leaves every float as it was.
+        issue_cost = issued * T_PREFETCH_ISSUE_US
+        cost += issue_cost
+        self.breakdown.remote_fault_us += issue_cost
         if self.telemetry is not None:
             self.telemetry.bus.emit(
                 EV_DEMAND_FAULT,
@@ -506,11 +504,11 @@ class Machine:
         if self.config.strict_cgroup_prefetch and cgroup.charge_prefetch:
             # Strict mode: a prefetch must fit the budget's *existing*
             # headroom — it never reclaims resident pages to make room
-            # for itself.  Refuse before any fabric traffic.
+            # for itself.  Refuse before any fabric traffic; the cgroup
+            # counts the refusal.
             try:
                 cgroup.charge(1, prefetch=True, strict=True)
             except CgroupOverLimitError:
-                self.prefetch_overlimit_rejects += 1
                 return None
         else:
             # _ensure_headroom's own test, made here: most targets fit.
@@ -616,7 +614,6 @@ class Machine:
                     try:
                         cgroup.charge(1, prefetch=True, strict=True)
                     except CgroupOverLimitError:
-                        self.prefetch_overlimit_rejects += 1
                         continue
                 else:
                     self._ensure_headroom(pid)
@@ -649,10 +646,9 @@ class Machine:
         while arrivals and arrivals[0][0] <= upto_us:
             arrival, _, pid, vpn = heapq.heappop(arrivals)
             table = tables[pid]
-            # The prefetch that queued this arrival made the PTE.
+            # The prefetch that queued this arrival made the PTE, which
+            # stays INFLIGHT until now (sanitizer check 9).
             pte = table._entries[vpn]
-            if pte.state is not PteState.INFLIGHT:
-                continue
             if pte.injected:
                 # Early PTE injection: map immediately, no future fault.
                 table.map_page(vpn, pte.ppn, pte, injected=True)
@@ -677,7 +673,7 @@ class Machine:
         self.dropped_prefetches += count
         self.dropped_by_tier[tier] = self.dropped_by_tier.get(tier, 0) + count
         if self.hopp is not None:
-            self.hopp.on_prefetch_dropped(now_us)
+            self.hopp.executor.on_fabric_drop(now_us)
         if self.telemetry is not None:
             bus = self.telemetry.bus
             bus.emit(EV_PREFETCH_ISSUE, now_us, **issue)
@@ -686,8 +682,8 @@ class Machine:
     # -- prefetch-hit accounting --------------------------------------------------------
 
     def _count_prefetch_hit(self, pid: int, vpn: int, pte: Pte, kind: str) -> None:
-        if not pte.prefetched:
-            return
+        """Count the first touch of a prefetched page; every SWAPCACHE
+        and INFLIGHT page carries ``prefetched`` (sanitizer check 9)."""
         pte.prefetched = False
         tier = pte.prefetch_tier
         self.hits_by_tier[tier] = self.hits_by_tier.get(tier, 0) + 1
@@ -708,10 +704,7 @@ class Machine:
             )
         if self.hopp is not None:
             self.hopp.executor.on_first_hit(pid, vpn, self.now_us)
-        if (
-            self.fault_prefetcher is not None
-            and tier == self.fault_prefetcher.name
-        ):
+        if tier == self.fault_prefetcher.name:
             self.fault_prefetcher.on_prefetch_hit(pid, vpn, self.now_us, self)
 
     # -- reclaim -----------------------------------------------------------------------
@@ -803,10 +796,7 @@ class Machine:
                 )
             if self.hopp is not None:
                 self.hopp.executor.on_evicted_unused(pid, vpn)
-            if (
-                self.fault_prefetcher is not None
-                and pte.prefetch_tier == self.fault_prefetcher.name
-            ):
+            if pte.prefetch_tier == self.fault_prefetcher.name:
                 self.fault_prefetcher.on_prefetch_wasted(pid, vpn)
         return clean
 
@@ -835,7 +825,7 @@ class Machine:
         """A demand READ timed out and will be retried: the HoPP
         breaker counts it as evidence the fabric is hostile."""
         if self.hopp is not None:
-            self.hopp.on_fabric_timeout(now_us)
+            self.hopp.executor.on_fabric_drop(now_us)
 
     # -- end of run ---------------------------------------------------------------------
 

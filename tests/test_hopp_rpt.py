@@ -136,9 +136,10 @@ class TestRptMaintainer:
         cache = RptCache(backing, size_kb=1, ways=4)
         table = PageTable(pid=9)
         table.rpt = cache
-        table.map_page(100, 5)
+        pte = table.entry(100)
+        table.map_page(100, 5, pte)
         assert cache.lookup(5) == RptEntry(pid=9, vpn=100)
-        table.unmap_page(100)
+        table.unmap_page(100, pte)
         assert cache.lookup(5) is None
         assert cache.lookup_hits == 2
 
@@ -150,7 +151,7 @@ class TestRptMaintainer:
         pte = table.entry(55)
         pte.kind = PageKind.HUGE_2M
         pte.shared = True
-        table.map_page(55, 8)
+        table.map_page(55, 8, pte)
         pid, vpn, shared, kind = cache.lookup(8)
         assert (pid, vpn) == (1, 55)
         assert kind == PageKind.HUGE_2M

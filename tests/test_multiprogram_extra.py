@@ -107,12 +107,8 @@ class TestStrictPrefetchCharging:
 
     def test_overlimit_prefetches_rejected_and_counted(self):
         machine = self._corun_machine(strict=True)
-        assert machine.prefetch_overlimit_rejects > 0
-        # The machine counter is exactly the sum of the per-cgroup
-        # strict-reject counters: every refusal is attributed.
-        assert machine.prefetch_overlimit_rejects == sum(
-            group.overlimit_rejects for group in machine.cgroups
-        )
+        # Each refusal is counted once, by the tenant's cgroup.
+        assert sum(group.overlimit_rejects for group in machine.cgroups) > 0
         # Every cgroup respected the accounting identity: prefetch
         # charging never pushed it past its limit.
         for group in machine.cgroups:
@@ -125,7 +121,6 @@ class TestStrictPrefetchCharging:
 
     def test_default_mode_charges_over_limit_instead(self):
         machine = self._corun_machine(strict=False)
-        assert machine.prefetch_overlimit_rejects == 0
         assert all(g.overlimit_rejects == 0 for g in machine.cgroups)
 
     def test_run_corun_exposes_the_strict_knob(self):
