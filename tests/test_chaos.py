@@ -14,6 +14,7 @@ Proves four properties the framework must hold:
 
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -32,7 +33,7 @@ from repro.net.faults import (
     Window,
 )
 from repro.net.rdma import RdmaFabric
-from repro.sim import runner
+from repro.sim import runner, systems
 from repro.sim.machine import Machine, MachineConfig, RunEnv
 from repro.sim.metrics import RunResult
 from repro.workloads import build
@@ -353,6 +354,36 @@ class TestResilientDemandPath:
         empty = runner.run(_workload(), "hopp", 0.5, quiet_fabric(),
                            env=RunEnv(fault_plan=FaultPlan()))
         assert clean.to_dict() == empty.to_dict()
+
+
+class TestAbsorbFatalFaults:
+    """``absorb_fatal_faults`` (the scenario engine's never-crash mode):
+    a demand read whose retry budget dies resolves with a zero-filled
+    frame, and a writeback that cannot land abandons its eviction and
+    keeps the page resident; every structure still agrees."""
+
+    def test_fatal_faults_and_writebacks_absorbed_under_chaos(self):
+        workload = build("quicksort", seed=1)
+        spec = systems.build("hopp")
+        machine = spec.build(MachineConfig(
+            local_memory_pages=math.ceil(workload.footprint_pages * 0.5),
+            fabric=quiet_fabric(),
+            compute_us_per_access=workload.compute_us_per_access,
+            demand_retry_limit=0,
+            absorb_fatal_faults=True,
+            env=RunEnv(fault_plan=FaultPlan.chaos(7), check_invariants=True),
+        ))
+        for process in workload.processes:
+            machine.register_process(process.pid, process.cgroup)
+            for start_vpn, npages, name in process.vmas:
+                machine.add_vma(process.pid, start_vpn, npages, name)
+        machine.run(workload.trace())
+        machine.flush_recovery()  # ends with the sanitizer's last sweep
+        assert machine.fatal_faults_absorbed > 0
+        assert machine.writebacks_abandoned > 0
+        assert machine.sanitizer.checks_run > 0
+        for node in machine.cluster.nodes:
+            assert node.remote.conserved, node.remote.stats_snapshot()
 
 
 class TestConservationUnderChaos:

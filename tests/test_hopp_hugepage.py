@@ -1,10 +1,16 @@
 """Tests for the Section IV huge-page batch prefetching extension."""
 
+import random
+
 import pytest
 
 from repro.hopp.hugepage import HugePageBatcher
 from repro.kernel.page_table import PteState
-from repro.sim.machine import Machine, MachineConfig
+from repro.net.faults import FaultPlan
+from repro.sim import runner, systems
+from repro.sim.machine import Machine, MachineConfig, RunEnv
+from repro.sim.multiprogram import build_corun_machine, interleave_traces
+from repro.workloads import build
 from tests.conftest import quiet_fabric, touch_pages
 
 
@@ -170,3 +176,77 @@ class TestHoppHugeSystem:
         huge = repro.run(wl, "hopp-huge", 0.75, quiet_fabric())
         assert huge.completion_time_us <= hopp.completion_time_us * 1.05
         assert huge.prefetch_wasted <= hopp.prefetch_wasted + 32
+
+
+class TestBatchRefusals:
+    """hopp-huge runs that reach each way ``Machine.prefetch_batch``
+    turns pages away, with the sanitizer armed throughout."""
+
+    def _stream(self):
+        return build("stream-simple", npages=1500, passes=2)
+
+    def test_dropped_batches_are_counted_and_unwound(self):
+        # Every prefetch READ loses its completion for the whole run.
+        workload = self._stream()
+        plan = FaultPlan(prefetch_down=((0.0, 1e12),))
+        machine = runner.make_machine(
+            workload, "hopp-huge", 0.75, quiet_fabric(),
+            env=RunEnv(fault_plan=plan, check_invariants=True),
+        )
+        machine.run(workload.trace())
+        machine.flush_recovery()
+        dropped = machine.dropped_by_tier.get("huge", 0)
+        assert dropped > 0
+        assert machine.issued_by_tier["huge"] == dropped
+        assert "huge" not in machine.hits_by_tier
+        assert machine.sanitizer.checks_run > 0
+
+    def test_admission_gate_refuses_whole_batches(self):
+        workload = self._stream()
+        machine = runner.make_machine(
+            workload, "hopp-huge", 0.75, quiet_fabric(),
+            env=RunEnv(check_invariants=True),
+        )
+        machine.prefetch_admission = lambda pid, tier, now_us: tier != "huge"
+        machine.run(workload.trace())
+        machine.flush_recovery()
+        # Only the batch path asks for tier "huge": every throttled page
+        # is one of its pages, and none was issued.
+        assert machine.prefetch_throttled > 0
+        assert "huge" not in machine.issued_by_tier
+        assert machine.sanitizer.checks_run > 0
+
+    def test_strict_co_run_refuses_batch_pages_past_the_budget(self):
+        apps = [build("stream-simple", seed=s, npages=600, passes=2)
+                for s in (1, 2)]
+        config = MachineConfig(
+            local_memory_pages=sum(app.footprint_pages for app in apps),
+            fabric=quiet_fabric(),
+            strict_cgroup_prefetch=True,
+            env=RunEnv(check_invariants=True),
+        )
+        machine, traces = build_corun_machine(
+            apps, systems.build("hopp-huge"), 0.5, config
+        )
+        batch = machine.prefetch_batch
+        refused_in_batches = 0
+
+        def counted_batch(*args, **kwargs):
+            # The strict refusals the cgroups count inside one batch.
+            nonlocal refused_in_batches
+            before = sum(group.overlimit_rejects for group in machine.cgroups)
+            arrival = batch(*args, **kwargs)
+            refused_in_batches += (
+                sum(group.overlimit_rejects for group in machine.cgroups)
+                - before
+            )
+            return arrival
+
+        machine.prefetch_batch = counted_batch
+        machine.run(interleave_traces(traces, random.Random(5)))
+        machine.flush_recovery()
+        assert refused_in_batches > 0
+        assert machine.issued_by_tier["huge"] > 0
+        for group in machine.cgroups:
+            assert group.charged <= group.limit_pages
+        assert machine.sanitizer.checks_run > 0
