@@ -40,7 +40,7 @@ def show(decision) -> str:
         return "None"
     tier, base_vpn, per_offset_stride, fixed_delta = decision
     return (
-        f"PrefetchDecision(tier={tier!r}, base_vpn={base_vpn}, "
+        f"Decision(tier={tier!r}, base_vpn={base_vpn}, "
         f"per_offset_stride={per_offset_stride}, fixed_delta={fixed_delta})"
     )
 

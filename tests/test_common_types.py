@@ -36,7 +36,7 @@ class TestConstants:
         assert constants.HPD_SETS * constants.HPD_WAYS == 64
 
 
-class TestPrefetchDecision:
+class TestTargetVpn:
     """A decision is ``(tier, base_vpn, per_offset_stride, fixed_delta)``."""
 
     def test_simple_stream_target(self):
