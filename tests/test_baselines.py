@@ -29,7 +29,7 @@ class TestNoPrefetch:
 class TestFastswap:
     def test_prefetches_swap_slot_neighbors(self):
         machine = StubMachine()
-        slots = {vpn: machine.swap_space.allocate(1, vpn) for vpn in range(20)}
+        slots = {vpn: machine.swap_space.allocate([(1, vpn)]) for vpn in range(20)}
         prefetcher = FastswapPrefetcher(initial_window=8, max_window=8)
         targets = prefetcher.on_fault(1, 10, slots[10], 0.0, machine)
         # Window 8 around slot 10 (slots == vpns here by allocation order).
@@ -75,7 +75,7 @@ class TestFastswap:
         machine = StubMachine()
         # Pages evicted in interleaved order: 0, 100, 1, 101, 2, 102 ...
         order = [vpn for pair in zip(range(5), range(100, 105)) for vpn in pair]
-        slots = {vpn: machine.swap_space.allocate(1, vpn) for vpn in order}
+        slots = {vpn: machine.swap_space.allocate([(1, vpn)]) for vpn in order}
         prefetcher = FastswapPrefetcher(initial_window=2)
         targets = prefetcher.on_fault(1, 1, slots[1], 0.0, machine)
         # Neighbors in slot space are from the *other* stream.

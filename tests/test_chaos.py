@@ -15,6 +15,7 @@ Proves four properties the framework must hold:
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.exec.cache import cache_key
 from repro.exec.spec import RunSpec
 from repro.hopp.policy import BreakerConfig, BreakerState, CircuitBreaker
 from repro.hopp.system import HoppConfig, HoppDataPlane
+from repro.kernel.page_table import PteState
 from repro.net.faults import (
     DegradedEpoch,
     FaultInjector,
@@ -384,6 +386,36 @@ class TestAbsorbFatalFaults:
         assert machine.sanitizer.checks_run > 0
         for node in machine.cluster.nodes:
             assert node.remote.conserved, node.remote.stats_snapshot()
+
+
+    def test_an_abandoned_writeback_mid_batch_spares_the_later_victims(self):
+        # Every writeback gets one attempt, and half of them time out.
+        plan = replace(FaultPlan.chaos(7), write_timeout_probability=0.5)
+        machine = Machine(MachineConfig(
+            local_memory_pages=256,
+            fabric=quiet_fabric(),
+            demand_retry_limit=0,
+            absorb_fatal_faults=True,
+            env=RunEnv(fault_plan=plan, check_invariants=True),
+        ))
+        machine.register_process(1)
+        touch_pages(machine, 1, range(256))
+        lru = machine._lru_of_pid(1)
+        victims = list(lru)[:24]
+        abandoned_before = machine.writebacks_abandoned
+        machine._evict(victims)
+        table = machine.page_table(1)
+        states = [table.peek(vpn).state for _, vpn in victims]
+        kept = [key for key, state in zip(victims, states)
+                if state is PteState.PRESENT]
+        assert kept and PteState.REMOTE in states[states.index(PteState.PRESENT):]
+        assert set(states) == {PteState.PRESENT, PteState.REMOTE}
+        assert machine.writebacks_abandoned - abandoned_before == len(kept)
+        # The abandoned pages rejoined the LRU at its hot end, in order.
+        assert list(lru)[-len(kept):] == kept
+        for node in machine.cluster.nodes:
+            assert node.remote.conserved, node.remote.stats_snapshot()
+        machine.sanitizer.check()
 
 
 class TestConservationUnderChaos:

@@ -62,8 +62,7 @@ def _corrupt_cluster(nodes=3, replication=2, plan=None, capacity=1024):
 
 def _stored(cluster, slot, pid, vpn):
     """Writeback ``slot`` through the directory (all replicas)."""
-    for node in cluster.assign(slot, pid, vpn):
-        node.remote.write(slot, pid, vpn)
+    cluster.assign(slot, [(pid, vpn)])
 
 
 def _machine(plan=None, nodes=2, replication=1, local_pages=16,
@@ -268,7 +267,7 @@ class TestIntegrityController:
     def test_repair_rewrites_from_the_clean_replica(self):
         cluster = _corrupt_cluster(nodes=3, replication=2)
         swap = SwapSpace()
-        slot = swap.allocate(1, 100)
+        slot = swap.allocate([(1, 100)])
         _stored(cluster, slot, 1, 100)
         bad_id, clean_id = cluster.holders_of(slot)
         bad = cluster.nodes[bad_id]
@@ -286,7 +285,7 @@ class TestIntegrityController:
     def test_no_clean_copy_poisons_the_slot(self):
         cluster = _corrupt_cluster(nodes=3, replication=2)
         swap = SwapSpace()
-        slot = swap.allocate(1, 100)
+        slot = swap.allocate([(1, 100)])
         _stored(cluster, slot, 1, 100)
         for node_id in cluster.holders_of(slot):
             cluster.nodes[node_id].remote.checksums._bad[slot] = 10.0
@@ -307,7 +306,7 @@ class TestIntegrityController:
     def test_release_discards_the_poison_mark(self):
         cluster = _corrupt_cluster(nodes=2, replication=1)
         swap = SwapSpace()
-        slot = swap.allocate(1, 100)
+        slot = swap.allocate([(1, 100)])
         _stored(cluster, slot, 1, 100)
         cluster.mark_poisoned(slot)
         assert cluster.is_poisoned(slot)
@@ -346,7 +345,7 @@ class TestPatrolScrubber:
         cluster = _corrupt_cluster(nodes=2, replication=2)
         swap = SwapSpace()
         for vpn in (100, 101, 102):
-            slot = swap.allocate(1, vpn)
+            slot = swap.allocate([(1, vpn)])
             _stored(cluster, slot, 1, vpn)
         controller = IntegrityController(cluster, swap)
         scrubber = PatrolScrubber(cluster, controller, ScrubConfig())
@@ -362,7 +361,7 @@ class TestPatrolScrubber:
         swap = SwapSpace()
         slots = []
         for vpn in (100, 101):
-            slot = swap.allocate(1, vpn)
+            slot = swap.allocate([(1, vpn)])
             _stored(cluster, slot, 1, vpn)
             slots.append(slot)
         cluster.mark_poisoned(slots[0])
@@ -377,7 +376,7 @@ class TestPatrolScrubber:
     def test_scrub_finds_latent_corruption_and_repairs_it(self):
         cluster = _corrupt_cluster(nodes=3, replication=2)
         swap = SwapSpace()
-        slot = swap.allocate(1, 100)
+        slot = swap.allocate([(1, 100)])
         _stored(cluster, slot, 1, 100)
         bad_id = cluster.holders_of(slot)[0]
         cluster.nodes[bad_id].remote.checksums._strike_us[slot] = 500.0
@@ -469,7 +468,7 @@ class TestPoisonSemantics:
         old_slot = pte.swap_slot
         machine.backend.integrity.poison(old_slot, machine.now_us, condemned=0)
         salvaged_before = machine.pages_salvaged
-        machine._evict(1, victim)
+        machine._evict([(1, victim)])
         assert machine.pages_salvaged == salvaged_before + 1
         assert pte.swap_slot != old_slot
         assert not machine.cluster.is_poisoned(pte.swap_slot)
@@ -553,7 +552,7 @@ class TestLostSlotMemtierInteraction:
         machine.now_us = 1e9 + 600.0
         machine.flush_recovery()
         assert machine.cluster.is_lost(pte.swap_slot)
-        machine._evict(1, victim)
+        machine._evict([(1, victim)])
         assert machine.pages_salvaged == 1
         assert pte.state == PteState.REMOTE
         holders = machine.cluster.holders_of(pte.swap_slot)

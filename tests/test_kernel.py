@@ -73,15 +73,15 @@ class TestFrameAllocator:
     def test_free_and_reuse(self):
         frames = FrameAllocator(total_frames=1)
         ppn = frames.allocate(1, 0)
-        frames.free(ppn)
+        frames.free([ppn])
         assert frames.allocate(1, 1) == ppn
 
     def test_double_free_rejected(self):
         frames = FrameAllocator(total_frames=2)
         ppn = frames.allocate(1, 0)
-        frames.free(ppn)
+        frames.free([ppn])
         with pytest.raises(ValueError):
-            frames.free(ppn)
+            frames.free([ppn])
 
     def test_owner_tracking(self):
         frames = FrameAllocator(total_frames=2)
@@ -95,12 +95,12 @@ class TestFrameAllocator:
 class TestSwapSpace:
     def test_slots_monotonic_in_eviction_order(self):
         swap = SwapSpace()
-        slots = [swap.allocate(1, vpn) for vpn in (10, 11, 12)]
+        slots = [swap.allocate([(1, vpn)]) for vpn in (10, 11, 12)]
         assert slots == [0, 1, 2]
 
     def test_reverse_lookup(self):
         swap = SwapSpace()
-        slot = swap.allocate(1, 99)
+        slot = swap.allocate([(1, 99)])
         assert swap.page_at(slot) == (1, 99)
         swap.free(slot)
         assert swap.page_at(slot) is None
@@ -109,9 +109,9 @@ class TestSwapSpace:
         # A page faulted back frees its slot; its next eviction takes a
         # fresh one.
         swap = SwapSpace()
-        first = swap.allocate(1, 5)
+        first = swap.allocate([(1, 5)])
         swap.free(first)
-        second = swap.allocate(1, 5)
+        second = swap.allocate([(1, 5)])
         assert second != first
         assert swap.page_at(first) is None
         assert swap.page_at(second) == (1, 5)
@@ -120,7 +120,7 @@ class TestSwapSpace:
     def test_neighbors_window(self):
         swap = SwapSpace()
         for vpn in range(10):
-            swap.allocate(1, vpn)
+            swap.allocate([(1, vpn)])
         neighbors = swap.neighbors(5, before=2, after=2)
         assert (1, 5) not in neighbors
         assert (1, 3) in neighbors and (1, 7) in neighbors
@@ -129,7 +129,7 @@ class TestSwapSpace:
     def test_neighbors_skips_freed_slots(self):
         swap = SwapSpace()
         for vpn in range(5):
-            swap.allocate(1, vpn)
+            swap.allocate([(1, vpn)])
         swap.free(1)
         neighbors = swap.neighbors(2, before=2, after=2)
         assert (1, 1) not in neighbors
@@ -243,7 +243,7 @@ class TestLruPageList:
     def test_remove(self):
         lru = LruPageList()
         lru.insert(1, 10)
-        lru.remove(1, 10)
+        lru.remove([(1, 10)])
         assert len(lru) == 0
 
 

@@ -164,8 +164,7 @@ class TestClusterTiers:
             quiet_fabric(),
         )
         slot = 5
-        holders = cluster.assign(slot, 1, 42)
-        holders[0].remote.write(slot, 1, 42)
+        cluster.assign(slot, [(1, 42)])
         source = cluster.holders_of(slot)[0]
         target = 1 - source
         assert cluster.migrate_holder(slot, source, target)
@@ -287,7 +286,7 @@ class TestMigration:
         assert engine.pending_tasks == 0
         # Its writeback lands on the far node (as when the pool has no
         # room), which queues the promotion.
-        slot = machine.swap_space.allocate(1, 99)
+        slot = machine.swap_space.allocate([(1, 99)])
         far = next(
             node for node in machine.cluster.nodes if node.tier == TIER_FAR
         )
@@ -312,7 +311,7 @@ class TestMigration:
         pool = next(
             node for node in machine.cluster.nodes if node.tier == TIER_POOL
         )
-        slots = [machine.swap_space.allocate(1, vpn) for vpn in range(10)]
+        slots = [machine.swap_space.allocate([(1, vpn)]) for vpn in range(10)]
         for slot, vpn in zip(slots, range(10)):
             pool.remote.write(slot, 1, vpn)
             machine.cluster._holders[slot] = [pool.node_id]
@@ -340,7 +339,7 @@ class TestMigration:
         )
         for vpn in range(10):
             engine.note_hot(1, vpn)
-            slot = machine.swap_space.allocate(1, vpn)
+            slot = machine.swap_space.allocate([(1, vpn)])
             pool.remote.write(slot, 1, vpn)
             machine.cluster._holders[slot] = [pool.node_id]
             engine.note_writeback(pool, slot, 1, vpn, 0.0)

@@ -191,8 +191,7 @@ class TestHealthMonitor:
 
 def _stored(cluster, slot, pid, vpn):
     """Writeback ``slot`` through the directory (all replicas)."""
-    for node in cluster.assign(slot, pid, vpn):
-        node.remote.write(slot, pid, vpn)
+    cluster.assign(slot, [(pid, vpn)])
 
 
 class TestRepairEngine:
@@ -204,7 +203,7 @@ class TestRepairEngine:
     def test_replica_survives_a_crash(self):
         cluster = _armed_cluster(nodes=3, replication=2)
         swap = SwapSpace()
-        slot = swap.allocate(1, 100)
+        slot = swap.allocate([(1, 100)])
         _stored(cluster, slot, 1, 100)
         primary = cluster.holders_of(slot)[0]
         assert cluster.health.tick(CRASH_US + 600.0) == [(EVENT_DOWN, 0)]
@@ -227,7 +226,7 @@ class TestRepairEngine:
         cluster = _armed_cluster(nodes=3, replication=1)
         swap = SwapSpace()
         # interleave: slot 0 -> node 0 (the crashing node).
-        slot = swap.allocate(1, 100)
+        slot = swap.allocate([(1, 100)])
         _stored(cluster, slot, 1, 100)
         assert cluster.holders_of(slot) == (0,)
         cluster.health.tick(CRASH_US + 600.0)
@@ -244,7 +243,7 @@ class TestRepairEngine:
         # landed: the page is still local, so dropping the entry (and
         # letting the writeback re-route) is the correct outcome.
         cluster = _armed_cluster(nodes=3, replication=1)
-        cluster.assign(0, 1, 100)  # entry only; no store write
+        cluster.assign(0, [(1, 100)], store=False)  # entry only
         cluster.health.tick(CRASH_US + 600.0)
         repair = self._engine(cluster)
         repair.on_node_down(0, CRASH_US + 600.0)
@@ -257,7 +256,7 @@ class TestRepairEngine:
         swap = SwapSpace()
         slots = []
         for vpn in (100, 101, 102):
-            slot = swap.allocate(1, vpn)
+            slot = swap.allocate([(1, vpn)])
             _stored(cluster, slot, 1, vpn)
             slots.append(slot)
         cluster.health.tick(CRASH_US + 600.0)
@@ -278,7 +277,7 @@ class TestRepairEngine:
         swap = SwapSpace()
         moved = []
         for vpn in (100, 103):  # slots 0 and 1 -> nodes 0 and 1
-            slot = swap.allocate(1, vpn)
+            slot = swap.allocate([(1, vpn)])
             _stored(cluster, slot, 1, vpn)
             moved.append(slot)
         assert cluster.holders_of(moved[0]) == (0,)
@@ -501,7 +500,7 @@ class TestSanitizer:
         machine = self._healthy_machine()
         lru = machine._lru_of_pid(1)
         pid, vpn = next(iter(lru))
-        lru.remove(pid, vpn)
+        lru.remove([(pid, vpn)])
         with pytest.raises(InvariantViolation,
                            match=r"\[lru\].*not on its cgroup's LRU"):
             InvariantSanitizer(machine).check()
