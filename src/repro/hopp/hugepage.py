@@ -11,7 +11,9 @@ stream, and once a stream has sustained a unit stride long enough, it
 emits one aligned 512-page batch request ahead of the stream instead of
 dribbling single-page prefetches.  The batch rides a single RDMA
 request (one propagation delay, back-to-back page service), and every
-page's PTE is injected on arrival.
+page's PTE is injected on arrival.  In the data plane the batcher's
+backend is the execution engine, whose circuit breaker gates each
+batch request as it gates single pages.
 """
 
 from __future__ import annotations

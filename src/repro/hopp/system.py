@@ -129,8 +129,10 @@ class HoppDataPlane:
         if cfg.hugepage_enabled:
             from repro.hopp.hugepage import HugePageBatcher
 
+            # Batches go through the executor, so its breaker gates
+            # them like single-page requests.
             self.batcher = HugePageBatcher(
-                backend,
+                self.executor,
                 stream_len=cfg.hugepage_stream_len,
                 batch_pages=cfg.hugepage_batch_pages,
             )

@@ -5,7 +5,13 @@ from typing import Optional
 import pytest
 
 from repro.hopp.executor import ExecutionEngine
-from repro.hopp.policy import PolicyConfig, PolicyEngine
+from repro.hopp.policy import (
+    BreakerConfig,
+    BreakerState,
+    CircuitBreaker,
+    PolicyConfig,
+    PolicyEngine,
+)
 
 
 class FakeBackend:
@@ -125,3 +131,71 @@ class TestHitsAndWaste:
 
     def test_accuracy_zero_when_nothing_issued(self):
         assert make_engine(FakeBackend()).accuracy == 0.0
+
+
+class FakeBatchBackend(FakeBackend):
+    """Backend stub for 2 MB batches: ``found`` says whether a batch
+    finds anything remote, and ``drop`` whether its READ loses its
+    completion (reported through the engine, as the machine does)."""
+
+    def __init__(self, found=True, drop=False):
+        super().__init__()
+        self.found = found
+        self.drop = drop
+        self.engine = None
+        self.batches = []
+
+    def prefetch_batch(self, pid, start_vpn, npages, now_us, inject_pte, tier):
+        self.batches.append((pid, start_vpn, npages))
+        if self.drop:
+            self.engine.on_fabric_drop(now_us)
+            return None
+        # The last page lands 300 us late: past the latency threshold.
+        return now_us + 300.0 if self.found else None
+
+
+class TestBatchGate:
+    """The huge-page batcher's requests pass the engine's breaker."""
+
+    def _tripped(self, backend):
+        breaker = CircuitBreaker(BreakerConfig(min_samples=1, cooldown_us=10.0))
+        engine = make_engine(backend, breaker=breaker)
+        backend.engine = engine
+        breaker.record_failure(0.0)  # opens
+        return engine, breaker
+
+    def test_an_open_breaker_refuses_the_batch(self):
+        backend = FakeBatchBackend()
+        engine, breaker = self._tripped(backend)
+        assert engine.prefetch_batch(1, 0, 512, 5.0, True, "huge") is None
+        assert backend.batches == []
+        assert engine.suppressed == 1
+
+    def test_a_probe_that_finds_nothing_is_refunded(self):
+        backend = FakeBatchBackend(found=False)
+        engine, breaker = self._tripped(backend)
+        for now_us in (20.0, 21.0, 22.0, 23.0, 24.0, 25.0):
+            assert engine.prefetch_batch(1, 0, 512, now_us, True, "huge") is None
+        # Six probes on a quota of four: each was given back.
+        assert len(backend.batches) == 6
+        assert breaker.state == BreakerState.HALF_OPEN
+        assert engine.suppressed == 0
+
+    def test_an_issued_batch_is_one_success_whatever_its_length(self):
+        backend = FakeBatchBackend()
+        engine, breaker = self._tripped(backend)
+        assert engine.prefetch_batch(1, 0, 512, 20.0, True, "huge") == 320.0
+        assert breaker.state == BreakerState.CLOSED
+
+    def test_a_dropped_batch_reopens_the_breaker(self):
+        backend = FakeBatchBackend(drop=True)
+        engine, breaker = self._tripped(backend)
+        assert engine.prefetch_batch(1, 0, 512, 20.0, True, "huge") is None
+        assert breaker.state == BreakerState.OPEN
+        assert breaker.opens == 2
+
+    def test_without_a_breaker_the_batch_goes_straight_through(self):
+        backend = FakeBatchBackend()
+        engine = make_engine(backend)
+        assert engine.prefetch_batch(1, 0, 512, 0.0, True, "huge") == 300.0
+        assert backend.batches == [(1, 0, 512)]
