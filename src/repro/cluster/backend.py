@@ -10,7 +10,9 @@ scrub, CXL-tier migration — and it is the only place that decides which
 of them exist.  With nothing armed every data-path call below is the
 paper's plain single-link path (failover semantics: see
 :mod:`repro.cluster.cluster`); whether a slot may be fetched at all is
-two set tests on the cluster's ``lost_slots`` and ``poisoned_slots``.
+one lookup in the cluster's ``unreadable`` map.  The nodes see swap
+slots only: which process page a slot carries lives in the machine's
+:class:`~repro.kernel.swap.SwapSpace`.
 
 Its time side is :meth:`RemoteBackend.step`, run at the start of every
 access, and :meth:`RemoteBackend.due_us`, the earliest access start at
@@ -98,7 +100,7 @@ class RemoteBackend:
         if plan is not None:
             self.health = HealthMonitor(self.cluster)
             self.cluster.health = self.health
-            self.repair = RepairEngine(self.cluster, self.health, swap_space)
+            self.repair = RepairEngine(self.cluster, self.health)
         self.memtier: Optional[MigrationEngine] = None
         if env.memtier is not None:
             self.memtier = MigrationEngine(self.cluster, swap_space, env.memtier)
@@ -106,7 +108,7 @@ class RemoteBackend:
         self.integrity: Optional[IntegrityController] = None
         self.scrubber: Optional[PatrolScrubber] = None
         if (plan is not None and plan.has_corruption) or env.scrub is not None:
-            self.integrity = IntegrityController(self.cluster, swap_space)
+            self.integrity = IntegrityController(self.cluster)
             self.integrity.memtier = self.memtier
             if self.memtier is not None:
                 self.memtier.integrity = self.integrity
@@ -143,11 +145,11 @@ class RemoteBackend:
         zero-filled frame.  Raises :class:`RemoteFetchFatalError` once
         the retry budget is spent."""
         cluster = self.cluster
-        if slot in cluster.lost_slots or slot in cluster.poisoned_slots:
+        if slot in cluster.unreadable:
             # Every replica died with its node, or every copy is known-bad
             # (CXL poison): nothing to serve.  The disaggregated-memory
             # analogue of an uncorrectable machine check.
-            if slot in cluster.poisoned_slots:
+            if cluster.is_poisoned(slot):
                 self.integrity.poisoned_reads += 1
             self.pages_zero_filled += 1
             return 0.0, True
@@ -248,7 +250,7 @@ class RemoteBackend:
                 self._apply_health_events(
                     self.health.observe_timeout(node.node_id, t), now_us
                 )
-                if slot in cluster.lost_slots:
+                if cluster.is_lost(slot):
                     # The timeout just exposed a permanent crash and
                     # this slot had no surviving replica.
                     if bad:
@@ -376,7 +378,7 @@ class RemoteBackend:
             t = now_us + waited
             try:
                 node.fabric.write_page(t)
-                node.remote.write(slot, pid, vpn, now_us=t)
+                node.remote.write(slot, now_us=t)
                 self.health.observe_success(node.node_id, t)
                 return
             except TransferTimeout as fault:

@@ -37,12 +37,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.placement import PlacementPolicy, build_placement
 from repro.net.faults import FaultInjector, FaultPlan
 from repro.net.rdma import FabricConfig, RdmaFabric
 from repro.net.remote import RemoteMemoryNode
+
+
+#: Why a slot cannot be read (:attr:`RemoteMemoryCluster.unreadable`):
+#: every copy died with its node, or every copy failed verification.
+LOST = "lost"
+POISONED = "poisoned"
 
 
 class SlotDirectoryError(KeyError):
@@ -183,12 +189,17 @@ class ClusterNode:
         self.tier = tier
 
     def stats_snapshot(self) -> Dict[str, object]:
+        remote = self.remote.stats_snapshot()
         snap = {
             "node": self.node_id,
             "fabric": self.fabric.stats_snapshot(),
-            "remote": self.remote.stats_snapshot(),
+            "remote": remote,
         }
         if self.tier is not None:
+            # Tier keys appear only on tiered clusters so the untiered
+            # snapshot (pinned by goldens_v1.json) is unchanged.
+            remote["tier"] = self.tier
+            remote["pages_migrated_out"] = self.remote.pages_migrated_out
             snap["tier"] = self.tier
         return snap
 
@@ -260,9 +271,7 @@ class RemoteMemoryCluster:
             fabric = RdmaFabric(
                 replace(link, seed=link.seed + node_id), injector=injector
             )
-            remote = RemoteMemoryNode(
-                capacity_of[node_id], injector=injector, tier=tier_of[node_id]
-            )
+            remote = RemoteMemoryNode(capacity_of[node_id], injector=injector)
             self.nodes.append(
                 ClusterNode(node_id, fabric, remote, injector, tier=tier_of[node_id])
             )
@@ -273,14 +282,12 @@ class RemoteMemoryCluster:
         self.placement: PlacementPolicy = build_placement(config.placement)
         #: slot -> node ids holding a copy, primary first.
         self._holders: Dict[int, List[int]] = {}
-        #: Slots whose every copy died with its node — reads of these
-        #: must zero-fill, not hit the fabric.
-        self.lost_slots: Set[int] = set()
-        #: Slots poisoned by the integrity controller: every copy failed
-        #: checksum verification (CXL poison semantics — the data still
-        #: *exists*, so holders stay in the directory, but reads must
-        #: zero-fill and promotion to the pool tier is barred).
-        self.poisoned_slots: Set[int] = set()
+        #: slot -> why no read of it may hit the fabric; reads of these
+        #: zero-fill.  ``LOST``: every copy died with its node.
+        #: ``POISONED``: every copy failed checksum verification (CXL
+        #: poison semantics — the data still *exists*, so holders stay
+        #: in the directory, but promotion to the pool tier is barred).
+        self.unreadable: Dict[int, str] = {}
         #: Optional :class:`~repro.cluster.health.HealthMonitor`;
         #: attached by the backend when recovery is armed.  When present,
         #: placement and re-routing skip non-placeable (DOWN/DRAINING)
@@ -343,12 +350,23 @@ class RemoteMemoryCluster:
         place = self.placement.place
         count = len(nodes)
         replication = self.config.replication
-        simple = replication == 1 and self.health is None
+        # With one copy and no health monitor, the ring walk's first
+        # step takes the primary whenever it has room, so the walk is
+        # skipped when every node has room for the whole batch.
+        batch = len(pages)
+        simple = (
+            replication == 1
+            and self.health is None
+            and all(
+                node.remote.pages_stored + batch <= node.remote.capacity_pages
+                for node in nodes
+            )
+        )
         targets: List[ClusterNode] = []
         for slot, (pid, vpn) in enumerate(pages, first_slot):
             primary = place(pid, vpn, slot, self)
             if simple:
-                holders = [primary % count]
+                holders = [primary]
             else:
                 holders = []
                 for hop in range(count):
@@ -367,7 +385,7 @@ class RemoteMemoryCluster:
             for node_id in holders:
                 node = nodes[node_id]
                 if store:
-                    node.remote.write(slot, pid, vpn)
+                    node.remote.write(slot)
                 targets.append(node)
         return targets
 
@@ -421,10 +439,8 @@ class RemoteMemoryCluster:
         """Drop every copy of ``slot`` (the page is local again)."""
         for node_id in self._holders.pop(slot, ()):  # pragma: no branch
             self.nodes[node_id].remote.release(slot)
-        if self.lost_slots:
-            self.lost_slots.discard(slot)
-        if self.poisoned_slots:
-            self.poisoned_slots.discard(slot)
+        if self.unreadable:
+            self.unreadable.pop(slot, None)
 
     def holders_of(self, slot: int) -> Tuple[int, ...]:
         return tuple(self._holders.get(slot, ()))
@@ -468,20 +484,19 @@ class RemoteMemoryCluster:
     def mark_lost(self, slot: int) -> None:
         """Every copy of ``slot`` died; remember it for zero-fill."""
         self._holders.pop(slot, None)
-        self.lost_slots.add(slot)
-        self.poisoned_slots.discard(slot)
+        self.unreadable[slot] = LOST
 
     def is_lost(self, slot: int) -> bool:
-        return slot in self.lost_slots
+        return self.unreadable.get(slot) == LOST
 
     def mark_poisoned(self, slot: int) -> None:
         """Every copy of ``slot`` failed verification.  Unlike
         :meth:`mark_lost` the holders stay: the known-bad data still
         occupies its slots until the page is released or salvaged."""
-        self.poisoned_slots.add(slot)
+        self.unreadable[slot] = POISONED
 
     def is_poisoned(self, slot: int) -> bool:
-        return slot in self.poisoned_slots
+        return self.unreadable.get(slot) == POISONED
 
     # -- aggregate metrics --------------------------------------------------------------
 
@@ -514,7 +529,9 @@ class RemoteMemoryCluster:
             "writeback_reroutes": self.writeback_reroutes,
             "replica_writes": self.replica_writes,
             "directory_misses": self.directory_misses,
-            "lost_slots": len(self.lost_slots),
+            "lost_slots": sum(
+                1 for mark in self.unreadable.values() if mark == LOST
+            ),
             "per_node": [node.stats_snapshot() for node in self.nodes],
         }
         if self.config.node_tiers is not None:

@@ -39,7 +39,6 @@ from repro.telemetry.events import EV_REPAIR
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from repro.cluster.cluster import RemoteMemoryCluster
     from repro.cluster.health import HealthMonitor
-    from repro.kernel.swap import SwapSpace
 
 
 @dataclass(frozen=True)
@@ -73,12 +72,10 @@ class RepairEngine:
         self,
         cluster: "RemoteMemoryCluster",
         monitor: "HealthMonitor",
-        swap_space: "SwapSpace",
         config: RepairConfig = RepairConfig(),
     ) -> None:
         self.cluster = cluster
         self.monitor = monitor
-        self.swap_space = swap_space
         self.config = config
         self._queue: Deque[_Task] = deque()
         self._queued: set = set()
@@ -99,7 +96,6 @@ class RepairEngine:
         self.repair_reads = 0
         self.repair_writes = 0
         self.repair_retries = 0
-        self.repair_skipped = 0
 
     @property
     def idle(self) -> bool:
@@ -217,7 +213,6 @@ class RepairEngine:
         source = self._pick_source(slot, holders, now_us)
         target_id = self._pick_target(holders)
         if source is None or target_id is None:
-            self.repair_skipped += 1
             return
         if not self._copy(task, slot, source, target_id, now_us):
             return
@@ -245,7 +240,6 @@ class RepairEngine:
             return
         target_id = self._pick_target(holders)
         if target_id is None:
-            self.repair_skipped += 1
             return
         source = cluster.nodes[source_id]
         if not self._copy(task, slot, source, target_id, now_us):
@@ -260,17 +254,13 @@ class RepairEngine:
         WRITE on the target link issued at the read's completion.  On a
         timeout the task re-queues (bounded), so repair under an active
         fault plan converges once the hostile window passes."""
-        page = self.swap_space.page_at(slot)
-        if page is None:
-            return False
-        pid, vpn = page
         target = self.cluster.nodes[target_id]
         try:
             read_done = source.fabric.read_page(now_us)
             source.remote.read(slot, now_us=now_us)
             self.repair_reads += 1
             target.fabric.write_page(read_done)
-            target.remote.write(slot, pid, vpn, now_us=read_done)
+            target.remote.write(slot, now_us=read_done)
             self.repair_writes += 1
             self._retries_of.pop(task, None)
             if self.bus is not None:
@@ -287,7 +277,6 @@ class RepairEngine:
                 self._enqueue(task)
             else:
                 self._retries_of.pop(task, None)
-                self.repair_skipped += 1
             return False
 
     # -- helpers -----------------------------------------------------------------------
@@ -348,19 +337,6 @@ class RepairEngine:
                 continue
             if self.cluster.nodes[node_id].remote.pages_stored == 0:
                 self.monitor.finish_drain(node_id, now_us)
-
-    def stats_snapshot(self) -> dict:
-        return {
-            "pages_repaired": self.pages_repaired,
-            "pages_lost": self.pages_lost,
-            "pages_drained": self.pages_drained,
-            "repair_reads": self.repair_reads,
-            "repair_writes": self.repair_writes,
-            "repair_bytes": self.repair_bytes,
-            "repair_retries": self.repair_retries,
-            "repair_skipped": self.repair_skipped,
-            "pending_tasks": self.pending_tasks,
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -46,7 +46,6 @@ from repro.telemetry.events import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from repro.cluster.cluster import RemoteMemoryCluster
-    from repro.kernel.swap import SwapSpace
 
 
 @dataclass(frozen=True)
@@ -72,9 +71,8 @@ class ScrubConfig:
 class IntegrityController:
     """Decides and counts every corruption outcome for one machine."""
 
-    def __init__(self, cluster: "RemoteMemoryCluster", swap_space: "SwapSpace") -> None:
+    def __init__(self, cluster: "RemoteMemoryCluster") -> None:
         self.cluster = cluster
-        self.swap_space = swap_space
         #: Migration engine (for poison force-demotes); None when
         #: tiering is off.  Wired by the backend.
         self.memtier = None
@@ -200,12 +198,6 @@ class IntegrityController:
                 )
             self.poison(slot, now_us, condemned=1 + len(corrupt_others))
             return "poisoned"
-        page = self.swap_space.page_at(slot)
-        if page is None:
-            # The slot was freed under us; nothing left to repair.
-            self.note_unresolved(1)
-            return "unresolved"
-        pid, vpn = page
         source = cluster.nodes[clean_id]
         bad = cluster.nodes[bad_node_id]
         try:
@@ -216,7 +208,7 @@ class IntegrityController:
             # The rewrite restores the checksum via the node's own
             # write path (and re-draws its corruption coins — a repair
             # write can itself land bad, to be caught next pass).
-            bad.remote.write(slot, pid, vpn, now_us=read_done)
+            bad.remote.write(slot, now_us=read_done)
             self.repair_writes += 1
         except TransferTimeout:
             self.note_unresolved(1)
@@ -305,9 +297,10 @@ class PatrolScrubber:
         """Audit the next stored copy, if any copy is auditable."""
         self._next_scrub_us = now_us + self.interval_us
         cluster = self.cluster
+        unreadable = cluster.unreadable
         pairs = []
         for slot in sorted(cluster.slots_in_directory()):
-            if cluster.is_lost(slot) or cluster.is_poisoned(slot):
+            if slot in unreadable:
                 continue
             for node_id in cluster.holders_of(slot):
                 pairs.append((slot, node_id))

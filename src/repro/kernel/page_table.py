@@ -47,7 +47,6 @@ class Pte:
     state: PteState = PteState.UNTOUCHED
     ppn: int = -1
     swap_slot: int = -1
-    dirty: bool = False
     kind: PageKind = PageKind.BASE_4K
     shared: bool = False
     #: Prefetch bookkeeping: which system/tier fetched this copy, when it

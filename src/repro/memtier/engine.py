@@ -267,7 +267,7 @@ class MigrationEngine:
             # the queue behind us, so retry (bounded) instead of drop.
             self._requeue(task)
             return
-        if not self._copy(task, slot, page, source, target_id, now_us):
+        if not self._copy(task, slot, source, target_id, now_us):
             return
         source.remote.migrate_out(slot)
         cluster.migrate_holder(slot, source_id, target_id)
@@ -299,7 +299,7 @@ class MigrationEngine:
         if target_id is None:
             self.migrations_skipped += 1
             return
-        if not self._copy(task, slot, page, source, target_id, now_us):
+        if not self._copy(task, slot, source, target_id, now_us):
             return
         source.remote.migrate_out(slot)
         cluster.migrate_holder(slot, source_id, target_id)
@@ -315,7 +315,6 @@ class MigrationEngine:
         self,
         task: _Task,
         slot: int,
-        page: Tuple[int, int],
         source: "ClusterNode",
         target_id: int,
         now_us: float,
@@ -327,7 +326,6 @@ class MigrationEngine:
         if health is not None and not health.is_readable(source.node_id):
             self._requeue(task)
             return False
-        pid, vpn = page
         target = self.cluster.nodes[target_id]
         try:
             read_done = source.fabric.read_page(now_us)
@@ -358,7 +356,7 @@ class MigrationEngine:
                     self._requeue(task)
                 return False
             target.fabric.write_page(read_done)
-            target.remote.write(slot, pid, vpn, now_us=read_done)
+            target.remote.write(slot, now_us=read_done)
             self.migration_writes += 1
             self._retries_of.pop(task, None)
             return True

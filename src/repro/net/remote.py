@@ -1,9 +1,12 @@
 """Remote memory node: the far side of the disaggregated pool.
 
-The paper's memory node is a passive RDMA target (6 x 8 GB DRAM); here it
-is a capacity-bounded page store keyed by swap slot.  Reads of a slot that
-was never written raise — a real one-sided RDMA READ of an unwritten
-region would return garbage, and in the simulator that is always a bug.
+The paper's memory node is a passive RDMA target (6 x 8 GB DRAM) that
+holds pages at swap offsets; here it is the capacity-bounded set of swap
+slots it holds.  Which process page a slot carries is known only on the
+compute node (:class:`~repro.kernel.swap.SwapSpace`).  Reads of a slot
+that was never written raise — a real one-sided RDMA READ of an
+unwritten region would return garbage, and in the simulator that is
+always a bug.
 
 With a :class:`~repro.net.faults.FaultInjector` armed, reads and writes
 inside a remote-restart window raise
@@ -22,15 +25,13 @@ belongs to a tiered cluster, see :mod:`repro.memtier`).  Those are the
 only ways a written page can leave the store without being read back
 or released.
 
-A node may carry a memory-tier label (``tier="pool"`` for the CXL
-pool, ``"far"`` for the RDMA far tier, None for the untiered legacy
-cluster); untiered snapshots omit the tier keys entirely so pre-tier
-goldens stay byte-identical.
+A node's memory-tier label belongs to the
+:class:`~repro.cluster.cluster.ClusterNode` that holds it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Set
 
 from repro.integrity.checksum import SlotChecksums
 from repro.net.faults import FaultInjector
@@ -45,15 +46,12 @@ class RemoteMemoryNode:
         self,
         capacity_pages: int,
         injector: Optional[FaultInjector] = None,
-        tier: Optional[str] = None,
     ) -> None:
         if capacity_pages < 1:
             raise ValueError("capacity_pages must be >= 1")
         self.capacity_pages = capacity_pages
         self.injector = injector
-        #: Memory-tier label ("pool"/"far"); None on untiered clusters.
-        self.tier = tier
-        self._slots: Dict[int, Tuple[int, int]] = {}
+        self._slots: Set[int] = set()
         #: Per-slot content checksums (:mod:`repro.integrity`).  Pure
         #: bookkeeping with no injector armed, so the golden path is
         #: untouched; with corruption armed, the injector's coins decide
@@ -67,10 +65,8 @@ class RemoteMemoryNode:
         self.pages_migrated_out = 0
         self.crashes = 0
 
-    def write(
-        self, slot: int, pid: int, vpn: int, now_us: Optional[float] = None
-    ) -> None:
-        """Store page (pid, vpn) at ``slot`` (reclaim writeback)."""
+    def write(self, slot: int, now_us: Optional[float] = None) -> None:
+        """Store a page at ``slot`` (reclaim writeback)."""
         injector = self.injector
         if injector is not None and now_us is not None:
             injector.check_remote(now_us)
@@ -81,7 +77,7 @@ class RemoteMemoryNode:
             raise MemoryError(
                 f"remote node full ({self.capacity_pages} pages)"
             )
-        slots[slot] = (pid, vpn)
+        slots.add(slot)
         checksums = self.checksums
         # The ledger needs the write only when its injector's coins can
         # make the copy deviant, or to clear the slot's deviant state.
@@ -89,28 +85,31 @@ class RemoteMemoryNode:
             checksums.record_write(slot, now_us, self.pages_written)
         self.pages_written += 1
 
-    def read(self, slot: int, now_us: Optional[float] = None) -> Tuple[int, int]:
+    def read(self, slot: int, now_us: Optional[float] = None) -> None:
         """Fetch the page at ``slot`` (demand fault or prefetch)."""
         self._check_available(now_us)
-        page = self._slots.get(slot)
-        if page is None:
+        if slot not in self._slots:
             raise RemoteReadError(f"slot {slot} holds no page")
         self.pages_read += 1
-        return page
 
     def release(self, slot: int) -> None:
         """Free a slot once its page was faulted back and re-dirtied."""
-        if self._slots.pop(slot, None) is not None:
-            checksums = self.checksums
-            if checksums._bad or checksums._strike_us:
-                checksums.drop(slot)
-            self.pages_released += 1
+        try:
+            self._slots.remove(slot)
+        except KeyError:
+            return
+        checksums = self.checksums
+        if checksums._bad or checksums._strike_us:
+            checksums.drop(slot)
+        self.pages_released += 1
 
     def migrate_out(self, slot: int) -> None:
         """The migration engine moved ``slot``'s copy to another node:
         drop it here, conserved via ``pages_migrated_out`` (the target
         node's ``write`` accounts for the new copy)."""
-        if self._slots.pop(slot, None) is not None:
+        slots = self._slots
+        if slot in slots:
+            slots.remove(slot)
             self.checksums.drop(slot)
             self.pages_migrated_out += 1
 
@@ -146,8 +145,8 @@ class RemoteMemoryNode:
 
     def stats_snapshot(self) -> Dict[str, int]:
         """Public counter snapshot, for metrics aggregation and debugging
-        (no caller should poke the private slot map)."""
-        snap = {
+        (no caller should poke the private slot set)."""
+        return {
             "capacity_pages": self.capacity_pages,
             "pages_stored": self.pages_stored,
             "pages_written": self.pages_written,
@@ -156,12 +155,6 @@ class RemoteMemoryNode:
             "pages_released": self.pages_released,
             "pages_lost": self.pages_lost,
         }
-        if self.tier is not None:
-            # Tier keys appear only on tiered clusters so the untiered
-            # snapshot (pinned by goldens_v1.json) is unchanged.
-            snap["tier"] = self.tier
-            snap["pages_migrated_out"] = self.pages_migrated_out
-        return snap
 
     def metrics_snapshot(self) -> Dict[str, int]:
         """Export-facing counter snapshot with the unified key naming

@@ -490,8 +490,8 @@ class Machine:
         if pte is None or pte.state is not PteState.REMOTE:
             return None
         slot = pte.swap_slot
-        cluster = self.cluster
-        if slot in cluster.lost_slots or slot in cluster.poisoned_slots:
+        unreadable = self.cluster.unreadable
+        if slot in unreadable:
             # Every replica died (or is known-bad); nothing worth
             # fetching — the demand path will zero-fill on first touch.
             return None
@@ -516,7 +516,7 @@ class Machine:
                 self._ensure_headroom(pid)
                 # The reclaim's writebacks can declare a node DOWN, and
                 # its repair can lose this very slot.
-                if slot in cluster.lost_slots or slot in cluster.poisoned_slots:
+                if slot in unreadable:
                     return None
             cgroup.charge(1, prefetch=True)
         pte.ppn = self.frames.allocate(pid, vpn)
@@ -565,8 +565,7 @@ class Machine:
         if table is None or npages < 1:
             return None
         cluster = self.cluster
-        lost = cluster.lost_slots
-        poisoned = cluster.poisoned_slots
+        unreadable = cluster.unreadable
         # One scatter-gather request per node holding pages of the range
         # (pages interleaved across nodes fragment the batch; affinity
         # placement keeps it whole).  Node order is first appearance in
@@ -577,7 +576,7 @@ class Machine:
             pte = table.peek(vpn)
             if pte is not None and pte.state == PteState.REMOTE:
                 slot = pte.swap_slot
-                if slot not in lost and slot not in poisoned:
+                if slot not in unreadable:
                     groups.setdefault(cluster.primary_node(slot), []).append(vpn)
                     fetchable += 1
         if not fetchable:
@@ -757,8 +756,7 @@ class Machine:
         lru.remove(victims)
         backend = self.backend
         batches = backend.batches_writebacks
-        lost = self.cluster.lost_slots
-        poisoned = self.cluster.poisoned_slots
+        unreadable = self.cluster.unreadable
         tables = self._page_tables
         swapcache = self.swapcache
         bus = self.telemetry.bus if self.telemetry is not None else None
@@ -792,7 +790,7 @@ class Machine:
                 if bus is not None:
                     bus.emit(EV_CACHE_INVALIDATE, now_us, pid=pid, vpn=vpn)
                 slot = pte.swap_slot
-                if slot not in lost and slot not in poisoned:
+                if slot not in unreadable:
                     # Clean: the remote copy at its slot is still valid.
                     clean += 1
                 else:

@@ -38,9 +38,9 @@ The checks (all must hold between accesses, never mid-fault):
    allocator: the cgroups' resident pages (charged plus uncharged
    prefetches) sum to the frames in use, and every node's slot
    accounting conserves.
-6. **Integrity bookkeeping** — no slot is both lost and poisoned;
-   every poisoned slot still has directory holders (poison means the
-   data *exists* but is known-bad — loss drops the mark); every deviant
+6. **Integrity bookkeeping** — every poisoned slot still has directory
+   holders (poison means the data *exists* but is known-bad; loss
+   replaces the mark, so no slot is both); every deviant
    checksum-ledger entry names a slot its node actually stores; and the
    integrity controller's ledger arithmetic is closed (every detected
    corruption ended repaired, unresolved, or condemned by a poisoning).
@@ -63,6 +63,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.cluster.cluster import POISONED
 from repro.kernel.page_table import PteState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
@@ -265,7 +266,7 @@ class InvariantSanitizer:
                 _fail(
                     "residency",
                     f"node {node.node_id} slot accounting does not "
-                    f"conserve: {node.remote.stats_snapshot()}",
+                    f"conserve: {node.stats_snapshot()['remote']}",
                 )
 
     # -- 6: integrity bookkeeping ------------------------------------------------------
@@ -273,13 +274,8 @@ class InvariantSanitizer:
     def _check_integrity(self) -> None:
         machine = self.machine
         cluster = machine.cluster
-        for slot in cluster.poisoned_slots:
-            if cluster.is_lost(slot):
-                _fail(
-                    "integrity",
-                    f"slot {slot} is marked both lost and poisoned",
-                )
-            if not cluster.holders_of(slot):
+        for slot, mark in cluster.unreadable.items():
+            if mark == POISONED and not cluster.holders_of(slot):
                 _fail(
                     "integrity",
                     f"slot {slot} is poisoned but has no directory "

@@ -18,6 +18,7 @@ import pytest
 
 from repro.cluster import (
     ClusterConfig,
+    HealthMonitor,
     PlacementPolicy,
     RemoteMemoryCluster,
     SlotDirectoryError,
@@ -25,6 +26,7 @@ from repro.cluster import (
     placement_names,
     register_placement,
 )
+from repro.cluster.cluster import LOST, POISONED
 from repro.net.faults import FaultPlan, RemoteUnavailableError
 from repro.net.rdma import FabricConfig
 from repro.sim import runner
@@ -158,7 +160,7 @@ class TestPlacementPolicies:
     def test_affinity_separates_pids_by_load(self):
         cluster = _cluster(nodes=3, placement="affinity")
         home_a = cluster.placement.place(1, 0, 0, cluster)
-        cluster.nodes[home_a].remote.write(0, 1, 0)
+        cluster.nodes[home_a].remote.write(0)
         home_b = cluster.placement.place(2, 0, 1, cluster)
         assert home_b != home_a
 
@@ -166,7 +168,7 @@ class TestPlacementPolicies:
         cluster = _cluster(nodes=2, placement="affinity", capacity=4)
         home = cluster.placement.place(1, 0, 0, cluster)
         for slot in range(2):  # capacity_pages_per_node == 2
-            cluster.nodes[home].remote.write(slot, 1, slot)
+            cluster.nodes[home].remote.write(slot)
         spill = cluster.placement.place(1, 99, 2, cluster)
         assert spill == (home + 1) % 2
 
@@ -213,6 +215,36 @@ class TestBatchAssign:
         for node in batched.nodes:
             assert targets.count(node) == node.remote.pages_stored
 
+    @pytest.mark.parametrize("monitored", [False, True])
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_a_full_primary_places_alike_with_or_without_a_monitor(
+        self, monitored, batched
+    ):
+        # Every even vpn of pid 1 hashes to node 1, which holds 4 pages:
+        # the 5th page on must go to node 0 whether or not a health
+        # monitor is attached (one placement rule, ``accepts``), in one
+        # batch or one page per call.
+        pages = [(1, vpn) for vpn in range(0, 16, 2)]
+        cluster = RemoteMemoryCluster(
+            ClusterConfig(nodes=2, placement="hash", capacity_pages_per_node=4),
+            8,
+            quiet_fabric(),
+        )
+        assert {cluster.placement.place(pid, vpn, 0, cluster)
+                for pid, vpn in pages} == {1}
+        if monitored:
+            cluster.health = HealthMonitor(cluster)
+        if batched:
+            cluster.assign(0, pages)
+        else:
+            for slot, page in enumerate(pages):
+                cluster.assign(slot, [page])
+        assert [cluster.holders_of(slot) for slot in range(8)] == (
+            [(1,)] * 4 + [(0,)] * 4
+        )
+        assert [node.remote.pages_stored for node in cluster.nodes] == [4, 4]
+        assert cluster.conserved()
+
 
 class TestSlotDirectory:
     def test_assign_records_primary_and_ring_replicas(self):
@@ -244,6 +276,28 @@ class TestSlotDirectory:
         assert cluster.pages_stored == 0
         assert cluster.holders_of(0) == ()
         assert cluster.conserved()
+
+    def test_loss_replaces_poison(self):
+        cluster = _cluster(nodes=2)
+        cluster.assign(0, [(1, 100)])
+        cluster.mark_poisoned(0)
+        assert cluster.unreadable == {0: POISONED}
+        cluster.mark_lost(0)
+        assert cluster.unreadable == {0: LOST}
+        assert cluster.is_lost(0) and not cluster.is_poisoned(0)
+        assert cluster.holders_of(0) == ()
+        assert cluster.stats_snapshot()["lost_slots"] == 1
+
+    def test_release_clears_either_mark(self):
+        cluster = _cluster(nodes=2)
+        cluster.assign(0, [(1, 100), (1, 101)])
+        cluster.mark_lost(0)
+        cluster.mark_poisoned(1)
+        assert cluster.unreadable == {0: LOST, 1: POISONED}
+        cluster.release(0)
+        cluster.release(1)
+        assert cluster.unreadable == {}
+        assert not cluster.is_lost(0) and not cluster.is_poisoned(1)
 
     def test_reroute_picks_next_non_holder_and_updates_directory(self):
         cluster = _cluster(nodes=3, replication=2)

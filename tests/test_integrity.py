@@ -249,8 +249,8 @@ class TestSlotChecksums:
 
 
 class TestIntegrityController:
-    def _controller(self, cluster, swap=None):
-        return IntegrityController(cluster, swap or SwapSpace())
+    def _controller(self, cluster):
+        return IntegrityController(cluster)
 
     def test_ledger_arithmetic_is_closed(self):
         cluster = _corrupt_cluster()
@@ -272,7 +272,7 @@ class TestIntegrityController:
         bad_id, clean_id = cluster.holders_of(slot)
         bad = cluster.nodes[bad_id]
         bad.remote.checksums._bad[slot] = 10.0  # corrupt one copy
-        controller = self._controller(cluster, swap)
+        controller = self._controller(cluster)
         controller.note_detected(50.0, slot, bad_id, since=10.0)
         outcome = controller.resolve_stored_corruption(slot, bad_id, 50.0)
         assert outcome == "repaired"
@@ -290,7 +290,7 @@ class TestIntegrityController:
         for node_id in cluster.holders_of(slot):
             cluster.nodes[node_id].remote.checksums._bad[slot] = 10.0
         first = cluster.holders_of(slot)[0]
-        controller = self._controller(cluster, swap)
+        controller = self._controller(cluster)
         controller.note_detected(50.0, slot, first, since=10.0)
         outcome = controller.resolve_stored_corruption(slot, first, 50.0)
         assert outcome == "poisoned"
@@ -331,7 +331,7 @@ class TestIntegrityController:
 class TestPatrolScrubber:
     def test_rate_sets_the_audit_interval(self):
         cluster = _corrupt_cluster()
-        controller = IntegrityController(cluster, SwapSpace())
+        controller = IntegrityController(cluster)
         scrubber = PatrolScrubber(
             cluster, controller, ScrubConfig(rate_pages_per_s=2000.0)
         )
@@ -347,7 +347,7 @@ class TestPatrolScrubber:
         for vpn in (100, 101, 102):
             slot = swap.allocate([(1, vpn)])
             _stored(cluster, slot, 1, vpn)
-        controller = IntegrityController(cluster, swap)
+        controller = IntegrityController(cluster)
         scrubber = PatrolScrubber(cluster, controller, ScrubConfig())
         for step in range(6):  # 3 slots x 2 copies
             scrubber.step(step * 1000.0)
@@ -365,7 +365,7 @@ class TestPatrolScrubber:
             _stored(cluster, slot, 1, vpn)
             slots.append(slot)
         cluster.mark_poisoned(slots[0])
-        controller = IntegrityController(cluster, swap)
+        controller = IntegrityController(cluster)
         scrubber = PatrolScrubber(cluster, controller, ScrubConfig())
         scrubber.step(0.0)
         scrubber.step(1000.0)
@@ -380,7 +380,7 @@ class TestPatrolScrubber:
         _stored(cluster, slot, 1, 100)
         bad_id = cluster.holders_of(slot)[0]
         cluster.nodes[bad_id].remote.checksums._strike_us[slot] = 500.0
-        controller = IntegrityController(cluster, swap)
+        controller = IntegrityController(cluster)
         scrubber = PatrolScrubber(cluster, controller, ScrubConfig())
         # Before the strike: audits see a clean copy.
         scrubber.step(0.0)

@@ -150,7 +150,7 @@ class TestClusterTiers:
         )
         pool, far = cluster.nodes
         assert pool.tier == TIER_POOL and far.tier == TIER_FAR
-        assert pool.remote.tier == TIER_POOL
+        assert pool.stats_snapshot()["remote"]["tier"] == TIER_POOL
         assert (
             pool.fabric.config.base_latency_us
             < far.fabric.config.base_latency_us
@@ -205,7 +205,7 @@ class TestTieredPlacement:
         cluster = self._cluster(pool_capacity=10)
         pool = cluster.nodes[0]
         for slot in range(9):  # high watermark = int(0.9 * 10) = 9
-            pool.remote.write(slot, 1, slot)
+            pool.remote.write(slot)
         placed = cluster.placement.place(1, 100, 50, cluster)
         assert cluster.nodes[placed].tier == TIER_FAR
 
@@ -213,7 +213,7 @@ class TestTieredPlacement:
         cluster = self._cluster(hot=lambda pid, vpn: True, pool_capacity=10)
         pool = cluster.nodes[0]
         for slot in range(9):
-            pool.remote.write(slot, 1, slot)
+            pool.remote.write(slot)
         # Past the watermark, but a hot page still has hard room.
         assert cluster.placement.place(1, 100, 50, cluster) == 0
 
@@ -291,7 +291,7 @@ class TestMigration:
             node for node in machine.cluster.nodes if node.tier == TIER_FAR
         )
         far_id = far.node_id
-        far.remote.write(slot, 1, 99)
+        far.remote.write(slot)
         machine.cluster._holders[slot] = [far_id]
         engine.note_writeback(far, slot, 1, 99, 0.0)
         assert engine.pending_tasks == 1
@@ -313,7 +313,7 @@ class TestMigration:
         )
         slots = [machine.swap_space.allocate([(1, vpn)]) for vpn in range(10)]
         for slot, vpn in zip(slots, range(10)):
-            pool.remote.write(slot, 1, vpn)
+            pool.remote.write(slot)
             machine.cluster._holders[slot] = [pool.node_id]
             engine.note_writeback(pool, slot, 1, vpn, 0.0)
         # 10 stored > high (9): drain to low (7) => 3 demotions, oldest
@@ -340,7 +340,7 @@ class TestMigration:
         for vpn in range(10):
             engine.note_hot(1, vpn)
             slot = machine.swap_space.allocate([(1, vpn)])
-            pool.remote.write(slot, 1, vpn)
+            pool.remote.write(slot)
             machine.cluster._holders[slot] = [pool.node_id]
             engine.note_writeback(pool, slot, 1, vpn, 0.0)
         engine.flush(0.0)

@@ -193,9 +193,9 @@ class TestStatsSnapshots:
 
     def test_remote_node_snapshot(self):
         node = RemoteMemoryNode(capacity_pages=4)
-        node.write(0, 1, 100)
-        node.write(0, 1, 101)  # overwrite
-        node.write(1, 1, 102)
+        node.write(0)
+        node.write(0)  # overwrite
+        node.write(1)
         node.release(1)
         snapshot = node.stats_snapshot()
         assert snapshot == {
@@ -217,7 +217,7 @@ class TestStatsSnapshots:
 
     def test_remote_node_repr(self):
         node = RemoteMemoryNode(capacity_pages=4)
-        node.write(0, 1, 100)
+        node.write(0)
         text = repr(node)
         assert "RemoteMemoryNode" in text and "stored=1" in text
 
@@ -297,8 +297,10 @@ class TestFabricConfigValidation:
 class TestRemoteMemoryNode:
     def test_write_read_roundtrip(self):
         node = RemoteMemoryNode(capacity_pages=4)
-        node.write(0, 1, 100)
-        assert node.read(0) == (1, 100)
+        node.write(0)
+        node.read(0)
+        assert node.holds(0)
+        assert node.pages_read == 1
         assert node.pages_stored == 1
 
     def test_read_empty_slot_raises(self):
@@ -308,32 +310,62 @@ class TestRemoteMemoryNode:
 
     def test_capacity_enforced(self):
         node = RemoteMemoryNode(capacity_pages=1)
-        node.write(0, 1, 100)
+        node.write(0)
         with pytest.raises(MemoryError):
-            node.write(1, 1, 101)
+            node.write(1)
 
     def test_overwrite_same_slot_allowed_at_capacity(self):
         node = RemoteMemoryNode(capacity_pages=1)
-        node.write(0, 1, 100)
-        node.write(0, 1, 200)
-        assert node.read(0) == (1, 200)
+        node.write(0)
+        node.write(0)
+        node.read(0)
+        assert node.holds(0)
+        assert node.pages_overwritten == 1
+        assert node.pages_stored == 1
 
     def test_release(self):
         node = RemoteMemoryNode(capacity_pages=1)
-        node.write(0, 1, 100)
+        node.write(0)
         node.release(0)
         assert not node.holds(0)
-        node.write(5, 2, 300)  # capacity freed
+        node.write(5)  # capacity freed
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             RemoteMemoryNode(capacity_pages=0)
 
+    def test_every_way_in_and_out_of_the_slot_set_conserves(self):
+        node = RemoteMemoryNode(capacity_pages=4)
+        steps = [
+            lambda: node.write(0),
+            lambda: node.write(1),
+            lambda: node.write(0),  # overwrite
+            lambda: node.read(1),
+            lambda: node.release(1),
+            lambda: node.migrate_out(0),
+            lambda: node.migrate_out(0),  # gone already: not counted
+            lambda: node.write(2),
+            lambda: node.write(3),
+        ]
+        for step in steps:
+            step()
+            assert node.conserved
+        with pytest.raises(RemoteReadError):
+            node.read(0)
+        assert sorted(node._slots) == [2, 3]
+        assert (node.pages_written, node.pages_read, node.pages_overwritten,
+                node.pages_released, node.pages_migrated_out) == (5, 1, 1, 1, 1)
+        assert node.crash() == 2
+        assert node.pages_stored == 0 and node.pages_lost == 2
+        assert node.conserved
+        with pytest.raises(RemoteReadError):
+            node.read(2)
+
     def test_release_and_overwrite_accounting(self):
         node = RemoteMemoryNode(capacity_pages=4)
-        node.write(0, 1, 100)
-        node.write(1, 1, 101)
-        node.write(0, 1, 102)  # overwrite
+        node.write(0)
+        node.write(1)
+        node.write(0)  # overwrite
         node.release(1)
         node.release(1)  # double release is a no-op, not double-counted
         assert node.pages_written == 3
@@ -352,7 +384,7 @@ class TestRemoteMemoryNode:
             slot = rng.randrange(24)
             if rng.random() < 0.6:
                 try:
-                    node.write(slot, 1, step)
+                    node.write(slot)
                 except MemoryError:
                     node.release(rng.choice(list(node._slots)))
             else:

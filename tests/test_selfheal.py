@@ -195,10 +195,8 @@ def _stored(cluster, slot, pid, vpn):
 
 
 class TestRepairEngine:
-    def _engine(self, cluster, swap=None):
-        return RepairEngine(
-            cluster, cluster.health, swap or SwapSpace(), RepairConfig()
-        )
+    def _engine(self, cluster):
+        return RepairEngine(cluster, cluster.health, RepairConfig())
 
     def test_replica_survives_a_crash(self):
         cluster = _armed_cluster(nodes=3, replication=2)
@@ -207,7 +205,7 @@ class TestRepairEngine:
         _stored(cluster, slot, 1, 100)
         primary = cluster.holders_of(slot)[0]
         assert cluster.health.tick(CRASH_US + 600.0) == [(EVENT_DOWN, 0)]
-        repair = self._engine(cluster, swap)
+        repair = self._engine(cluster)
         repair.on_node_down(0, CRASH_US + 600.0)
         if primary == 0 or 0 in cluster.holders_of(slot):
             pass  # directory already scrubbed below
@@ -230,7 +228,7 @@ class TestRepairEngine:
         _stored(cluster, slot, 1, 100)
         assert cluster.holders_of(slot) == (0,)
         cluster.health.tick(CRASH_US + 600.0)
-        repair = self._engine(cluster, swap)
+        repair = self._engine(cluster)
         repair.on_node_down(0, CRASH_US + 600.0)
         assert repair.pages_lost == 1
         assert cluster.is_lost(slot)
@@ -260,7 +258,7 @@ class TestRepairEngine:
             _stored(cluster, slot, 1, vpn)
             slots.append(slot)
         cluster.health.tick(CRASH_US + 600.0)
-        repair = self._engine(cluster, swap)
+        repair = self._engine(cluster)
         repair.on_node_down(0, CRASH_US + 600.0)
         queued = repair.pending_tasks
         assert queued >= 1
@@ -283,7 +281,7 @@ class TestRepairEngine:
         assert cluster.holders_of(moved[0]) == (0,)
         monitor = cluster.health
         monitor.start_drain(0, 10.0)
-        repair = self._engine(cluster, swap)
+        repair = self._engine(cluster)
         repair.on_drain(0)
         repair.flush(20.0)
         assert cluster.nodes[0].remote.pages_stored == 0
@@ -483,8 +481,17 @@ class TestSanitizer:
         slot = next(iter(machine.cluster.slots_in_directory()))
         holder = machine.cluster.holders_of(slot)[0]
         other = machine.cluster.nodes[1 - holder].remote
-        other._slots[slot] = (1, 0)  # a copy the directory never placed
+        other._slots.add(slot)  # a copy the directory never placed
         with pytest.raises(InvariantViolation, match=r"\[stores\]"):
+            InvariantSanitizer(machine).check()
+
+    def test_detects_poison_mark_without_holders(self):
+        # Poisoned data still exists; a mark on a slot nobody holds
+        # (one freed long ago) is stale bookkeeping.
+        machine = self._healthy_machine()
+        machine.cluster.mark_poisoned(10**6)
+        with pytest.raises(InvariantViolation,
+                           match=r"\[integrity\].*poisoned but has no"):
             InvariantSanitizer(machine).check()
 
     def test_detects_drifted_resident_total(self):
