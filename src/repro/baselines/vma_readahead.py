@@ -26,7 +26,7 @@ class VmaReadaheadPrefetcher(FaultTimePrefetcher):
         self.window = window
 
     def on_fault(self, pid, vpn, slot, now_us, machine) -> List[Tuple[int, int]]:
-        region = machine.vmas.find(pid, vpn)
+        region = machine.page_table(pid).vmas.find(vpn)
         # Forward-biased window around the fault, like swap_vma_readahead.
         back = self.window // 4
         fwd = self.window - back

@@ -520,24 +520,6 @@ class RemoteMemoryCluster:
         """True when every node's slot accounting balances."""
         return all(node.remote.conserved for node in self.nodes)
 
-    def stats_snapshot(self) -> Dict[str, object]:
-        snap = {
-            "nodes": self.node_count,
-            "placement": self.placement.name,
-            "replication": self.config.replication,
-            "demand_failovers": self.demand_failovers,
-            "writeback_reroutes": self.writeback_reroutes,
-            "replica_writes": self.replica_writes,
-            "directory_misses": self.directory_misses,
-            "lost_slots": sum(
-                1 for mark in self.unreadable.values() if mark == LOST
-            ),
-            "per_node": [node.stats_snapshot() for node in self.nodes],
-        }
-        if self.config.node_tiers is not None:
-            snap["node_tiers"] = list(self.config.node_tiers)
-        return snap
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"RemoteMemoryCluster(nodes={self.node_count}, "

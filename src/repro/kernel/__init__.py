@@ -5,8 +5,8 @@ from repro.kernel.cgroup import CgroupManager, CgroupOverLimitError, MemoryCgrou
 from repro.kernel.frames import FrameAllocator, OutOfFramesError
 from repro.kernel.page_table import PageTable, Pte, PteState
 from repro.kernel.reclaim import LruPageList, Reclaimer, ReclaimStats
-from repro.kernel.swap import SwapCache, SwapSpace
-from repro.kernel.vma import VmaMap, VmaRegistry
+from repro.kernel.swap import SwapSpace
+from repro.kernel.vma import VmaMap
 
 __all__ = [
     "CgroupManager",
@@ -20,8 +20,6 @@ __all__ = [
     "LruPageList",
     "Reclaimer",
     "ReclaimStats",
-    "SwapCache",
     "SwapSpace",
     "VmaMap",
-    "VmaRegistry",
 ]

@@ -8,8 +8,10 @@ reproduces that difference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict
+
+from repro.kernel.reclaim import LruPageList
 
 
 class CgroupOverLimitError(RuntimeError):
@@ -18,7 +20,9 @@ class CgroupOverLimitError(RuntimeError):
 
 @dataclass
 class MemoryCgroup:
-    """Tracks charged pages against a hard limit.
+    """Tracks charged pages against a hard limit, and owns the LRU
+    list of the group's resident pages (as a Linux memory cgroup owns
+    its LRU lists).
 
     ``charge_prefetch`` — when False, pages brought in by a prefetcher are
     not charged until the application actually touches them (the
@@ -29,11 +33,12 @@ class MemoryCgroup:
     limit_pages: int
     charge_prefetch: bool = True
     charged: int = 0
-    max_charged: int = 0
     prefetch_uncharged: int = 0
     #: Strict charges refused at the limit (each raised a
     #: :class:`CgroupOverLimitError` that the caller absorbed).
     overlimit_rejects: int = 0
+    #: The group's PRESENT and SWAPCACHE pages, in recency order.
+    lru: LruPageList = field(default_factory=LruPageList, repr=False, compare=False)
 
     def charge(self, npages: int = 1, prefetch: bool = False, strict: bool = False) -> bool:
         """Account ``npages``; returns True when now over the limit (the
@@ -48,8 +53,6 @@ class MemoryCgroup:
                 f"cgroup {self.name}: {self.charged}+{npages} > {self.limit_pages}"
             )
         self.charged += npages
-        if self.charged > self.max_charged:
-            self.max_charged = self.charged
         return self.charged > self.limit_pages
 
     def uncharge(self, npages: int = 1, prefetch: bool = False) -> None:
@@ -102,6 +105,9 @@ class CgroupManager:
 
     def get(self, name: str) -> MemoryCgroup:
         return self._groups[name]
+
+    def __contains__(self, name: str) -> bool:
+        return name in self._groups
 
     def __iter__(self):
         return iter(self._groups.values())

@@ -4,6 +4,10 @@ The paper keeps the reverse page table consistent by hooking the kernel's
 PTE update functions (``set_pte_at`` / ``pte_clear``, Section V).  Here
 a :class:`PageTable` with an RPT attached writes every transition that
 maps or unmaps a physical frame through the RPT's ``update`` itself.
+
+A page table is also the machine's one record of its process: it names
+the process's memory cgroup (which owns the LRU its resident pages sit
+on) and holds its VMAs.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ from typing import Dict, Optional
 
 from repro.common.compat import slotted_dataclass
 from repro.common.types import PageKind
+from repro.kernel.cgroup import MemoryCgroup
+from repro.kernel.vma import VmaMap
 
 
 class PteState(enum.IntEnum):
@@ -58,10 +64,12 @@ class Pte:
 
 
 class PageTable:
-    """Sparse VPN -> PTE mapping for one process."""
+    """Sparse VPN -> PTE mapping for one process, charged to ``cgroup``."""
 
-    def __init__(self, pid: int) -> None:
+    def __init__(self, pid: int, cgroup: Optional[MemoryCgroup] = None) -> None:
         self.pid = pid
+        self.cgroup = cgroup
+        self.vmas = VmaMap(pid)
         self._entries: Dict[int, Pte] = {}
         #: The reverse page table every map and unmap writes through
         #: (Section V's ``set_pte_at`` / ``pte_clear``): anything with

@@ -1,15 +1,20 @@
-"""Swap-slot space and swapcache.
+"""Swap-slot space.
 
 Swap slots are allocated in eviction order, which is the property
 Fastswap's read-ahead depends on: it prefetches pages *adjacent in swap
 offset*, i.e., pages that happened to be reclaimed together — not pages
 adjacent in the virtual address space (Section VI-E contrasts this with
 VMA-based read-ahead).
+
+The swapcache has no structure of its own: a page is in it exactly when
+its PTE is :attr:`~repro.kernel.page_table.PteState.SWAPCACHE` (resident
+but unmapped, Section II-C), and its arrival time is ``Pte.arrival_us``.
+The machine counts inserts, hits and drops.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 class SwapSpace:
@@ -55,45 +60,3 @@ class SwapSpace:
     def slots_in_use(self) -> int:
         return len(self._slot_to_page)
 
-
-class SwapCache:
-    """Pages resident in local DRAM but not mapped into any page table.
-
-    A fault on one of these is a *prefetch-hit*: it still pays the
-    synchronous fault cost (2.3 us) but skips the network (Section II-C).
-    A page's arrival time lives on its PTE (``Pte.arrival_us``).
-    """
-
-    def __init__(self) -> None:
-        self._pages: Set[Tuple[int, int]] = set()
-        self.inserts = 0
-        self.hits = 0
-        self.drops = 0
-
-    def insert(self, pid: int, vpn: int) -> None:
-        self._pages.add((pid, vpn))
-        self.inserts += 1
-
-    def take(self, pid: int, vpn: int) -> bool:
-        """Remove a page the fault path maps; True when it was cached."""
-        key = (pid, vpn)
-        if key not in self._pages:
-            return False
-        self._pages.remove(key)
-        self.hits += 1
-        return True
-
-    def drop(self, pid: int, vpn: int) -> bool:
-        """Reclaim an unused swapcache page (it was clean by definition)."""
-        key = (pid, vpn)
-        if key not in self._pages:
-            return False
-        self._pages.remove(key)
-        self.drops += 1
-        return True
-
-    def __contains__(self, key: Tuple[int, int]) -> bool:
-        return key in self._pages
-
-    def __len__(self) -> int:
-        return len(self._pages)

@@ -1,15 +1,16 @@
 """Virtual memory areas.
 
-Workload generators register their allocations as VMAs; the VMA-based
-read-ahead baseline (Linux 5.4 behaviour, Section VI-E) uses them to
-bound prefetching to the faulting page's region, which the paper notes is
-"a resemblance of page clustering".
+Workload generators register their allocations as VMAs, which each
+process's page table holds; the VMA-based read-ahead baseline (Linux
+5.4 behaviour, Section VI-E) uses them to bound prefetching to the
+faulting page's region, which the paper notes is "a resemblance of page
+clustering".
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.common.types import VmaRegion
 
@@ -52,20 +53,3 @@ class VmaMap:
     def __iter__(self):
         return iter(self._regions)
 
-
-class VmaRegistry:
-    """Per-PID VMA maps."""
-
-    def __init__(self) -> None:
-        self._maps: Dict[int, VmaMap] = {}
-
-    def for_pid(self, pid: int) -> VmaMap:
-        vmas = self._maps.get(pid)
-        if vmas is None:
-            vmas = VmaMap(pid)
-            self._maps[pid] = vmas
-        return vmas
-
-    def find(self, pid: int, vpn: int) -> Optional[VmaRegion]:
-        vmas = self._maps.get(pid)
-        return vmas.find(vpn) if vmas else None

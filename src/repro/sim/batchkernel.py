@@ -190,7 +190,6 @@ def _reads_end(buf, start: int, reads: int) -> int:
 def _replay_chunk(m, plane, buf) -> None:
     arrivals = m._arrivals
     tables = m._page_tables
-    lru_of_pid = m._lru_of_pid
     access = m.access
     process_arrivals = m._process_arrivals
     count_prefetch_hit = m._count_prefetch_hit
@@ -215,8 +214,9 @@ def _replay_chunk(m, plane, buf) -> None:
     if runs is not None:
         run_pid, starts, run_vpns = runs
         nruns = len(run_vpns)
-        run_entries = tables[run_pid]._entries
-        run_lru = lru_of_pid(run_pid)
+        run_table = tables[run_pid]
+        run_entries = run_table._entries
+        run_lru = run_table.cgroup.lru
         window = FIRST_WINDOW
         bulk_from = 0
 
@@ -281,8 +281,9 @@ def _replay_chunk(m, plane, buf) -> None:
                     budget = cap if cap > 1 else 1
         cached = hot.get(pid)
         if cached is None:
+            table = tables[pid]
             cached = hot[pid] = (
-                tables[pid]._entries, lru_of_pid(pid)._pages.move_to_end
+                table._entries, table.cgroup.lru._pages.move_to_end
             )
         vpn = vaddr >> page_shift
         pte = cached[0].get(vpn)

@@ -38,14 +38,12 @@ from repro.integrity import ScrubConfig
 from repro.kernel.cgroup import CgroupManager, CgroupOverLimitError, MemoryCgroup
 from repro.kernel.frames import FrameAllocator
 from repro.kernel.page_table import PageTable, Pte, PteState
-from repro.kernel.reclaim import LruPageList, Reclaimer
-from repro.kernel.swap import SwapCache, SwapSpace
-from repro.kernel.vma import VmaRegistry
+from repro.kernel.reclaim import Reclaimer
+from repro.kernel.swap import SwapSpace
 from repro.memsim.controller import MemoryController
 from repro.memtier import MemtierConfig
 from repro.net.faults import FaultPlan, RemoteFetchFatalError
-from repro.net.rdma import FabricConfig, RdmaFabric
-from repro.net.remote import RemoteMemoryNode
+from repro.net.rdma import FabricConfig
 from repro.sim import batchkernel
 from repro.sim.sanitizer import SANITIZER_INTERVAL_ACCESSES, InvariantSanitizer
 from repro.telemetry import Telemetry, TelemetryConfig
@@ -169,7 +167,6 @@ class Machine:
             self.telemetry = Telemetry(env.telemetry)
         self.frames = FrameAllocator(total_frames=1 << 24)
         self.swap_space = SwapSpace()
-        self.swapcache = SwapCache()
         #: The remote side: the memory pool plus whatever ``env`` arms on
         #: it (failures, recovery, integrity, the CXL tier).
         self.backend = RemoteBackend(
@@ -183,12 +180,10 @@ class Machine:
         )
         self.cgroups = CgroupManager()
         self.reclaimer = Reclaimer(watermark_slack=config.watermark_slack)
-        self.vmas = VmaRegistry()
         self.controller = MemoryController()
 
+        #: Each process's one record: its PTEs, cgroup and VMAs.
         self._page_tables: Dict[int, PageTable] = {}
-        self._cgroup_of: Dict[int, MemoryCgroup] = {}
-        self._lru_of: Dict[str, LruPageList] = {}
         #: Pending prefetch arrivals: (arrival_us, seq, pid, vpn).
         self._arrivals: List[Tuple[float, int, int, int]] = []
         self._arrival_seq = 0
@@ -205,7 +200,6 @@ class Machine:
         self.accesses = 0
         self.minor_faults = 0
         self.remote_demand_reads = 0
-        self.prefetch_issued = 0
         self.prefetch_wasted = 0
         self.prefetch_hit_swapcache = 0
         self.prefetch_hit_inflight = 0
@@ -215,9 +209,14 @@ class Machine:
         self.breakdown = FaultBreakdown()
         self.peak_resident_pages = 0
         self.compute_us = 0.0
-        # Prefetches whose READ lost its completion (0 without a plan).
-        self.dropped_prefetches = 0
+        #: Prefetches whose READ lost its completion (empty without a
+        #: plan); a dropped prefetch is also counted issued.
         self.dropped_by_tier: Dict[str, int] = {}
+        #: Pages that entered the swapcache (a SWAPCACHE PTE), were
+        #: mapped out of it by a fault, and were reclaimed from it.
+        self.swapcache_inserts = 0
+        self.swapcache_hits = 0
+        self.swapcache_drops = 0
         #: Swapcache pages whose remote copy was lost but whose local
         #: copy survived: re-written back instead of clean-dropped.
         self.pages_salvaged = 0
@@ -234,14 +233,14 @@ class Machine:
         self.writebacks_abandoned = 0
 
     @property
-    def fabric(self) -> RdmaFabric:
-        """Node 0's link — *the* link on a single-node cluster."""
-        return self.cluster.nodes[0].fabric
+    def prefetch_issued(self) -> int:
+        """Prefetch READs issued, dropped ones included."""
+        return sum(self.issued_by_tier.values())
 
     @property
-    def remote(self) -> RemoteMemoryNode:
-        """Node 0's memory — *the* node on a single-node cluster."""
-        return self.cluster.nodes[0].remote
+    def dropped_prefetches(self) -> int:
+        """Prefetches whose READ lost its completion."""
+        return sum(self.dropped_by_tier.values())
 
     # -- process setup -------------------------------------------------------------
 
@@ -256,22 +255,22 @@ class Machine:
         if pid in self._page_tables:
             raise ValueError(f"pid {pid} already registered")
         name = cgroup_name or "default"
-        if name not in self._lru_of:
-            self.cgroups.create(
+        if name in self.cgroups:
+            cgroup = self.cgroups.get(name)
+        else:
+            cgroup = self.cgroups.create(
                 name,
                 limit_pages if limit_pages is not None else self.config.local_memory_pages,
                 charge_prefetch=self.config.charge_prefetch,
             )
-            self._lru_of[name] = LruPageList()
-        table = PageTable(pid)
+        table = PageTable(pid, cgroup)
         self._page_tables[pid] = table
-        self._cgroup_of[pid] = self.cgroups.get(name)
         if self.hopp is not None:
             table.rpt = self.hopp.rpt_cache
         return table
 
     def add_vma(self, pid: int, start_vpn: int, npages: int, name: str = "") -> None:
-        self.vmas.for_pid(pid).add(start_vpn, npages, name)
+        self._page_tables[pid].vmas.add(start_vpn, npages, name)
 
     def page_table(self, pid: int) -> PageTable:
         return self._page_tables[pid]
@@ -306,7 +305,7 @@ class Machine:
         if state == PteState.PRESENT:
             cost = T_DRAM_HIT_US
             self.breakdown.dram_hit_us += cost
-            self._lru_of_pid(pid).touch(pid, vpn)
+            table.cgroup.lru.touch(pid, vpn)
             if pte.prefetched:
                 self._count_prefetch_hit(pid, vpn, pte, "dram")
         elif state == PteState.UNTOUCHED:
@@ -369,21 +368,22 @@ class Machine:
     def _minor_fault(self, pid: int, vpn: int, table: PageTable, pte: Pte) -> float:
         """First touch: allocate a zero page locally."""
         self.minor_faults += 1
-        self._ensure_headroom(pid)
-        self._cgroup_of[pid].charge(1)
+        cgroup = table.cgroup
+        self._ensure_headroom(cgroup)
+        cgroup.charge(1)
         ppn = self.frames.allocate(pid, vpn)
         self._note_peak()
         table.map_page(vpn, ppn, pte)
-        self._lru_of_pid(pid).insert(pid, vpn)
+        cgroup.lru.insert(pid, vpn)
         return T_MINOR_FAULT_US
 
     def _swapcache_hit(self, pid: int, vpn: int, table: PageTable, pte: Pte) -> float:
         """Prefetch-hit: the page is local but unmapped (Section II-C)."""
-        self.swapcache.take(pid, vpn)
+        self.swapcache_hits += 1
         self._count_prefetch_hit(pid, vpn, pte, "swapcache")
         table.map_page(vpn, pte.ppn, pte)
         self.backend.release(pte)
-        self._lru_of_pid(pid).touch(pid, vpn)
+        table.cgroup.lru.touch(pid, vpn)
         cost = T_PREFETCH_HIT_US
         self.breakdown.prefetch_hit_us += cost
         return cost
@@ -396,11 +396,11 @@ class Machine:
         self._process_arrivals(self.now_us + wait)
         # The arrival handler moved the page to SWAPCACHE or PRESENT.
         if pte.state == PteState.SWAPCACHE:
-            self.swapcache.take(pid, vpn)
+            self.swapcache_hits += 1
             table.map_page(vpn, pte.ppn, pte)
             self.backend.release(pte)
         self._count_prefetch_hit(pid, vpn, pte, "inflight")
-        self._lru_of_pid(pid).touch(pid, vpn)
+        table.cgroup.lru.touch(pid, vpn)
         cost = wait + T_PREFETCH_HIT_US
         self.breakdown.prefetch_hit_us += T_PREFETCH_HIT_US
         return cost
@@ -408,8 +408,9 @@ class Machine:
     def _major_fault(self, pid: int, vpn: int, table: PageTable, pte: Pte) -> float:
         """Demand swap-in over RDMA — the costly synchronous path."""
         self.remote_demand_reads += 1
-        self._ensure_headroom(pid)
-        self._cgroup_of[pid].charge(1)
+        cgroup = table.cgroup
+        self._ensure_headroom(cgroup)
+        cgroup.charge(1)
         ppn = self.frames.allocate(pid, vpn)
         self._note_peak()
         pte.ppn = ppn
@@ -430,7 +431,7 @@ class Machine:
             zero_filled = True
         table.map_page(vpn, ppn, pte)
         self.backend.release(pte)
-        self._lru_of_pid(pid).insert(pid, vpn)
+        cgroup.lru.insert(pid, vpn)
         cost = (
             T_CONTEXT_SWITCH_US
             + T_PTE_WALK_US
@@ -500,7 +501,7 @@ class Machine:
         ):
             self.prefetch_throttled += 1
             return None
-        cgroup = self._cgroup_of[pid]
+        cgroup = table.cgroup
         if self.config.strict_cgroup_prefetch and cgroup.charge_prefetch:
             # Strict mode: a prefetch must fit the budget's *existing*
             # headroom — it never reclaims resident pages to make room
@@ -513,7 +514,7 @@ class Machine:
         else:
             # _ensure_headroom's own test, made here: most targets fit.
             if cgroup.resident + 1 > cgroup.limit_pages:
-                self._ensure_headroom(pid)
+                self._ensure_headroom(cgroup)
                 # The reclaim's writebacks can declare a node DOWN, and
                 # its repair can lose this very slot.
                 if slot in unreadable:
@@ -539,7 +540,6 @@ class Machine:
         pte.injected = inject_pte
         self._arrival_seq += 1
         heapq.heappush(self._arrivals, (completion, self._arrival_seq, pid, vpn))
-        self.prefetch_issued += 1
         self.issued_by_tier[tier] = self.issued_by_tier.get(tier, 0) + 1
         if self.telemetry is not None:
             self.telemetry.bus.emit(
@@ -586,7 +586,7 @@ class Machine:
         ):
             self.prefetch_throttled += fetchable
             return None
-        cgroup = self._cgroup_of[pid]
+        cgroup = table.cgroup
         strict = self.config.strict_cgroup_prefetch and cgroup.charge_prefetch
         last_arrival = None
         for node, vpns in groups.items():
@@ -615,7 +615,7 @@ class Machine:
             landed = 0
             for vpn, arrival in zip(vpns, arrivals):
                 if not strict:
-                    self._ensure_headroom(pid)
+                    self._ensure_headroom(cgroup)
                 cgroup.charge(1, prefetch=True)
                 pte = table.entry(vpn)
                 pte.ppn = self.frames.allocate(pid, vpn)
@@ -633,7 +633,6 @@ class Machine:
                         pid=pid, vpn=vpn, tier=tier, arrival_us=arrival,
                     )
             self._note_peak()
-            self.prefetch_issued += landed
             self.issued_by_tier[tier] = self.issued_by_tier.get(tier, 0) + landed
             if landed and (last_arrival is None or arrivals[-1] > last_arrival):
                 last_arrival = arrivals[-1]
@@ -654,8 +653,8 @@ class Machine:
                 self.backend.release(pte)
             else:
                 pte.state = PteState.SWAPCACHE
-                self.swapcache.insert(pid, vpn)
-            self._lru_of[self._cgroup_of[pid].name].insert(pid, vpn)
+                self.swapcache_inserts += 1
+            table.cgroup.lru.insert(pid, vpn)
             if self.telemetry is not None:
                 self.telemetry.bus.emit(
                     EV_PREFETCH_LAND, arrival,
@@ -667,9 +666,7 @@ class Machine:
     ) -> None:
         """``count`` prefetched pages lost their READ's completion: count
         them issued and dropped, and tell the HoPP breaker."""
-        self.prefetch_issued += count
         self.issued_by_tier[tier] = self.issued_by_tier.get(tier, 0) + count
-        self.dropped_prefetches += count
         self.dropped_by_tier[tier] = self.dropped_by_tier.get(tier, 0) + count
         if self.hopp is not None:
             self.hopp.executor.on_fabric_drop(now_us)
@@ -692,7 +689,7 @@ class Machine:
             self.prefetch_hit_swapcache += 1
         else:
             self.prefetch_hit_inflight += 1
-        cgroup = self._cgroup_of[pid]
+        cgroup = self._page_tables[pid].cgroup
         if not cgroup.charge_prefetch:
             # A cgroup that charges prefetches charged this page already.
             cgroup.promote_prefetch(1)
@@ -708,12 +705,12 @@ class Machine:
 
     # -- reclaim -----------------------------------------------------------------------
 
-    def _ensure_headroom(self, pid: int) -> None:
-        cgroup = self._cgroup_of[pid]
+    def _ensure_headroom(self, cgroup: MemoryCgroup) -> None:
+        """Reclaim from ``cgroup`` until one more page fits its limit."""
         resident = cgroup.resident
         if resident + 1 <= cgroup.limit_pages:
             return
-        lru = self._lru_of[cgroup.name]
+        lru = cgroup.lru
         evicted = 0
         clean = 0
         # Stream-behind hints from the HoPP data plane go first (the
@@ -751,14 +748,12 @@ class Machine:
         the CXL tier is armed), a victim is written back before the next
         is touched, so its retries, its abandonment and the tier's
         migrations interleave as they happen."""
-        cgroup = self._cgroup_of[victims[0][0]]
-        lru = self._lru_of[cgroup.name]
-        lru.remove(victims)
+        cgroup = self._page_tables[victims[0][0]].cgroup
+        cgroup.lru.remove(victims)
         backend = self.backend
         batches = backend.batches_writebacks
         unreadable = self.cluster.unreadable
         tables = self._page_tables
-        swapcache = self.swapcache
         bus = self.telemetry.bus if self.telemetry is not None else None
         executor = self.hopp.executor if self.hopp is not None else None
         prefetcher = self.fault_prefetcher
@@ -786,7 +781,7 @@ class Machine:
             wasted = pte.prefetched
             ppn = pte.ppn
             if pte.state is swapcached:
-                swapcache.drop(pid, vpn)
+                self.swapcache_drops += 1
                 if bus is not None:
                     bus.emit(EV_CACHE_INVALIDATE, now_us, pid=pid, vpn=vpn)
                 slot = pte.swap_slot
@@ -802,7 +797,7 @@ class Machine:
                     # plan loses or poisons a copy, so no batch is
                     # pending: every victim is written back on its own.
                     backend.release(pte)
-                    if not self._write_back_or_abandon(key, table, pte, ppn, lru):
+                    if not self._write_back_or_abandon(key, table, pte, ppn):
                         continue
                     self.pages_salvaged += 1
                 pte.ppn = -1
@@ -812,7 +807,7 @@ class Machine:
                 if batches:
                     keys.append(key)
                     ptes.append(pte)
-                elif not self._write_back_or_abandon(key, table, pte, ppn, lru):
+                elif not self._write_back_or_abandon(key, table, pte, ppn):
                     continue
                 # A PRESENT-but-never-hit page can only be an injected
                 # prefetch; it still carries its prefetch charge.
@@ -854,8 +849,7 @@ class Machine:
         self.backend.writeback(first, keys, self.now_us)
 
     def _write_back_or_abandon(
-        self, key: Tuple[int, int], table: PageTable, pte: Pte, ppn: int,
-        lru: LruPageList,
+        self, key: Tuple[int, int], table: PageTable, pte: Pte, ppn: int
     ) -> bool:
         """Write one evicted page back.  False when the writeback burned
         its retry budget under ``absorb_fatal_faults``: the eviction is
@@ -868,7 +862,7 @@ class Machine:
                 raise
             self.backend.release(pte)
             table.map_page(key[1], ppn, pte)
-            lru.insert(*key)
+            table.cgroup.lru.insert(*key)
             self.writebacks_abandoned += 1
             return False
         return True
@@ -895,9 +889,6 @@ class Machine:
         if self.sanitizer is not None:
             self.sanitizer.check()
 
-    def _lru_of_pid(self, pid: int) -> LruPageList:
-        return self._lru_of[self._cgroup_of[pid].name]
-
     def _note_peak(self) -> None:
         resident = self.frames.used
         if resident > self.peak_resident_pages:
@@ -908,9 +899,10 @@ class Machine:
     def demote_page(self, pid: int, vpn: int) -> bool:
         """Move a resident page to the cold end of its cgroup's LRU so
         reclaim takes it first (Leap's eager cache eviction)."""
-        if pid not in self._cgroup_of:
+        table = self._page_tables.get(pid)
+        if table is None:
             return False
-        return self._lru_of_pid(pid).demote(pid, vpn)
+        return table.cgroup.lru.demote(pid, vpn)
 
     def page_state(self, pid: int, vpn: int) -> PteState:
         table = self._page_tables.get(pid)

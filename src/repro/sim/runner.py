@@ -82,9 +82,9 @@ def collect(machine: Machine, system_name: str, workload_name: str) -> RunResult
         reclaim_clean_drops=machine.reclaimer.stats.clean_drops,
         reclaim_writebacks=machine.reclaimer.stats.writebacks,
         reclaim_background_us=machine.reclaimer.stats.background_us,
-        swapcache_inserts=machine.swapcache.inserts,
-        swapcache_hits=machine.swapcache.hits,
-        swapcache_drops=machine.swapcache.drops,
+        swapcache_inserts=machine.swapcache_inserts,
+        swapcache_hits=machine.swapcache_hits,
+        swapcache_drops=machine.swapcache_drops,
     )
     machine.backend.collect(result)
     if machine.sanitizer is not None:

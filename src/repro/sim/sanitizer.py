@@ -2,8 +2,8 @@
 
 The machine's correctness rests on its structures agreeing at all
 times: the frame allocator, the per-process page tables, the swap-slot
-space, the cluster's slot directory, the per-node page stores, the
-cgroup LRU lists and HoPP's reverse page table.
+space, the cluster's slot directory, the per-node page stores, each
+cgroup's LRU list and HoPP's reverse page table.
 Each layer keeps itself consistent; nothing verified that they agree
 *with each other* — exactly the kind of drift that a crash-repair
 cycle, a failover, or a re-route could silently introduce.
@@ -28,7 +28,9 @@ The checks (all must hold between accesses, never mid-fault):
    PTE in a slot-holding state (REMOTE / SWAPCACHE / INFLIGHT) that
    names it.
 3. **Swap slots <-> directory** — every live slot either has directory
-   holders or is marked lost (and never both).
+   holders or is marked lost (and never both), and every lost mark
+   names a live slot: a release path that forgot its mark would show
+   here.  A stale poison mark is check 6's finding.
 4. **Directory <-> stores** — every holder listed for a slot actually
    stores the page, and every page a node stores is listed in the
    directory (no phantom and no orphan copies), with a carve-out for
@@ -44,9 +46,11 @@ The checks (all must hold between accesses, never mid-fault):
    checksum-ledger entry names a slot its node actually stores; and the
    integrity controller's ledger arithmetic is closed (every detected
    corruption ended repaired, unresolved, or condemned by a poisoning).
-7. **LRU <-> page tables** — every PRESENT or SWAPCACHE page is on its
-   cgroup's LRU, and nothing else is: the batch kernel's LRU touches
-   and eviction's removal take no membership test.
+7. **LRU <-> page tables** — every PRESENT or SWAPCACHE page is on the
+   LRU of the cgroup its page table names, and nothing else is on any
+   cgroup's LRU: the batch kernel's LRU touches and eviction's removal
+   take no membership test.  A SWAPCACHE PTE is the page's swapcache
+   membership; nothing else records it.
 8. **RPT <-> page tables** — on a HoPP machine, whose RPT cache every
    page table writes through, each PRESENT page's frame resolves to its
    ``(pid, vpn)`` (from its RPT cache line, else the DRAM RPT), and no
@@ -63,7 +67,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.cluster.cluster import POISONED
+from repro.cluster.cluster import LOST, POISONED
 from repro.kernel.page_table import PteState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
@@ -219,6 +223,13 @@ class InvariantSanitizer:
                     f"directory lists slot {slot} which swap space does "
                     f"not know",
                 )
+        for slot, mark in cluster.unreadable.items():
+            if mark == LOST and machine.swap_space.page_at(slot) is None:
+                _fail(
+                    "directory",
+                    f"slot {slot} is marked lost but swap space does not "
+                    f"know it",
+                )
 
     # -- 4: directory <-> per-node stores ----------------------------------------------
 
@@ -304,8 +315,9 @@ class InvariantSanitizer:
 
     def _check_lru(self) -> None:
         machine = self.machine
-        for name, lru in machine._lru_of.items():
-            for pid, vpn in lru:
+        for cgroup in machine.cgroups:
+            name = cgroup.name
+            for pid, vpn in cgroup.lru:
                 table = machine._page_tables.get(pid)
                 pte = table.peek(vpn) if table is not None else None
                 if pte is None or pte.state not in _LRU_STATES:
@@ -315,15 +327,14 @@ class InvariantSanitizer:
                         f"cgroup {name}'s LRU lists (pid={pid}, vpn={vpn}) "
                         f"whose PTE is {state}",
                     )
-                owner = machine._cgroup_of[pid].name
-                if owner != name:
+                if table.cgroup is not cgroup:
                     _fail(
                         "lru",
                         f"(pid={pid}, vpn={vpn}) is on cgroup {name}'s LRU "
-                        f"but belongs to cgroup {owner}",
+                        f"but belongs to cgroup {table.cgroup.name}",
                     )
         for pid, table in machine._page_tables.items():
-            lru = machine._lru_of_pid(pid)
+            lru = table.cgroup.lru
             for vpn, pte in table._entries.items():
                 if pte.state in _LRU_STATES and (pid, vpn) not in lru:
                     _fail(

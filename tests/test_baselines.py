@@ -8,8 +8,8 @@ from repro.baselines.depthn import DepthNPrefetcher
 from repro.baselines.fastswap import FastswapPrefetcher
 from repro.baselines.leap import LeapPrefetcher
 from repro.baselines.vma_readahead import VmaReadaheadPrefetcher
+from repro.kernel.page_table import PageTable
 from repro.kernel.swap import SwapSpace
-from repro.kernel.vma import VmaRegistry
 
 
 class StubMachine:
@@ -17,7 +17,10 @@ class StubMachine:
 
     def __init__(self):
         self.swap_space = SwapSpace()
-        self.vmas = VmaRegistry()
+        self._page_tables = {}
+
+    def page_table(self, pid):
+        return self._page_tables.setdefault(pid, PageTable(pid))
 
 
 class TestNoPrefetch:
@@ -163,7 +166,7 @@ class TestDepthN:
 class TestVmaReadahead:
     def test_window_clipped_to_vma(self):
         machine = StubMachine()
-        machine.vmas.for_pid(1).add(100, 10, "heap")  # [100, 110)
+        machine.page_table(1).vmas.add(100, 10, "heap")  # [100, 110)
         prefetcher = VmaReadaheadPrefetcher(window=8)
         targets = prefetcher.on_fault(1, 108, 0, 0.0, machine)
         vpns = sorted(vpn for _, vpn in targets)
@@ -172,7 +175,7 @@ class TestVmaReadahead:
 
     def test_forward_biased_window(self):
         machine = StubMachine()
-        machine.vmas.for_pid(1).add(0, 1000)
+        machine.page_table(1).vmas.add(0, 1000)
         prefetcher = VmaReadaheadPrefetcher(window=8)
         targets = prefetcher.on_fault(1, 500, 0, 0.0, machine)
         vpns = [vpn for _, vpn in targets]

@@ -400,7 +400,7 @@ class TestAbsorbFatalFaults:
         ))
         machine.register_process(1)
         touch_pages(machine, 1, range(256))
-        lru = machine._lru_of_pid(1)
+        lru = machine.page_table(1).cgroup.lru
         victims = list(lru)[:24]
         abandoned_before = machine.writebacks_abandoned
         machine._evict(victims)
@@ -438,7 +438,7 @@ class TestConservationUnderChaos:
         assert machine.resident_pages("default") <= limit
         assert machine.frames.used == machine.resident_pages()
         # Remote-node slots conserve (no leaks from dropped transfers).
-        remote = machine.remote
+        remote = machine.cluster.nodes[0].remote
         assert remote.pages_written == (
             remote.pages_stored + remote.pages_overwritten + remote.pages_released
         )

@@ -286,7 +286,6 @@ class TestSlotDirectory:
         assert cluster.unreadable == {0: LOST}
         assert cluster.is_lost(0) and not cluster.is_poisoned(0)
         assert cluster.holders_of(0) == ()
-        assert cluster.stats_snapshot()["lost_slots"] == 1
 
     def test_release_clears_either_mark(self):
         cluster = _cluster(nodes=2)
@@ -334,16 +333,6 @@ class TestSlotDirectory:
         cluster.nodes[1].injector.check_remote(5.0)
         with pytest.raises(RemoteUnavailableError):
             cluster.nodes[1].injector.check_remote(25.0)
-
-    def test_stats_snapshot_shape(self):
-        cluster = _cluster(nodes=2, replication=2)
-        snapshot = cluster.stats_snapshot()
-        assert snapshot["nodes"] == 2
-        assert snapshot["placement"] == "interleave"
-        assert snapshot["replication"] == 2
-        assert len(snapshot["per_node"]) == 2
-        assert snapshot["per_node"][0]["fabric"]["reads"] == 0
-        assert snapshot["per_node"][1]["remote"]["pages_stored"] == 0
 
 
 #: Golden metrics captured from the pre-cluster tree (commit 026aa07)
@@ -415,11 +404,6 @@ class TestSingleNodeEquivalence:
         snapshot = result.to_dict()
         for key, value in _GOLDEN_CHAOS.items():
             assert snapshot[key] == value, key
-
-    def test_machine_aliases_point_at_node_zero(self):
-        machine = _machine(nodes=1)
-        assert machine.fabric is machine.cluster.nodes[0].fabric
-        assert machine.remote is machine.cluster.nodes[0].remote
 
 
 class TestMultiNodeRuns:

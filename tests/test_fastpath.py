@@ -278,7 +278,7 @@ class TestResidentWindows:
         calls = []
 
         def attach(machine):
-            lru = machine._lru_of_pid(workload.processes[0].pid)
+            lru = machine.page_table(workload.processes[0].pid).cgroup.lru
             touch_each = lru.touch_each
 
             def counting(pid, vpns):
@@ -477,7 +477,7 @@ def machine_state(machine, system_name):
     every cgroup's LRU order."""
     return (
         collect(machine, system_name, "adv").to_dict(full=True),
-        {name: list(lru) for name, lru in machine._lru_of.items()},
+        {cgroup.name: list(cgroup.lru) for cgroup in machine.cgroups},
     )
 
 

@@ -141,14 +141,17 @@ class TestMachineBatchPrefetch:
         assert arrivals == sorted(set(arrivals))  # strictly increasing
         # Pages stream at link rate after one propagation delay.
         gap = arrivals[1] - arrivals[0]
-        assert gap == pytest.approx(machine.fabric.page_service_us)
+        assert gap == pytest.approx(
+            machine.cluster.nodes[0].fabric.page_service_us
+        )
 
     def test_single_fabric_request_counts_pages(self):
         machine = self.make(limit=8)
         touch_pages(machine, 1, range(16))
-        reads_before = machine.fabric.reads
+        fabric = machine.cluster.nodes[0].fabric
+        reads_before = fabric.reads
         machine.prefetch_batch(1, 0, 8, machine.now_us, True, "huge")
-        fetched = machine.fabric.reads - reads_before
+        fetched = fabric.reads - reads_before
         assert fetched > 0
 
     def test_unknown_pid_rejected(self):

@@ -357,21 +357,30 @@ class TestPatrolScrubber:
         assert reads == [3, 3]
 
     def test_scrubber_skips_poisoned_and_lost_slots(self):
-        cluster = _corrupt_cluster(nodes=2, replication=1)
+        # One slot per node: poisoned, lost, healthy.
+        cluster = _corrupt_cluster(nodes=3, replication=1)
         swap = SwapSpace()
         slots = []
-        for vpn in (100, 101):
+        for vpn in (100, 101, 102):
             slot = swap.allocate([(1, vpn)])
             _stored(cluster, slot, 1, vpn)
             slots.append(slot)
+        holders = [cluster.holders_of(slot)[0] for slot in slots]
+        assert sorted(holders) == [0, 1, 2]
         cluster.mark_poisoned(slots[0])
+        # The lost slot's holder still stores its copy, as before a
+        # crash is detected: only the mark keeps the patrol off it.
+        cluster.mark_lost(slots[1])
+        lost_store = cluster.nodes[holders[1]].remote
+        assert lost_store.holds(slots[1])
         controller = IntegrityController(cluster)
         scrubber = PatrolScrubber(cluster, controller, ScrubConfig())
-        scrubber.step(0.0)
-        scrubber.step(1000.0)
-        assert controller.scrub_reads == 2
-        poisoned_holder = cluster.holders_of(slots[0])[0]
-        assert cluster.nodes[poisoned_holder].remote.pages_read == 0
+        for step in range(3):
+            scrubber.step(step * 1000.0)
+        assert controller.scrub_reads == 3
+        assert cluster.nodes[holders[0]].remote.pages_read == 0
+        assert lost_store.pages_read == 0
+        assert cluster.nodes[holders[2]].remote.pages_read == 3
 
     def test_scrub_finds_latent_corruption_and_repairs_it(self):
         cluster = _corrupt_cluster(nodes=3, replication=2)

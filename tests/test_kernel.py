@@ -10,8 +10,11 @@ from repro.kernel.cgroup import CgroupManager, CgroupOverLimitError, MemoryCgrou
 from repro.kernel.frames import FrameAllocator, OutOfFramesError
 from repro.kernel.page_table import PageTable, PteState
 from repro.kernel.reclaim import LruPageList, Reclaimer
-from repro.kernel.swap import SwapCache, SwapSpace
-from repro.kernel.vma import VmaMap, VmaRegistry
+from repro.kernel.swap import SwapSpace
+from repro.kernel.vma import VmaMap
+from repro.sim.machine import Machine, MachineConfig
+from repro.sim.sanitizer import InvariantSanitizer
+from tests.conftest import quiet_fabric, touch_pages
 
 
 class _RecordingRpt:
@@ -138,26 +141,47 @@ class TestSwapSpace:
         SwapSpace().free(1234)
 
 
+def _swapcache_machine() -> Machine:
+    """A machine whose page 0 was reclaimed, then prefetched back into
+    the swapcache."""
+    machine = Machine(
+        MachineConfig(local_memory_pages=8, fabric=quiet_fabric(), watermark_slack=4)
+    )
+    machine.register_process(1)
+    touch_pages(machine, 1, range(16))
+    arrival = machine.prefetch_page(1, 0, machine.now_us, False, "test")
+    machine.now_us = arrival + 1.0
+    machine.access(1, 200 << 12)  # lands the prefetch
+    return machine
+
+
 class TestSwapCache:
+    """Swapcache membership is the PTE state; the machine counts the
+    pages that enter, are mapped out of and are reclaimed from it."""
+
     def test_insert_lookup_take(self):
-        cache = SwapCache()
-        cache.insert(1, 5)
-        assert (1, 5) in cache
-        assert cache.take(1, 5)
-        assert (1, 5) not in cache
-        assert cache.hits == 1
+        machine = _swapcache_machine()
+        assert machine.page_state(1, 0) == PteState.SWAPCACHE
+        assert machine.swapcache_inserts == 1
+        machine.access(1, 0)
+        assert machine.page_state(1, 0) == PteState.PRESENT
+        assert machine.swapcache_hits == 1
 
     def test_take_missing(self):
-        cache = SwapCache()
-        assert not cache.take(1, 5)
-        assert cache.hits == 0
+        machine = _swapcache_machine()
+        assert machine.page_state(1, 1) == PteState.REMOTE
+        machine.access(1, 1 << 12)  # a major fault, not a swapcache hit
+        assert machine.page_state(1, 1) == PteState.PRESENT
+        assert machine.swapcache_hits == 0
 
     def test_drop(self):
-        cache = SwapCache()
-        cache.insert(1, 5)
-        assert cache.drop(1, 5)
-        assert not cache.drop(1, 5)
-        assert cache.drops == 1
+        machine = _swapcache_machine()
+        assert machine.swapcache_drops == 0
+        machine._evict([(1, 0)])
+        assert machine.page_state(1, 0) == PteState.REMOTE
+        assert machine.swapcache_drops == 1
+        assert machine.swapcache_hits == 0
+        InvariantSanitizer(machine).check()
 
 
 class TestMemoryCgroup:
@@ -167,7 +191,7 @@ class TestMemoryCgroup:
         assert not group.charge()
         assert group.charge()  # now over limit
         assert group.over_limit
-        assert group.max_charged == 3
+        assert group.charged == 3
 
     def test_strict_charge_raises(self):
         group = MemoryCgroup("app", limit_pages=1)
@@ -308,12 +332,15 @@ class TestVma:
             VmaMap(pid=1).add(0, 0)
 
     def test_registry_per_pid(self):
-        registry = VmaRegistry()
-        registry.for_pid(1).add(0, 10, "a")
-        registry.for_pid(2).add(0, 10, "b")
-        assert registry.find(1, 5).name == "a"
-        assert registry.find(2, 5).name == "b"
-        assert registry.find(3, 5) is None
+        # Each process's page table holds its own VMAs.
+        machine = Machine(MachineConfig(local_memory_pages=8))
+        for pid in (1, 2, 3):
+            machine.register_process(pid)
+        machine.add_vma(1, 0, 10, "a")
+        machine.add_vma(2, 0, 10, "b")
+        assert machine.page_table(1).vmas.find(5).name == "a"
+        assert machine.page_table(2).vmas.find(5).name == "b"
+        assert machine.page_table(3).vmas.find(5) is None
 
     @given(st.lists(st.tuples(st.integers(0, 1000), st.integers(1, 50)), max_size=30))
     @settings(max_examples=30, deadline=None)

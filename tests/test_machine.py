@@ -52,8 +52,9 @@ class TestEvictionAndMajorFault:
         machine = make_machine(limit=8)
         touch_pages(machine, 1, range(16))
         assert machine.page_state(1, 0) == PteState.REMOTE
-        assert machine.remote.pages_stored > 0
-        assert machine.fabric.writes > 0
+        node = machine.cluster.nodes[0]
+        assert node.remote.pages_stored > 0
+        assert node.fabric.writes > 0
 
     def test_major_fault_cost_includes_rdma(self):
         machine = make_machine(limit=8)

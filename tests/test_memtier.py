@@ -176,12 +176,13 @@ class TestClusterTiers:
         assert cluster.holders_of(slot) == (target,)
 
     def test_untiered_snapshot_has_no_tier_keys(self):
-        cluster = RemoteMemoryCluster(ClusterConfig(), 1024, quiet_fabric())
-        snap = cluster.stats_snapshot()
-        assert "node_tiers" not in snap
-        for node_snap in snap["per_node"]:
+        # What RunResult.node_stats carries for each node.
+        cluster = RemoteMemoryCluster(ClusterConfig(nodes=2), 1024, quiet_fabric())
+        for node in cluster.nodes:
+            node_snap = node.stats_snapshot()
             assert "tier" not in node_snap
             assert "tier" not in node_snap["remote"]
+            assert "pages_migrated_out" not in node_snap["remote"]
 
 
 class TestTieredPlacement:

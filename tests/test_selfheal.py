@@ -494,6 +494,15 @@ class TestSanitizer:
                            match=r"\[integrity\].*poisoned but has no"):
             InvariantSanitizer(machine).check()
 
+    def test_detects_lost_mark_on_a_freed_slot(self):
+        # A lost mark names a live slot; freeing the slot clears it, so
+        # a mark on a slot swap space does not know is stale.
+        machine = self._healthy_machine()
+        machine.cluster.mark_lost(10**6)
+        with pytest.raises(InvariantViolation,
+                           match=r"\[directory\].*marked lost but swap space"):
+            InvariantSanitizer(machine).check()
+
     def test_detects_drifted_resident_total(self):
         # A cgroup's residency (charged plus uncharged prefetches) must
         # match the frames its pages hold.
@@ -505,7 +514,7 @@ class TestSanitizer:
 
     def test_detects_a_resident_page_off_the_lru(self):
         machine = self._healthy_machine()
-        lru = machine._lru_of_pid(1)
+        lru = machine.page_table(1).cgroup.lru
         pid, vpn = next(iter(lru))
         lru.remove([(pid, vpn)])
         with pytest.raises(InvariantViolation,
@@ -517,7 +526,7 @@ class TestSanitizer:
         table = machine.page_table(1)
         vpn = next(v for v, pte in table._entries.items()
                    if pte.state is PteState.REMOTE)
-        machine._lru_of_pid(1).insert(1, vpn)
+        table.cgroup.lru.insert(1, vpn)
         with pytest.raises(InvariantViolation,
                            match=r"\[lru\].*whose PTE is REMOTE"):
             InvariantSanitizer(machine).check()
