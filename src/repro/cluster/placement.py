@@ -161,7 +161,7 @@ class TieredPlacement(PlacementPolicy):
     def place(
         self, pid: int, vpn: int, slot: int, cluster: "RemoteMemoryCluster"
     ) -> int:
-        tiers = getattr(cluster, "node_tiers", None)
+        tiers = cluster.node_tiers
         if not tiers:
             # Untiered cluster: behave exactly like interleave.
             return slot % cluster.node_count
@@ -170,15 +170,12 @@ class TieredPlacement(PlacementPolicy):
         if not pool or not far:
             only = pool or far
             return only[slot % len(only)]
-        hot_fn = getattr(cluster, "memtier_hot", None)
+        hot_fn = cluster.memtier_hot
         if hot_fn is not None and hot_fn(pid, vpn):
             candidates = [n for n in pool if cluster.has_room(n)]
             if candidates:
                 return min(candidates, key=lambda n: (cluster.node_load(n), n))
-        config = getattr(cluster, "memtier_config", None)
-        high_fraction = (
-            config.pool_high_watermark if config is not None else 0.9
-        )
+        high_fraction = cluster.memtier_config.pool_high_watermark
         start = slot % len(pool)
         for hop in range(len(pool)):
             node_id = pool[(start + hop) % len(pool)]

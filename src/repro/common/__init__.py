@@ -1,7 +1,7 @@
-"""Shared primitives: constants, value types, LRU structures, statistics."""
+"""Shared primitives: constants, value types, statistics, and the
+Python 3.9 compat shim (:mod:`repro.common.compat`)."""
 
 from repro.common import constants
-from repro.common.assoc import SetAssociativeTable
 from repro.common.stats import Histogram, RunningStat, safe_ratio
 from repro.common.types import (
     Decision,
@@ -16,7 +16,6 @@ from repro.common.types import (
 
 __all__ = [
     "constants",
-    "SetAssociativeTable",
     "Histogram",
     "RunningStat",
     "safe_ratio",

@@ -29,17 +29,20 @@ class StreamObservation:
     Algorithms 1 and 2 in the paper.
 
     An observation from :meth:`StreamTrainingTable.feed` is its stream's
-    one *live view*: the table keeps a single observation per stream and
-    every feed that completes the stream's history refreshes ``vpn``,
-    ``stride`` and ``timestamp_us`` in place.  ``vpns`` and ``strides``
-    are the stream's own history windows and ``stride_counts`` its
-    incrementally maintained non-zero-stride histogram, so the whole
-    view is valid until that stream's next hot page.  The tuple
-    histories are copied out of the windows on first access after a
-    refresh only, so the SSP path, which needs just the histogram and
-    the newest VPN, copies nothing.  Call :meth:`detach` for a snapshot
-    that outlives the stream's next hot page.  ``stride_counts`` None
-    means "not provided": consumers recount from the strides.
+    STT entry itself, a *live view*: the table keeps one object per
+    stream.  Every feed that matches the stream sets ``stamp`` from the
+    table's recency clock, and every one that extends it moves ``vpn``
+    to the stream's newest VPN; a feed that completes the stream's
+    history also refreshes ``stride`` and ``timestamp_us`` and hands
+    the object out.  ``vpns`` and ``strides`` are the stream's own
+    history windows and ``stride_counts`` its incrementally maintained
+    non-zero-stride histogram, so the whole view is valid until that
+    stream's next hot page.  The tuple histories are copied out of the
+    windows on first access after a refresh only, so the SSP path,
+    which needs just the histogram and the newest VPN, copies nothing.
+    Call :meth:`detach` for a snapshot that outlives the stream's next
+    hot page.  ``stride_counts`` None means "not provided": consumers
+    recount from the strides.
     """
 
     __slots__ = (
@@ -51,6 +54,7 @@ class StreamObservation:
         "stream_id",
         "timestamp_us",
         "stride_counts",
+        "stamp",
         "_vpn_history",
         "_stride_history",
     )
@@ -74,6 +78,9 @@ class StreamObservation:
         self.stream_id = stream_id
         self.timestamp_us = timestamp_us
         self.stride_counts = stride_counts
+        #: The STT's recency stamp (larger = more recently used); 0 for
+        #: an observation outside the table, a detached one included.
+        self.stamp = 0
         self._vpn_history: Optional[Tuple[int, ...]] = None
         self._stride_history: Optional[Tuple[int, ...]] = None
 

@@ -15,9 +15,9 @@ and RDMA-fetched pages arrive via DMA writes that would pollute the trace.
 
 from __future__ import annotations
 
-from typing import Optional
+from collections import OrderedDict
+from typing import List, Optional
 
-from repro.common.assoc import SetAssociativeTable
 from repro.common.constants import (
     BLOCK_SIZE,
     BLOCKS_PER_PAGE,
@@ -46,10 +46,20 @@ class HotPageDetector:
             raise ValueError(
                 f"threshold must be in [1, {BLOCKS_PER_PAGE}] (cachelines/page)"
             )
+        if nsets < 1 or nways < 1:
+            raise ValueError("nsets and nways must both be >= 1")
         self.threshold = threshold
-        #: Each set maps PPN -> READ count (Figure 5's row; the LRU bit
-        #: lives in the table).  ``count >= threshold`` is the send bit.
-        self._table: SetAssociativeTable[int] = SetAssociativeTable(nsets, nways)
+        self.nsets = nsets
+        self.nways = nways
+        #: One LRU-ordered dict per set (last item = most recently used),
+        #: indexed by ``ppn % nsets``: PPN -> READ count (Figure 5's
+        #: row).  ``count >= threshold`` is the send bit.
+        self._sets: List["OrderedDict[int, int]"] = [
+            OrderedDict() for _ in range(nsets)
+        ]
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
         self.accesses = 0
         self.writes_ignored = 0
         self.dropped_after_send = 0
@@ -60,29 +70,26 @@ class HotPageDetector:
     def process(self, paddr: int, is_write: bool = False) -> Optional[int]:
         """One MC access.  Returns the hot PPN when extraction fires.
 
-        This runs once per MC READ — the hottest call in a HoPP run — so
-        the table probe is inlined against the set dict (HPD owns its
-        table, whose set index is ``ppn % nsets``); the stat and LRU
-        updates repeat ``SetAssociativeTable.lookup``/``insert`` exactly.
+        This runs once per MC READ, the hottest call in a HoPP run: one
+        probe of the page's set dict, and an LRU refill on a miss.
         """
         if is_write:
             self.writes_ignored += 1
             return None
         self.accesses += 1
         ppn = paddr >> PAGE_SHIFT
-        table = self._table
-        target = table._sets[ppn % table.nsets]
+        target = self._sets[ppn % self.nsets]
         count = target.get(ppn)
         if count is None:
-            table.misses += 1
-            if len(target) >= table.nways:
+            self.misses += 1
+            if len(target) >= self.nways:
                 target.popitem(last=False)
-                table.evictions += 1
+                self.evictions += 1
             target[ppn] = 1
             if self.threshold == 1:
                 return self._extract(ppn)
             return None
-        table.hits += 1
+        self.hits += 1
         target.move_to_end(ppn)
         threshold = self.threshold
         if count >= threshold:
@@ -109,16 +116,15 @@ class HotPageDetector:
         """
         if reads <= 0:
             return 0, False
-        table = self._table
-        target = table._sets[ppn % table.nsets]
+        target = self._sets[ppn % self.nsets]
         count = target.get(ppn)
         threshold = self.threshold
         used = 0
         if count is None:
-            table.misses += 1
-            if len(target) >= table.nways:
+            self.misses += 1
+            if len(target) >= self.nways:
                 target.popitem(last=False)
-                table.evictions += 1
+                self.evictions += 1
             target[ppn] = count = 1
             self.accesses += 1
             used = 1
@@ -132,16 +138,16 @@ class HotPageDetector:
         need = threshold - count
         if need <= 0:
             # Sent: every further READ is dropped until eviction.
-            table.hits += rest
+            self.hits += rest
             self.accesses += rest
             self.dropped_after_send += rest
             return reads, False
         if rest < need:
-            table.hits += rest
+            self.hits += rest
             self.accesses += rest
             target[ppn] = count + rest
             return reads, False
-        table.hits += need
+        self.hits += need
         self.accesses += need
         target[ppn] = threshold
         self._extract(ppn)
@@ -174,7 +180,7 @@ class HotPageDetector:
 
     @property
     def tracked_pages(self) -> int:
-        return len(self._table)
+        return sum(len(target) for target in self._sets)
 
 
 class MultiChannelHpd:

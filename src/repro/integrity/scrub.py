@@ -270,8 +270,10 @@ class PatrolScrubber:
     One ``step`` verifies one stored copy: a modeled READ on the
     holder's link plus a ledger check.  The walk is a deterministic
     round-robin cursor over the sorted (slot, holder) pairs, skipping
-    lost/poisoned slots and unreadable nodes, so scrub order is a pure
-    function of directory state."""
+    poisoned slots and unreadable nodes, so scrub order is a pure
+    function of directory state.  A lost slot has no directory entry
+    (:meth:`~repro.cluster.cluster.RemoteMemoryCluster.mark_lost` drops
+    its holders), so the walk never meets one."""
 
     def __init__(
         self,

@@ -7,18 +7,11 @@ byte addresses; the cache operates on cacheline-aligned blocks.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.common.assoc import SetAssociativeTable
 from repro.common.constants import BLOCK_SHIFT
-
-
-@dataclass
-class CacheLineState:
-    """Per-line metadata: only dirtiness matters to a write-back model."""
-
-    dirty: bool = False
 
 
 @dataclass(frozen=True)
@@ -53,9 +46,13 @@ class Cache:
         self.block_shift = block_shift
         self.nsets = nsets
         self.ways = ways
-        self._table: SetAssociativeTable[CacheLineState] = SetAssociativeTable(
-            nsets, ways
-        )
+        #: One LRU-ordered dict per set (last item = most recently used),
+        #: indexed by ``block % nsets``: block -> its dirty bit.
+        self._sets: List["OrderedDict[int, bool]"] = [
+            OrderedDict() for _ in range(nsets)
+        ]
+        self.hits = 0
+        self.misses = 0
 
     # -- geometry -------------------------------------------------------------
 
@@ -71,15 +68,21 @@ class Cache:
     def access(self, addr: int, is_write: bool = False) -> CacheAccessResult:
         """Reference ``addr``; returns hit/miss plus any dirty writeback."""
         block = self.block_of(addr)
-        state = self._table.lookup(block)
-        if state is not None:
+        target = self._sets[block % self.nsets]
+        dirty = target.get(block)
+        if dirty is not None:
+            self.hits += 1
+            target.move_to_end(block)
             if is_write:
-                state.dirty = True
+                target[block] = True
             return CacheAccessResult(hit=True)
-        victim = self._table.insert(block, CacheLineState(dirty=is_write))
+        self.misses += 1
         writeback = None
-        if victim is not None and victim[1].dirty:
-            writeback = victim[0]
+        if len(target) >= self.ways:
+            victim, victim_dirty = target.popitem(last=False)
+            if victim_dirty:
+                writeback = victim
+        target[block] = is_write
         return CacheAccessResult(hit=False, writeback_block=writeback)
 
     def invalidate_page(self, vpn: int, page_shift: int = 12) -> int:
@@ -91,26 +94,20 @@ class Cache:
         first = vpn << (page_shift - self.block_shift)
         dropped = 0
         for block in range(first, first + blocks_per_page):
-            if self._table.remove(block) is not None:
+            if self._sets[block % self.nsets].pop(block, None) is not None:
                 dropped += 1
         return dropped
 
     def __contains__(self, addr: int) -> bool:
-        return self.block_of(addr) in self._table
+        block = self.block_of(addr)
+        return block in self._sets[block % self.nsets]
 
     # -- stats ----------------------------------------------------------------
 
     @property
-    def hits(self) -> int:
-        return self._table.hits
-
-    @property
-    def misses(self) -> int:
-        return self._table.misses
-
-    @property
     def hit_rate(self) -> float:
-        return self._table.hit_rate
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
 
 
 class CacheHierarchy:

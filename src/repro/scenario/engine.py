@@ -364,88 +364,37 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
 # -- presets ----------------------------------------------------------------------------
 
 
-def _preset_smoke(**overrides) -> ScenarioConfig:
-    """Small and fast: CI's sanity scenario."""
-    base = dict(
-        name="smoke",
-        tenants=tuple(
-            build_fleet(6, seed=7, pattern="mixed", rounds=6,
-                        pages_per_tenant=120)
-        ),
-        rounds=6,
-        accesses_per_round=1500,
-        remote_nodes=2,
-        standby_nodes=1,
-    )
-    base.update(overrides)
-    return ScenarioConfig(**base)
-
-
-def _preset_burst(**overrides) -> ScenarioConfig:
-    """Synchronized bursts from a mid-size fleet: exercises the ladder."""
-    base = dict(
-        name="burst",
-        tenants=tuple(
-            build_fleet(12, seed=11, pattern="bursty", rounds=8,
-                        pages_per_tenant=120)
-        ),
-        rounds=8,
-        accesses_per_round=2000,
-        remote_nodes=2,
-        standby_nodes=2,
-    )
-    base.update(overrides)
-    return ScenarioConfig(**base)
-
-
-def _preset_diurnal(**overrides) -> ScenarioConfig:
-    """Slow day/night swell: exercises the autoscaler in both directions."""
-    base = dict(
-        name="diurnal",
-        tenants=tuple(
-            build_fleet(16, seed=13, pattern="diurnal", rounds=10,
-                        pages_per_tenant=100)
-        ),
-        rounds=10,
-        accesses_per_round=1500,
-        remote_nodes=2,
-        standby_nodes=2,
-    )
-    base.update(overrides)
-    return ScenarioConfig(**base)
-
-
-def _preset_flash(**overrides) -> ScenarioConfig:
-    """Flash crowd at mid-run: the admission controller's reason to exist."""
-    base = dict(
-        name="flash",
-        tenants=tuple(
-            build_fleet(12, seed=17, pattern="flash", rounds=10,
-                        pages_per_tenant=120)
-        ),
-        rounds=10,
-        accesses_per_round=2500,
-        remote_nodes=2,
-        standby_nodes=2,
-    )
-    base.update(overrides)
-    return ScenarioConfig(**base)
-
-
-PRESETS = {
-    "smoke": _preset_smoke,
-    "burst": _preset_burst,
-    "diurnal": _preset_diurnal,
-    "flash": _preset_flash,
+#: One row per preset: fleet size, fleet seed, arrival pattern, rounds,
+#: pages per tenant, accesses per round, standby nodes.
+PRESETS: Dict[str, Tuple[int, int, str, int, int, int, int]] = {
+    # Small and fast: CI's sanity scenario.
+    "smoke": (6, 7, "mixed", 6, 120, 1500, 1),
+    # Synchronized bursts from a mid-size fleet: exercises the ladder.
+    "burst": (12, 11, "bursty", 8, 120, 2000, 2),
+    # Slow day/night swell: exercises the autoscaler in both directions.
+    "diurnal": (16, 13, "diurnal", 10, 100, 1500, 2),
+    # Flash crowd at mid-run: the admission controller's reason to exist.
+    "flash": (12, 17, "flash", 10, 120, 2500, 2),
 }
 
 
 def preset(name: str, **overrides) -> ScenarioConfig:
     try:
-        factory = PRESETS[name]
+        fleet, seed, pattern, rounds, pages, accesses, standby = PRESETS[name]
     except KeyError:
         raise KeyError(
             f"unknown scenario preset {name!r} "
             f"(have: {', '.join(sorted(PRESETS))})"
         ) from None
-    return factory(**overrides)
+    base = dict(
+        name=name,
+        tenants=tuple(
+            build_fleet(fleet, seed=seed, pattern=pattern, rounds=rounds,
+                        pages_per_tenant=pages)
+        ),
+        rounds=rounds,
+        accesses_per_round=accesses,
+        standby_nodes=standby,
+    )
+    base.update(overrides)
+    return ScenarioConfig(**base)

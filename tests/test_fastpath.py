@@ -341,8 +341,8 @@ class TestBatchPrimitives:
         assert a.accesses == b.accesses
         assert a.dropped_after_send == b.dropped_after_send
         assert a.hot_pages == b.hot_pages
-        assert a._table.hits == b._table.hits
-        assert a._table.misses == b._table.misses
+        assert a.hits == b.hits
+        assert a.misses == b.misses
 
     def test_ssp_counts_equivalence(self):
         from repro.hopp import ssp

@@ -94,6 +94,12 @@ class TestHotPageDetector:
         with pytest.raises(ValueError):
             HotPageDetector(threshold=65)
 
+    def test_invalid_geometry_rejected(self):
+        with pytest.raises(ValueError):
+            HotPageDetector(nsets=0)
+        with pytest.raises(ValueError):
+            HotPageDetector(nways=0)
+
     @given(
         st.lists(
             st.tuples(st.integers(0, 30), st.integers(0, 63)),
@@ -167,13 +173,12 @@ class TestReadCountsDifferential:
 
     def _compare(self, hpd, hot, ref):
         assert hot == ref.hot
-        table = hpd._table
-        assert (hpd.accesses, table.hits, table.misses, table.evictions,
+        assert (hpd.accesses, hpd.hits, hpd.misses, hpd.evictions,
                 hpd.dropped_after_send, hpd.hot_pages,
                 hpd.repeated_detections) == (
             ref.accesses, ref.hits, ref.misses, ref.evictions,
             ref.dropped_after_send, len(ref.hot), ref.repeated_detections)
-        assert [list(rows.items()) for rows in table._sets] == ref.state()
+        assert [list(rows.items()) for rows in hpd._sets] == ref.state()
 
     @pytest.mark.parametrize("threshold", [1, 2, 8])
     @pytest.mark.parametrize("geometry", [(4, 16), (2, 3)])

@@ -375,6 +375,28 @@ class TestObservationView:
         assert len(views) == 4
         assert len({id(view) for view in views.values()}) == 4
 
+    def test_the_listed_stream_is_the_observation(self):
+        stt = StreamTrainingTable(entries=3, history_len=4, stream_delta=8)
+        rng = random.Random(9)
+        heads = {1: 1000, 2: 5000, 3: 9000}
+        handed_out = 0
+        for step in range(800):
+            lane = rng.choice(sorted(heads))
+            if rng.random() < 0.1:
+                heads[lane] += 100  # leave the stream: allocate, evict
+            else:
+                heads[lane] += rng.choice([1, 1, 2, -1, 0])
+            obs = stt.feed(lane % 2, heads[lane], float(step))
+            streams = stt.streams()
+            if obs is not None:
+                handed_out += 1
+                listed = [s for s in streams if s.stream_id == obs.stream_id]
+                assert len(listed) == 1 and listed[0] is obs
+            for stream in streams:
+                assert stream.vpn == stream.vpns[-1]
+        assert handed_out > 100
+        assert stt.streams_evicted > 0
+
     def test_detach_is_an_equal_independent_snapshot(self):
         stt = StreamTrainingTable(history_len=4)
         for vpn in (100, 101, 102):

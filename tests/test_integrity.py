@@ -368,11 +368,11 @@ class TestPatrolScrubber:
         holders = [cluster.holders_of(slot)[0] for slot in slots]
         assert sorted(holders) == [0, 1, 2]
         cluster.mark_poisoned(slots[0])
-        # The lost slot's holder still stores its copy, as before a
-        # crash is detected: only the mark keeps the patrol off it.
         cluster.mark_lost(slots[1])
         lost_store = cluster.nodes[holders[1]].remote
         assert lost_store.holds(slots[1])
+        # A lost slot leaves the directory the patrol walks.
+        assert slots[1] not in cluster.slots_in_directory()
         controller = IntegrityController(cluster)
         scrubber = PatrolScrubber(cluster, controller, ScrubConfig())
         for step in range(3):

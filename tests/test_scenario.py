@@ -9,6 +9,8 @@ page accounting conserved under the invariant sanitizer.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.net.faults import FaultPlan
@@ -497,6 +499,30 @@ class TestEngine:
             assert config.tenants
         with pytest.raises(KeyError):
             preset("nope")
+
+    @pytest.mark.parametrize(
+        "name, tenants, seed, pattern, rounds, pages, accesses, standby", [
+            ("smoke", 6, 7, "mixed", 6, 120, 1500, 1),
+            ("burst", 12, 11, "bursty", 8, 120, 2000, 2),
+            ("diurnal", 16, 13, "diurnal", 10, 100, 1500, 2),
+            ("flash", 12, 17, "flash", 10, 120, 2500, 2),
+        ])
+    def test_preset_fields(self, name, tenants, seed, pattern, rounds, pages,
+                           accesses, standby):
+        config = preset(name)
+        assert config == ScenarioConfig(
+            name=name,
+            tenants=tuple(build_fleet(tenants, seed=seed, pattern=pattern,
+                                      rounds=rounds, pages_per_tenant=pages)),
+            rounds=rounds,
+            accesses_per_round=accesses,
+            remote_nodes=2,
+            standby_nodes=standby,
+        )
+        assert len(config.tenants) == tenants
+        # Overrides replace a row's field; the fleet keeps the row's.
+        assert preset(name, seed=7, rounds=3) == replace(
+            config, seed=7, rounds=3)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
